@@ -102,6 +102,17 @@ def _load_model(path: str) -> ModelSpec:
         raise ConfigError(str(exc), field="model")
 
 
+# Smallest accepted value of each count argument, wherever a subcommand takes it.
+_COUNT_MINIMUMS = {"lmax": 0, "l": 0, "count": 1, "samples": 1, "threads": 1}
+
+
+def _check_counts(args):
+    for name, minimum in _COUNT_MINIMUMS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < minimum:
+            raise ConfigError(f"--{name} must be at least {minimum}, got {value}", field=name)
+
+
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -322,6 +333,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except ConfigError as exc:
         error = {"schema": SCHEMA_VERSION,

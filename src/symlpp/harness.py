@@ -16,13 +16,11 @@ import numpy as np
 
 from .core import ModelSpec, format_rational
 from .lpp import mc_distribution
-from .numerics import ExpCos, PolyPlus, SymbolSpec
+from .numerics import ExpCos, SymbolSpec
 from .rmt import (
-    ClassFunctionSpec,
     antidiagonal_odd_prefactors,
     model_rmt_distribution,
     rmt_method,
-    sp_average,
     u_average,
 )
 from .symfunc import exact_distribution, pointreflection_selfdual_sum
@@ -128,31 +126,31 @@ def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
                               "PASS" if ok else "FAIL"))
     notes: dict = {}
     if spec.variant == "antidiagonal":
-        notes["odd_bound_prefactor"] = _resolve_antidiagonal_prefactor(spec, l_max, tol, quad_tol)
+        notes["odd_bound_prefactor"] = _resolve_antidiagonal_prefactor(spec, rows, tol, quad_tol)
     verdict = "PASS" if all(r.verdict == "PASS" for r in rows) else "FAIL"
     return VerificationReport(spec.to_json_dict(), second_kind, rows, verdict, notes)
 
 
-def _resolve_antidiagonal_prefactor(spec: ModelSpec, l_max: int, tol: float,
+def _resolve_antidiagonal_prefactor(spec: ModelSpec, rows: list[ReportRow], tol: float,
                                     quad_tol: float) -> dict:
     """Try both candidate prefactors of the odd-bound formula against the exact law.
 
     The two candidates differ in the index pairing of the cross terms; they
     agree for n = 1.  Whichever reproduces the exact law at every odd bound is
     reported as 'resolved'; the mismatch of the other candidate is reported,
-    not silently fixed.
+    not silently fixed.  The report's second column at an odd bound is the
+    standard prefactor times the Sp average, so each candidate's value is
+    rescaled from it; with no odd bound in the report, bound 1 is checked.
     """
     candidates = antidiagonal_odd_prefactors(spec.q)
-    symbol = SymbolSpec(tuple(PolyPlus(x, 1) for x in spec.q))
+    standard = candidates["standard"]
     matches = {name: True for name in candidates}
     worst = {name: Fraction(0) for name in candidates}
-    odd_bounds = [l for l in range(l_max + 1) if l % 2 == 1] or [1]
-    for l in odd_bounds:
-        exact = exact_distribution(spec, l)
-        average = sp_average(ClassFunctionSpec(symbol=symbol), l // 2, quad_tol)
+    odd = [(r.exact_value, r.second_value) for r in rows if r.l % 2 == 1] or [
+        (exact_distribution(spec, 1), model_rmt_distribution(spec, 1, quad_tol))]
+    for exact, second in odd:
         for name, pref in candidates.items():
-            value = pref * average if isinstance(average, Fraction) else float(pref) * average
-            diff, ok = _diff_ok(exact, value, tol)
+            diff, ok = _diff_ok(exact, pref / standard * second, tol)
             matches[name] = matches[name] and ok
             if float(diff) > float(worst[name]):
                 worst[name] = diff

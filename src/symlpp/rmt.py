@@ -1,12 +1,27 @@
 """Eigenvalue averages over the classical compact groups and the model formulas.
 
-Two engines compute the same averages.  For polynomial integrands the Weyl
-densities and the class function are expanded as exact Laurent polynomials in
-the angle variables and the average is a rational constant-term extraction.
-Everything else goes through product trapezoidal quadrature on a uniform grid
-whose node count exceeds the integrand's trigonometric degree, so polynomial
-parts are still integrated exactly and series parts contribute below the
-requested tolerance.
+Three engines compute the averages, each for its own kind of class function.
+
+* Multiplicative class functions made of (1 + c z^s) factors (the
+  det(1 + alpha U) factor included) and at most one geometric factor
+  (1 - c z^s)^-1 have, over Sp(2l), O+(l) and O-(l), the Toeplitz +- Hankel
+  determinant forms of Johansson (Ann. Math. 145, 1997) and Baik & Rains
+  (Duke Math. J. 109, 2001) in the exact Fourier coefficients of
+  g(z) = f(z) f(1/z).  The result is a rational of determinant order at
+  most l.
+* Other polynomial integrands (Schur factors, and every polynomial average
+  under method='exact') expand the Weyl density and the class function as
+  exact Laurent polynomials in the angle variables; the average is a rational
+  constant-term extraction.
+* Everything else (exponential factors, a geometric factor beside a Schur
+  factor, several geometric factors, or method='quadrature') goes through
+  product trapezoidal quadrature on a uniform grid whose node count exceeds
+  the integrand's trigonometric degree, so polynomial parts are still
+  integrated exactly and series parts contribute below the requested
+  tolerance.  The grid size is checked before anything is allocated.
+
+The unitary average of a multiplicative symbol is the Toeplitz determinant of
+its Fourier coefficients (u_average).
 
 Conventions: an average over a size-0 group is 1, and 0**0 = 1 wherever a
 weight parameter is 0 with a vanishing exponent.
@@ -250,8 +265,76 @@ def _exact_average(st: _Structure, cf: ClassFunctionSpec) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Determinant engine: Toeplitz +- Hankel forms of multiplicative averages
+# ---------------------------------------------------------------------------
+
+# Hankel shift and sign of det(g_{j-k} + sign * g_{j+k+shift}), by the per-angle
+# density factor of the component.
+_HANKEL = {"sin2": (2, -1), "one_minus": (1, -1), "one_plus": (1, 1), None: (0, 1)}
+
+
+def _has_determinant_form(cf: ClassFunctionSpec) -> bool:
+    """Multiplicative, rational and with at most one geometric factor."""
+    if cf.schur_rho is not None:
+        return False
+    factors = cf.effective_symbol().factors
+    return (all(isinstance(f, (PolyPlus, GeomInv)) for f in factors)
+            and sum(isinstance(f, GeomInv) for f in factors) <= 1)
+
+
+def _pair_coefficients(symbol: SymbolSpec, k_max: int) -> list[Fraction]:
+    """Exact Fourier coefficients g_0..g_{k_max} of g(z) = f(z) f(1/z).
+
+    Each polynomial factor contributes (1 + cz)(1 + c/z) whatever its exponent
+    sign.  A geometric factor contributes sum_k c^|k| z^k / (1 - c^2), so
+    g_k = sum_a P_a c^|k-a| / (1 - c^2) over the polynomial part P, in closed
+    form instead of a truncated series.
+    """
+    poly = {0: Fraction(1)}
+    geom = None
+    for fac in symbol.factors:
+        if isinstance(fac, GeomInv):
+            geom = fac.c
+            continue
+        out: dict[int, Fraction] = {}
+        for a, v in poly.items():
+            for shift, w in ((-1, fac.c), (0, 1 + fac.c * fac.c), (1, fac.c)):
+                out[a + shift] = out.get(a + shift, 0) + v * w
+        poly = out
+    if geom is None:
+        return [poly.get(k, Fraction(0)) for k in range(k_max + 1)]
+    scale = 1 / (1 - geom * geom)
+    return [scale * sum(v * geom ** abs(k - a) for a, v in poly.items())
+            for k in range(k_max + 1)]
+
+
+def _determinant_average(st: _Structure, symbol: SymbolSpec) -> Fraction:
+    """Sp/O+-/O- average of prod f(eigenvalue) as a Toeplitz +- Hankel determinant.
+
+    Sp(2l): det(g_{j-k} - g_{j+k+2}); O+(2m): 1/2 det(g_{j-k} + g_{j+k});
+    O+-(2m+1): f(+-1) det(g_{j-k} -+ g_{j+k+1}); O-(2m): f(1) f(-1)
+    det(g_{j-k} - g_{j+k+2}) of order m - 1.  The order is the number of free
+    angles and each forced eigenvalue contributes its point value.
+    """
+    shift, sign = _HANKEL[st.single]
+    p = st.pairs
+    g = _pair_coefficients(symbol, max(2 * p - 2 + shift, 0))
+    value = det_exact([[g[abs(j - k)] + sign * g[j + k + shift] for k in range(p)]
+                       for j in range(p)])
+    if st.single is None and p:
+        value /= 2
+    for eps in st.forced:
+        value *= _value_at_point(symbol, eps)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Quadrature engine
 # ---------------------------------------------------------------------------
+
+# Largest tensor grid quadrature builds, in points; each array over the grid
+# holds one complex128 per point.
+_QUAD_POINT_BUDGET = 1 << 22
 
 
 def _angle_degree(st: _Structure, cf: ClassFunctionSpec, tol: float) -> int:
@@ -265,18 +348,25 @@ def _angle_degree(st: _Structure, cf: ClassFunctionSpec, tol: float) -> int:
     return max(degree, 1)
 
 
+def _value_at_point(symbol: SymbolSpec, eps: int) -> Fraction:
+    """Exact value of a rational symbol at the real eigenvalue eps = +-1."""
+    value = Fraction(1)
+    for fac in symbol.factors:
+        if isinstance(fac, PolyPlus):
+            value *= 1 + fac.c * eps
+        elif isinstance(fac, GeomInv):
+            value /= 1 - fac.c * eps
+        else:
+            raise ValueError("exponential factor is not rational at a point")
+    return value
+
+
 def _forced_only_average(st: _Structure, cf: ClassFunctionSpec) -> Fraction:
     """No free angles: the average is a finite product over forced eigenvalues."""
     symbol = cf.effective_symbol()
     value = Fraction(1)
     for eps in st.forced:
-        for fac in symbol.factors:
-            if isinstance(fac, PolyPlus):
-                value *= 1 + fac.c * eps
-            elif isinstance(fac, GeomInv):
-                value /= 1 - fac.c * eps
-            else:
-                raise ValueError("exponential factor is not rational at a point")
+        value *= _value_at_point(symbol, eps)
     if cf.schur_rho is not None:
         eigs = tuple(Fraction(eps) for eps in st.forced) + tuple(
             Fraction(x) for x in cf.schur_extra_vars)
@@ -305,6 +395,9 @@ def _quad_average(st: _Structure, cf: ClassFunctionSpec, tol: float) -> float:
         scalar *= float(np.real(symbol.evaluate(complex(eps))))
 
     nodes = 2 * _angle_degree(st, cf, tol) + 2
+    if nodes**p > _QUAD_POINT_BUDGET:
+        raise ValueError(f"quadrature grid of {nodes}^{p} points exceeds the budget of "
+                         f"{_QUAD_POINT_BUDGET} points")
     theta = 2 * np.pi * np.arange(nodes) / nodes
     grids = np.meshgrid(*([theta] * p), indexing="ij")
     zs = [np.exp(1j * g.ravel()) for g in grids]
@@ -347,9 +440,16 @@ def group_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT,
                   tol: float = 1e-12, method: str = "auto"):
     """Average of the class function over the group's eigenvalue measure.
 
-    Returns a Fraction from the exact constant-term engine when the integrand
-    is polynomial (or always under method='exact'), otherwise a float from
-    trapezoidal quadrature.  family 'O' averages the two components.
+    Under method='auto', Sp and O averages of multiplicative class functions
+    built from (1 + c z^s) factors, det(1 + alpha U) and at most one geometric
+    factor are exact Toeplitz +- Hankel determinants (a Fraction).  Other
+    polynomial integrands, Schur factors among them, and every average under
+    method='exact' come as a Fraction from the constant-term engine; the rest,
+    and every average under method='quadrature', as a float from trapezoidal
+    quadrature, which raises ValueError when its grid would exceed
+    _QUAD_POINT_BUDGET points.  The two explicit methods stay independent
+    witnesses for the determinant forms.  family 'O' averages the two
+    components.
     """
     if group.family == "O":
         plus = group_average(GroupSpec("O+", group.l), cf, tol, method)
@@ -358,6 +458,8 @@ def group_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT,
             return (plus + minus) / 2
         return (float(plus) + float(minus)) / 2.0
     st = _structure(group.family, group.l)
+    if method == "auto" and group.family != "U" and _has_determinant_form(cf):
+        return _determinant_average(st, cf.effective_symbol())
     if method == "exact" or (method == "auto" and cf.is_polynomial()):
         return _exact_average(st, cf)
     if method not in ("auto", "quadrature"):
@@ -530,12 +632,13 @@ def rmt_method(spec: ModelSpec) -> str:
 def model_rmt_distribution(spec: ModelSpec, l: int, tol: float = 1e-12):
     """Pr(L <= l) through the model's matrix-average formula.
 
-    Exact (Fraction) for the polynomial routes: the square-lattice and doubly
-    symmetric Toeplitz determinants, the odd anti-diagonal bound, the even
-    anti-diagonal bound at beta = 0, and the diagonal model.  Float for the
-    Bernoulli series symbol and the even anti-diagonal bound at beta > 0.
-    The point-reflection law factors into square-lattice laws instead of
-    having its own average; this dispatches to the exact engine.
+    Exact (Fraction) for every route but one: the square-lattice and doubly
+    symmetric Toeplitz determinants, and the anti-diagonal (Sp) and diagonal
+    (O) Toeplitz +- Hankel determinants, the even anti-diagonal bound at
+    beta > 0 included, whose geometric factor has closed-form coefficients.
+    Float for the Bernoulli series symbol only.  The point-reflection law
+    factors into square-lattice laws instead of having its own average; this
+    dispatches to the exact engine.
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
@@ -567,12 +670,10 @@ def model_rmt_distribution(spec: ModelSpec, l: int, tol: float = 1e-12):
             pref *= _upper_pair_product(q)
             symbol = SymbolSpec((GeomInv(beta, -1),)
                                 + tuple(PolyPlus(x, 1) for x in q))
-            value = sp_average(ClassFunctionSpec(symbol=symbol), h, tol)
         else:
             pref = antidiagonal_odd_prefactors(q)["standard"]
             symbol = SymbolSpec(tuple(PolyPlus(x, 1) for x in q))
-            value = sp_average(ClassFunctionSpec(symbol=symbol), h, tol)
-        return pref * value if isinstance(value, Fraction) else float(pref) * value
+        return pref * sp_average(ClassFunctionSpec(symbol=symbol), h, tol)
     if v == "diagonal":
         pref = Fraction(1)
         for x in spec.q:
@@ -580,8 +681,7 @@ def model_rmt_distribution(spec: ModelSpec, l: int, tol: float = 1e-12):
         pref *= _upper_pair_product(spec.q)
         cf = ClassFunctionSpec(symbol=SymbolSpec(tuple(PolyPlus(x, 1) for x in spec.q)),
                                det_alpha=spec.alpha)
-        value = o_average(cf, l, "mean", tol)
-        return pref * value if isinstance(value, Fraction) else float(pref) * value
+        return pref * o_average(cf, l, "mean", tol)
     if v == "doublysymmetric":
         pref = Fraction(1)
         for x in spec.q:

@@ -175,3 +175,32 @@ def test_verify_output_is_byte_identical(model_file, capsys):
     _, first = run_cli(capsys, argv)
     _, second = run_cli(capsys, argv)
     assert first == second
+
+
+def test_rmt_antidiagonal_even_bound_is_rational(model_file, capsys):
+    path = model_file("anti.json", {"variant": "antidiagonal",
+                                    "q": ["1/2", "1/3", "1/4"], "beta": "1/2"})
+    code, out = run_cli(capsys, ["rmt", "--model", path, "--l", "8"])
+    assert code == 0
+    assert json.loads(out)["exactness"] == "rational"
+
+
+def test_zero_hammersley_samples_is_config_error(capsys):
+    code, out = run_cli(capsys, ["hammersley", "--lam", "4", "--lmax", "3",
+                                 "--samples", "0"])
+    assert code == 2
+    assert json.loads(out)["error"]["field"] == "samples"
+
+
+def test_negative_lmax_is_config_error(model_file, capsys):
+    path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
+    code, out = run_cli(capsys, ["exact", "--model", path, "--lmax", "-1"])
+    assert code == 2
+    assert json.loads(out)["error"]["field"] == "lmax"
+
+
+def test_negative_sample_count_is_config_error(model_file, capsys):
+    path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
+    code, out = run_cli(capsys, ["sample", "--model", path, "--count", "-3"])
+    assert code == 2
+    assert json.loads(out)["error"]["field"] == "count"

@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -169,9 +171,10 @@ def test_antidiagonal_prefactor_candidates():
 
 
 def test_geominv_average_exactness_tagging():
+    # Sp(2): g_0 - g_2 = (1 - c^2) / (1 - c^2) = 1, as an exact rational
     cf = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(1, 2), -1),)))
     value = sp_average(cf, 1)
-    assert isinstance(value, float)
+    assert isinstance(value, F) and value == 1
     cf0 = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(0), -1),)))
     assert sp_average(cf0, 1) == 1
 
@@ -183,3 +186,44 @@ def test_expcos_quadrature_matches_toeplitz():
         quad = group_average(GroupSpec("U", l), ClassFunctionSpec(symbol=symbol),
                              method="quadrature", tol=1e-12)
         assert abs(toeplitz - quad) < 1e-9
+
+
+def test_determinant_engine_matches_constant_terms():
+    rnd = random.Random(404)
+
+    def param():
+        return F(rnd.randint(-9, 9), rnd.randint(10, 19))
+
+    for det_alpha in (None, param(), None, param()):
+        factors = (PolyPlus(param(), 1), PolyPlus(param(), -1))
+        cf = ClassFunctionSpec(symbol=SymbolSpec(factors), det_alpha=det_alpha)
+        for family, lmax in (("Sp", 3), ("O+", 6), ("O-", 6), ("O", 6)):
+            for l in range(lmax + 1):
+                auto = group_average(GroupSpec(family, l), cf)
+                exact = group_average(GroupSpec(family, l), cf, method="exact")
+                assert isinstance(auto, F) and auto == exact, (family, l, factors, det_alpha)
+
+
+def test_model_averages_are_exact_laws():
+    rnd = random.Random(505)
+    for n in (1, 2, 3):
+        q = tuple(F(rnd.randint(0, 12), 25) for _ in range(n))
+        specs = [ModelSpec("antidiagonal", q=q, beta=beta)
+                 for beta in (F(0), F(2, 5), F(1, 2))]
+        specs += [ModelSpec("diagonal", q=q, alpha=alpha) for alpha in (F(0), F(1, 3))]
+        for spec in specs:
+            for l in range(10):
+                value = model_rmt_distribution(spec, l)
+                assert isinstance(value, F) and value == exact_distribution(spec, l), (spec, l)
+
+
+def test_quadrature_grid_budget_checked_before_allocation():
+    cf = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(1, 2), -1),)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            group_average(GroupSpec("Sp", 8), cf, method="quadrature")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
