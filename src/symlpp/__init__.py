@@ -52,6 +52,9 @@ from .symfunc import (
     bounded_dual_cauchy_sum,
     domino_tilable,
     exact_distribution,
+    exact_table,
+    pointreflection_selfdual_sum,
+    pointreflection_selfdual_table,
     schur,
     selfdual_schur,
     selfdual_schur_oracle,

@@ -24,7 +24,7 @@ from .harness import hammersley_check, verify_model
 from .lpp import mc_distribution, sample_batch
 from .rmt import model_rmt_distribution, rmt_method
 from .rsk import rsk
-from .symfunc import exact_distribution
+from .symfunc import exact_table
 
 SCHEMA_VERSION = 1
 
@@ -98,7 +98,7 @@ def _load_model(path: str) -> ModelSpec:
         raise ConfigError(f"malformed model JSON: {exc}", field="model")
     try:
         return ModelSpec.from_json_dict(data)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc), field="model")
 
 
@@ -173,7 +173,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_exact(args) -> int:
     model = _load_model(args.model)
-    probs = {l: exact_distribution(model, l) for l in range(args.lmax + 1)}
+    probs = dict(enumerate(exact_table(model, args.lmax)))
     table = DistributionTable(probs, exact=True)
     if args.format == "csv":
         _emit(rows_to_csv(table.to_rows()), args.out)

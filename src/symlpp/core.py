@@ -116,10 +116,10 @@ def alternating_sum(mu: Partition) -> int:
     return sum(p if j % 2 == 0 else -p for j, p in enumerate(mu.parts))
 
 
-def partitions_in_box(max_part: int, max_length: int) -> Iterator[Partition]:
-    """Yield every partition with first part <= max_part and length <= max_length.
+def box_parts(max_part: int, max_length: int) -> Iterator[tuple[int, ...]]:
+    """The parts of every partition in the box, in lexicographic order.
 
-    The count is C(max_part + max_length, max_length).
+    Removing a cell from any row gives a partition that comes earlier.
     """
     if max_part < 0 or max_length < 0:
         raise ValueError("box dimensions must be nonnegative")
@@ -132,7 +132,15 @@ def partitions_in_box(max_part: int, max_length: int) -> Iterator[Partition]:
             for rest in rec(first, rows_left - 1):
                 yield (first,) + rest
 
-    for parts in rec(max_part, max_length):
+    yield from rec(max_part, max_length)
+
+
+def partitions_in_box(max_part: int, max_length: int) -> Iterator[Partition]:
+    """Yield every partition with first part <= max_part and length <= max_length.
+
+    The count is C(max_part + max_length, max_length).
+    """
+    for parts in box_parts(max_part, max_length):
         yield Partition(parts)
 
 

@@ -23,7 +23,7 @@ from .rmt import (
     rmt_method,
     u_average,
 )
-from .symfunc import exact_distribution, pointreflection_selfdual_sum
+from .symfunc import exact_distribution, exact_table, pointreflection_selfdual_table
 
 _MC_CHUNK = 4096
 
@@ -111,14 +111,14 @@ def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
     mc = mc_distribution(spec, l_max, mc_samples, seed, threads)
     point_reflection = spec.variant == "pointreflection"
     second_kind = "johansson-factorization" if point_reflection else rmt_method(spec)
+    if point_reflection:
+        exact_column = pointreflection_selfdual_table(spec.q, l_max)
+        factored = exact_table(spec, l_max)
+    else:
+        exact_column = exact_table(spec, l_max)
     rows: list[ReportRow] = []
-    for l in range(l_max + 1):
-        if point_reflection:
-            exact = pointreflection_selfdual_sum(spec.q, l)
-            second = exact_distribution(spec, l)
-        else:
-            exact = exact_distribution(spec, l)
-            second = model_rmt_distribution(spec, l, quad_tol)
+    for l, exact in enumerate(exact_column):
+        second = factored[l] if point_reflection else model_rmt_distribution(spec, l, quad_tol)
         diff, diff_ok = _diff_ok(exact, second, tol)
         z = _z_score(mc.probs[l], float(exact), mc_samples)
         ok = diff_ok and abs(z) <= z_max

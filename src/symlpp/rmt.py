@@ -44,7 +44,7 @@ from .numerics import (
     det_exact,
     fourier_coefficients,
 )
-from .symfunc import _schur_rec, exact_distribution, odd_part_count
+from .symfunc import _upper_pair_product, exact_distribution, odd_part_count, schur
 
 GROUP_FAMILIES = ("U", "Sp", "O+", "O-", "O")
 
@@ -259,7 +259,7 @@ def _exact_average(st: _Structure, cf: ClassFunctionSpec) -> Fraction:
                 eigs.append(_ZPoly.monomial(p, j, -1))
         eigs.extend(Fraction(eps) for eps in st.forced)
         eigs.extend(Fraction(x) for x in cf.schur_extra_vars)
-        value = _schur_rec(cf.schur_rho.parts, len(eigs), tuple(eigs), {})
+        value = schur(cf.schur_rho, eigs)
         f = f * value if isinstance(value, _ZPoly) else f * Fraction(value)
     return f.constant_term() * scalar / st.divisor
 
@@ -370,7 +370,7 @@ def _forced_only_average(st: _Structure, cf: ClassFunctionSpec) -> Fraction:
     if cf.schur_rho is not None:
         eigs = tuple(Fraction(eps) for eps in st.forced) + tuple(
             Fraction(x) for x in cf.schur_extra_vars)
-        value *= _schur_rec(cf.schur_rho.parts, len(eigs), eigs, {})
+        value *= schur(cf.schur_rho, eigs)
     return value / st.divisor
 
 
@@ -388,7 +388,7 @@ def _quad_average(st: _Structure, cf: ClassFunctionSpec, tol: float) -> float:
         if cf.schur_rho is not None:
             eigs = tuple(float(eps) for eps in st.forced) + tuple(
                 float(x) for x in cf.schur_extra_vars)
-            value *= float(_schur_rec(cf.schur_rho.parts, len(eigs), eigs, {}))
+            value *= float(schur(cf.schur_rho, eigs))
         return value / st.divisor
     scalar = 1.0
     for eps in st.forced:
@@ -430,7 +430,7 @@ def _quad_average(st: _Structure, cf: ClassFunctionSpec, tol: float) -> float:
                 eigs.append(np.conj(zs[j]))
         eigs.extend(complex(eps) for eps in st.forced)
         eigs.extend(complex(x) for x in cf.schur_extra_vars)
-        values = values * _schur_rec(cf.schur_rho.parts, len(eigs), tuple(eigs), {})
+        values = values * schur(cf.schur_rho, eigs)
 
     mean = (weight * values).mean()
     return float(np.real(mean)) * scalar / st.divisor
@@ -588,14 +588,6 @@ def o_component_reflection_gap(rho: Partition, alpha: Fraction, l_odd: int,
 def johansson_symbol(a, b) -> SymbolSpec:
     factors = tuple(PolyPlus(x, -1) for x in a) + tuple(PolyPlus(x, 1) for x in b)
     return SymbolSpec(factors)
-
-
-def _upper_pair_product(q) -> Fraction:
-    out = Fraction(1)
-    for i in range(len(q)):
-        for j in range(i + 1, len(q)):
-            out *= 1 - q[i] * q[j]
-    return out
 
 
 def antidiagonal_odd_prefactors(q) -> dict[str, Fraction]:

@@ -1,20 +1,23 @@
 """Schur polynomials, bounded pairing sums, 2-quotients, and exact cumulative laws.
 
 Everything here is exact: parameters come in as Fractions and probabilities go
-out as Fractions.  The same branching evaluator also accepts complex or numpy
-values, which the matrix-average engine reuses on quadrature grids.
+out as Fractions.  The same Schur evaluator also accepts complex, numpy and
+Laurent-polynomial values, which the matrix-average engines reuse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate
+from math import lcm
 
 from .core import (
     ModelSpec,
     Partition,
     alternating_sum,
     conjugate,
+    box_parts,
+    count_partitions_in_box,
     partitions_in_box,
 )
 from .numerics import det_exact
@@ -24,50 +27,63 @@ from .rsk import Tableau, evacuate
 # Schur evaluation
 # ---------------------------------------------------------------------------
 
-
-def _strips_below(parts: tuple[int, ...]):
-    """Partitions nu interlacing mu (mu/nu a horizontal strip), as raw tuples."""
-    if not parts:
-        yield ()
-        return
-    bounds = []
-    for i, p in enumerate(parts):
-        lo = parts[i + 1] if i + 1 < len(parts) else 0
-        bounds.append(range(lo, p + 1))
-    for choice in product(*bounds):
-        yield tuple(c for c in choice if c > 0)
+# Most cells one Schur table or box sweep may cover, checked before anything is
+# built.  A max_part x max_length box holds C(max_part + max_length, max_length)
+# partitions of mean weight max_part * max_length / 2, and exact Schur values
+# grow with the weight, so the box's total cell count bounds both the time and
+# the memory of an exact table (about 2 s and 100 MiB at the budget).
+CELL_BUDGET = 1 << 22
 
 
-def _schur_rec(parts: tuple[int, ...], k: int, xs, memo):
-    if not parts:
-        return 1
-    if len(parts) > k:
-        return 0
-    key = (parts, k)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    x = xs[k - 1]
-    w = sum(parts)
-    total = 0
-    for nu in _strips_below(parts):
-        strip = w - sum(nu)
-        term = _schur_rec(nu, k - 1, xs, memo)
-        total = total + term * x**strip if strip else total + term
-    memo[key] = total
-    return total
+def _check_box(max_part: int, max_length: int):
+    if max_part < 0:
+        raise ValueError("bound must be nonnegative")
+    size = count_partitions_in_box(max_part, max_length)
+    cells = size * max_part * max_length // 2
+    if cells > CELL_BUDGET:
+        raise ValueError(f"partition box {max_part} x {max_length} holds {size} partitions "
+                         f"of {cells} cells in all, over the budget of {CELL_BUDGET} cells")
 
 
-def schur(mu: Partition, xs, memo=None):
+def _schur_values(xs: tuple, max_part: int, max_length: int) -> dict:
+    """s_mu(xs) for every mu in the max_part x max_length box, keyed by its parts.
+
+    Adds one variable at a time: s_mu(x_1..x_k) sums s_nu(x_1..x_{k-1})
+    x_k ** |mu/nu| over horizontal strips mu/nu.  Peeling the strip cell by
+    cell, lowest row first, that sum is one in-place pass per row j = k..1,
+    G_j(mu) = G_{j+1}(mu) + x_k G_j(mu - e_j) whenever mu_j > mu_{j+1}, so each
+    partition costs O(k) steps per variable instead of one per strip.
+    """
+    length = min(max_length, len(xs))
+    _check_box(max_part, length)
+    boxed = list(box_parts(max_part, length))
+    index = {parts: i for i, parts in enumerate(boxed)}
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(length)]
+    for i, parts in enumerate(boxed):
+        for j, p in enumerate(parts):
+            if p > (parts[j + 1] if j + 1 < len(parts) else 0):
+                smaller = parts[:j] + ((p - 1,) if p > 1 else ()) + parts[j + 1:]
+                steps[j].append((i, index[smaller]))
+    values = [0] * len(boxed)
+    values[0] = 1
+    for k, x in enumerate(xs, start=1):
+        for row in reversed(steps[:k]):
+            for i, smaller in row:
+                values[i] += x * values[smaller]
+    return dict(zip(boxed, values))
+
+
+def schur(mu: Partition, xs):
     """Schur polynomial s_mu at the variable list xs (zero when len(mu) > len(xs)).
 
-    The branching recursion over horizontal strips never divides, so repeated
-    variables are fine and any value type with +, * and integer powers works.
+    Read off _schur_values over the box that mu fits in.  The evaluation never
+    divides, so repeated variables are fine and any value type with + and *
+    works: Fractions, complex numbers, numpy arrays, Laurent polynomials.
     """
     xs = tuple(xs)
-    if memo is None:
-        memo = {}
-    return _schur_rec(tuple(mu.parts), len(xs), xs, memo)
+    if mu.length > len(xs):
+        return 0
+    return _schur_values(xs, mu.part(1), mu.length)[mu.parts]
 
 
 def schur_bialternant(mu: Partition, xs) -> Fraction:
@@ -85,35 +101,78 @@ def schur_bialternant(mu: Partition, xs) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Bounded sums
+# Bounded sums: one sweep of the partition box per table
 # ---------------------------------------------------------------------------
+
+
+def _scaled(xs) -> tuple[int, tuple[int, ...]]:
+    """(D, D * xs) with D the lcm of the denominators, so D * xs are integers.
+
+    s_mu(xs) = s_mu(D * xs) / D ** |mu|, so a sweep evaluates every Schur
+    polynomial at integer points and divides once per bucket.
+    """
+    xs = tuple(Fraction(x) for x in xs)
+    d = lcm(*(x.denominator for x in xs)) if xs else 1
+    return d, tuple(int(x * d) for x in xs)
+
+
+def _bounded_table(lmax: int, max_length: int, term, scale: int,
+                   weight: Fraction = Fraction(1)) -> list[Fraction]:
+    """Cumulative sums over mu_1 <= l, l = 0..lmax, of term(mu) / scale**|mu| * weight**k.
+
+    term(mu) returns (k, integer value) for each mu in the lmax x max_length
+    box, which is enumerated once; values sharing (mu_1, |mu|, k) add up as
+    integers, and each such bucket becomes one Fraction at the end.  Every box
+    is checked against CELL_BUDGET before it is built, here and in
+    _schur_values.
+    """
+    _check_box(lmax, max_length)
+    buckets: dict[tuple[int, int, int], int] = {}
+    for mu in partitions_in_box(lmax, max_length):
+        k, value = term(mu)
+        if value:
+            key = (mu.part(1), mu.weight, k)
+            buckets[key] = buckets.get(key, 0) + value
+    rows = [Fraction(0)] * (lmax + 1)
+    for (first, w, k), value in buckets.items():
+        rows[first] += Fraction(value, scale**w) * weight**k
+    return list(accumulate(rows))
+
+
+def _cauchy_table(a, b, lmax: int) -> list[Fraction]:
+    (da, xa), (db, xb) = _scaled(a), _scaled(b)
+    length = min(len(xa), len(xb))
+    sa = _schur_values(xa, lmax, length)
+    sb = sa if xb == xa else _schur_values(xb, lmax, length)
+    return _bounded_table(lmax, length, lambda mu: (0, sa[mu.parts] * sb[mu.parts]), da * db)
+
+
+def _dual_cauchy_table(a, b, lmax: int) -> list[Fraction]:
+    """Saturates at lmax >= len(a): s_{mu'}(a) vanishes once mu_1 > len(a)."""
+    (da, xa), (db, xb) = _scaled(a), _scaled(b)
+    width = min(lmax, len(xa))
+    sa = _schur_values(xa, len(xb), width)
+    sb = _schur_values(xb, width, len(xb))
+    table = _bounded_table(width, len(xb), lambda mu: (0, sa[conjugate(mu).parts] * sb[mu.parts]),
+                           da * db)
+    return table + table[-1:] * (lmax + 1 - len(table))
+
+
+def _weighted_table(q, weight, exponent, lmax: int) -> list[Fraction]:
+    d, xq = _scaled(q)
+    sq = _schur_values(xq, lmax, len(xq))
+    return _bounded_table(lmax, len(xq), lambda mu: (exponent(mu), sq[mu.parts]), d,
+                          Fraction(weight))
 
 
 def bounded_cauchy_sum(a, b, l: int) -> Fraction:
     """Sum of s_mu(a) s_mu(b) over partitions with mu_1 <= l."""
-    if l < 0:
-        raise ValueError("bound must be nonnegative")
-    a, b = tuple(a), tuple(b)
-    memo_a: dict = {}
-    memo_b: dict = {}
-    total = Fraction(0)
-    for mu in partitions_in_box(l, min(len(a), len(b))):
-        total += _schur_rec(mu.parts, len(a), a, memo_a) * _schur_rec(mu.parts, len(b), b, memo_b)
-    return total
+    return _cauchy_table(a, b, l)[l]
 
 
 def bounded_dual_cauchy_sum(a, b, l: int) -> Fraction:
     """Sum of s_{mu'}(a) s_mu(b) over mu_1 <= l; mu_1 <= len(a) holds automatically."""
-    if l < 0:
-        raise ValueError("bound must be nonnegative")
-    a, b = tuple(a), tuple(b)
-    memo_a: dict = {}
-    memo_b: dict = {}
-    total = Fraction(0)
-    for mu in partitions_in_box(min(l, len(a)), len(b)):
-        total += (_schur_rec(conjugate(mu).parts, len(a), a, memo_a)
-                  * _schur_rec(mu.parts, len(b), b, memo_b))
-    return total
+    return _dual_cauchy_table(a, b, l)[l]
 
 
 def odd_part_count(mu: Partition) -> int:
@@ -125,13 +184,7 @@ def beta_weighted_sum(q, beta: Fraction, l: int) -> Fraction:
 
     The exponent equals the alternating sum of mu', the count of odd parts.
     """
-    q = tuple(q)
-    beta = Fraction(beta)
-    memo: dict = {}
-    total = Fraction(0)
-    for mu in partitions_in_box(l, len(q)):
-        total += beta ** odd_part_count(mu) * _schur_rec(mu.parts, len(q), q, memo)
-    return total
+    return _weighted_table(q, beta, odd_part_count, l)[l]
 
 
 def alpha_weighted_sum(q, alpha: Fraction, l: int) -> Fraction:
@@ -139,13 +192,7 @@ def alpha_weighted_sum(q, alpha: Fraction, l: int) -> Fraction:
 
     #odd columns of mu = #odd parts of mu' = alternating sum of mu.
     """
-    q = tuple(q)
-    alpha = Fraction(alpha)
-    memo: dict = {}
-    total = Fraction(0)
-    for mu in partitions_in_box(l, len(q)):
-        total += alpha ** alternating_sum(mu) * _schur_rec(mu.parts, len(q), q, memo)
-    return total
+    return _weighted_table(q, alpha, alternating_sum, l)[l]
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +255,7 @@ def selfdual_schur(mu: Partition, q) -> Fraction:
     if not domino_tilable(mu):
         return Fraction(0)
     q0, q1 = two_quotient(mu)
-    memo: dict = {}
-    return _schur_rec(q0.parts, len(q), q, memo) * _schur_rec(q1.parts, len(q), q, memo)
+    return schur(q0, q) * schur(q1, q)
 
 
 def even_partition_halves(lam: Partition) -> tuple[Partition, Partition]:
@@ -283,88 +329,87 @@ def _pair_product(a, b) -> Fraction:
     return out
 
 
-def johansson_prefactor(a, b) -> Fraction:
-    return _pair_product(a, b)
+def _upper_pair_product(q) -> Fraction:
+    out = Fraction(1)
+    for i in range(len(q)):
+        for j in range(i + 1, len(q)):
+            out *= 1 - q[i] * q[j]
+    return out
 
 
-def exact_distribution(spec: ModelSpec, l: int) -> Fraction:
-    """Pr(L <= l) for the class statistic of the given model, exactly.
+def exact_table(spec: ModelSpec, lmax: int) -> list[Fraction]:
+    """[Pr(L <= l) for l = 0..lmax] for the class statistic of the model, exactly.
 
-    johansson         prod(1 - a_i b_j) * bounded Cauchy sum at l
-    bernoulli         prod(1 + a_i b_j)^-1 * bounded dual Cauchy sum at l
-    antidiagonal      normalisation * beta-weighted sum at l
-    diagonal          normalisation * alpha-weighted sum at l
+    Each table is one sweep of its largest partition box (see _bounded_table).
+
+    johansson         prod(1 - a_i b_j) * bounded Cauchy sums
+    bernoulli         prod(1 + a_i b_j)^-1 * bounded dual Cauchy sums
+    antidiagonal      normalisation * beta-weighted sums
+    diagonal          normalisation * alpha-weighted sums
     doublysymmetric   the statistic is even, so Pr(<=2l) = Pr(<=2l+1); the sum
                       pairs s_lam(q) with s_lam(q, alpha) over lam_1 <= floor(l/2)
     pointreflection   products of two square-case laws at the halved bound
     """
-    if l < 0:
+    if lmax < 0:
         raise ValueError("l must be nonnegative")
     v = spec.variant
     if v == "johansson":
-        return johansson_prefactor(spec.a, spec.b) * bounded_cauchy_sum(spec.a, spec.b, l)
+        return [_pair_product(spec.a, spec.b) * x for x in _cauchy_table(spec.a, spec.b, lmax)]
     if v == "bernoulli":
-        pref = Fraction(1)
-        for x in spec.a:
-            for y in spec.b:
-                pref /= 1 + x * y
-        return pref * bounded_dual_cauchy_sum(spec.a, spec.b, l)
+        pref = 1 / _pair_product(spec.a, tuple(-y for y in spec.b))
+        return [pref * x for x in _dual_cauchy_table(spec.a, spec.b, lmax)]
     q = spec.q
-    n = len(q)
     if v == "antidiagonal":
-        pref = Fraction(1)
+        pref = _upper_pair_product(q)
         for x in q:
             pref *= (1 - x * x) / (1 + spec.beta * x)
-        for i in range(n):
-            for j in range(i + 1, n):
-                pref *= 1 - q[i] * q[j]
-        return pref * beta_weighted_sum(q, spec.beta, l)
+        return [pref * x for x in _weighted_table(q, spec.beta, odd_part_count, lmax)]
     if v == "diagonal":
-        pref = Fraction(1)
+        pref = _upper_pair_product(q)
         for x in q:
             pref *= 1 - spec.alpha * x
-        for i in range(n):
-            for j in range(i + 1, n):
-                pref *= 1 - q[i] * q[j]
-        return pref * alpha_weighted_sum(q, spec.alpha, l)
+        return [pref * x for x in _weighted_table(q, spec.alpha, alternating_sum, lmax)]
     if v == "doublysymmetric":
-        h = l // 2
         pref = _pair_product(q, q)
         for x in q:
             pref *= 1 - spec.alpha * x
-        extended = q + (spec.alpha,)
-        memo_q: dict = {}
-        memo_e: dict = {}
-        total = Fraction(0)
-        for lam in partitions_in_box(h, n):
-            total += (_schur_rec(lam.parts, n, q, memo_q)
-                      * _schur_rec(lam.parts, n + 1, extended, memo_e))
-        return pref * total
+        halves = _cauchy_table(q, q + (spec.alpha,), lmax // 2)
+        return [pref * halves[l // 2] for l in range(lmax + 1)]
     if v == "pointreflection":
-        square = ModelSpec("johansson", a=q, b=q)
-        h = l // 2
-        if l % 2 == 0:
-            value = exact_distribution(square, h)
-            return value * value
-        return exact_distribution(square, h + 1) * exact_distribution(square, h)
+        square = exact_table(ModelSpec("johansson", a=q, b=q), lmax // 2 + 1)
+        return [square[l // 2] * square[(l + 1) // 2] for l in range(lmax + 1)]
     raise ValueError(f"unsupported model variant {v!r}")
 
 
-def pointreflection_selfdual_sum(q, l: int) -> Fraction:
-    """Pr(L <= l) for the point-reflection model straight from self-dual path sums.
+def exact_distribution(spec: ModelSpec, l: int) -> Fraction:
+    """Pr(L <= l) for the class statistic of the given model, exactly."""
+    return exact_table(spec, l)[l]
 
-    Independent of the factored route in exact_distribution: enumerates
-    displacements mu with mu_1 <= l directly and squares their generating
-    functions.
+
+def pointreflection_selfdual_table(q, lmax: int) -> list[Fraction]:
+    """[Pr(L <= l) for l = 0..lmax] of the point-reflection model from self-dual path sums.
+
+    Independent of the factored route in exact_table: enumerates displacements
+    mu with mu_1 <= lmax directly, once, and squares their generating
+    functions.  The square of s_{q0}(q) s_{q1}(q) at the scaled points carries
+    D ** (2 |q0| + 2 |q1|) = D ** |mu|, so it buckets like any other term.
     """
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    q = tuple(q)
-    pref = _pair_product(q, q) ** 2
-    total = Fraction(0)
-    for mu in partitions_in_box(l, 2 * len(q)):
+    d, xq = _scaled(q)
+    _check_box(lmax, 2 * len(xq))  # the sweep's box, before the smaller quotient box is built
+    # mu_1 <= lmax bounds both quotients' first parts by (lmax + 1) // 2
+    sq = _schur_values(xq, (lmax + 1) // 2, len(xq))
+
+    def term(mu):
         if not domino_tilable(mu):
-            continue
-        value = selfdual_schur(mu, q)
-        total += value * value
-    return pref * total
+            return 0, 0
+        q0, q1 = two_quotient(mu)
+        value = sq[q0.parts] * sq[q1.parts]
+        return 0, value * value
+
+    pref = _pair_product(q, q) ** 2
+    return [pref * x for x in _bounded_table(lmax, 2 * len(xq), term, d)]
+
+
+def pointreflection_selfdual_sum(q, l: int) -> Fraction:
+    """Pr(L <= l) for the point-reflection model straight from self-dual path sums."""
+    return pointreflection_selfdual_table(tuple(q), l)[l]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -204,3 +205,61 @@ def test_negative_sample_count_is_config_error(model_file, capsys):
     code, out = run_cli(capsys, ["sample", "--model", path, "--count", "-3"])
     assert code == 2
     assert json.loads(out)["error"]["field"] == "count"
+
+
+def test_zero_denominator_model_is_config_error(model_file, capsys):
+    path = model_file("j.json", {"variant": "johansson", "a": ["1/0"], "b": ["1/2"]})
+    code, out = run_cli(capsys, ["exact", "--model", path, "--lmax", "2"])
+    assert code == 2
+    assert json.loads(out)["error"]["field"] == "model"
+
+
+def test_oversized_exact_box_is_config_error(model_file, capsys):
+    path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
+    code, out = run_cli(capsys, ["exact", "--model", path, "--lmax", "100000"])
+    assert code == 2
+    assert "budget" in json.loads(out)["error"]["message"]
+
+
+# `exact --lmax 5` stdout, recorded before exact laws became one-sweep tables:
+# the distribution strings and the SHA-256 of the whole output.
+PINNED_EXACT = {
+    "johansson": (
+        {"variant": "johansson", "a": ["1/2", "1/3"], "b": ["2/5", "1/4"]},
+        ["1001/1800", "187187/216000", "1002001/1036800", "24691667/24883200",
+         "124207630547/124416000000", "4974882495583/4976640000000"],
+        "4b426231aac07039205f40e2e5a1d7f206ea915661adeaf7a6281c35bc92246f"),
+    "bernoulli": (
+        {"variant": "bernoulli", "a": ["1/2", "1/3"], "b": ["1/3", "1/4", "2/7"]},
+        ["756/1495", "4226/4485", "1", "1", "1", "1"],
+        "d15c9d320d6a792844e995272f18322d96ea0c2de38e75787e17f9e6e7afeb46"),
+    "antidiagonal": (
+        {"variant": "antidiagonal", "q": ["1/2", "1/3"], "beta": "1/2"},
+        ["8/21", "5/9", "50/63", "70/81", "229/243", "3745/3888"],
+        "3e7797c0bad46bc93e23631d272aae54414aed31b4ee80c02b93300fd75092bd"),
+    "diagonal": (
+        {"variant": "diagonal", "q": ["1/2", "1/3"], "alpha": "1/3"},
+        ["50/81", "650/729", "12775/13122", "58700/59049", "4246225/4251528",
+         "38254075/38263752"],
+        "5acc565d9518f910a8f0aabf32112a4575d55fcb0420f413840ecc7e2460b664"),
+    "doublysymmetric": (
+        {"variant": "doublysymmetric", "q": ["1/2", "1/3"], "alpha": "1/3"},
+        ["250/729", "250/729", "27625/39366", "27625/39366", "473500/531441",
+         "473500/531441"],
+        "a0c97eb59f0d19bf6c09816e43751fdb8ef3a343bf550b4664076ce8b300a76e"),
+    "pointreflection": (
+        {"variant": "pointreflection", "q": ["1/2", "1/3"]},
+        ["625/2916", "19375/52488", "600625/944784", "1879375/2519424",
+         "5880625/6718464", "374723125/408146688"],
+        "768bc96e6c2e66f675365928db0922ee80099bb278dbab6229432dfb4e697c3b"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_EXACT))
+def test_exact_output_is_pinned(variant, model_file, capsys):
+    model, probs, digest = PINNED_EXACT[variant]
+    path = model_file(f"{variant}.json", model)
+    code, out = run_cli(capsys, ["exact", "--model", path, "--lmax", "5"])
+    assert code == 0
+    assert [row["p"] for row in json.loads(out)["distribution"]] == probs
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
