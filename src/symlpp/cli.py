@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from .core import (
+    BudgetError,
     DistributionTable,
     ModelSpec,
     format_rational,
@@ -47,8 +48,11 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{inner}{dump_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        if all(type(v) is int for v in obj):
+            items = map(str, obj)
+        else:
+            items = (dump_json(v, indent + 1) for v in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
     if isinstance(obj, Fraction):
         return json.dumps(format_rational(obj))
     if isinstance(obj, bool) or obj is None:
@@ -335,13 +339,12 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
-    except ConfigError as exc:
-        error = {"schema": SCHEMA_VERSION,
-                 "error": {"message": str(exc), "field": exc.field}}
-        sys.stdout.write(dump_json(error) + "\n")
-        return 2
-    except (ValueError, TypeError) as exc:
-        error = {"schema": SCHEMA_VERSION, "error": {"message": str(exc), "field": None}}
+    except (ConfigError, ValueError, TypeError) as exc:
+        field = exc.field if isinstance(exc, ConfigError) else None
+        if isinstance(exc, BudgetError):
+            # the bound that sets the size: --l of rmt, --lmax of exact and verify
+            field = "l" if args.command == "rmt" else "lmax"
+        error = {"schema": SCHEMA_VERSION, "error": {"message": str(exc), "field": field}}
         sys.stdout.write(dump_json(error) + "\n")
         return 2
 

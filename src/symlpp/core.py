@@ -26,6 +26,11 @@ MODEL_VARIANTS = (
 )
 
 
+class BudgetError(ValueError):
+    """A computation would exceed a fixed resource budget; raised before
+    anything is allocated."""
+
+
 def parse_rational(value) -> Fraction:
     """Parse a rational from an int, a Fraction, or a decimal-free "p/q" string."""
     if isinstance(value, Fraction):

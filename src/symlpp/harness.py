@@ -8,14 +8,13 @@ The two error models are never mixed in one verdict.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .core import ModelSpec, format_rational
-from .lpp import mc_distribution
+from .lpp import MC_CHUNK, chunk_streams, mc_distribution
 from .numerics import ExpCos, SymbolSpec
 from .rmt import (
     antidiagonal_odd_prefactors,
@@ -24,8 +23,6 @@ from .rmt import (
     u_average,
 )
 from .symfunc import exact_distribution, exact_table, pointreflection_selfdual_table
-
-_MC_CHUNK = 4096
 
 
 @dataclass
@@ -167,21 +164,39 @@ def _resolve_antidiagonal_prefactor(spec: ModelSpec, rows: list[ReportRow], tol:
 # ---------------------------------------------------------------------------
 
 
-def longest_increasing_chain(points) -> int:
-    """Longest chain strictly increasing in both coordinates, by patience sorting.
+def _chain_lengths(ns: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Longest chain strictly increasing in both coordinates, per sample.
 
-    Points are sorted lexicographically by (x, -y); ties in x (measure zero
-    for random input) therefore cannot stack in one chain.
+    Sample s owns the next ns[s] rows of `points`.  Each sample's points are
+    sorted by (x, -y), so ties in x (measure zero for random input) cannot
+    stack in one chain.  All samples are then patience-sorted together: step
+    k inserts the k-th y of every sample at the number of its tails below y,
+    which is where bisect_left would put it.  A sample with k points or fewer
+    inserts inf at its first inf tail, which changes nothing.
     """
-    pts = sorted(points, key=lambda p: (p[0], -p[1]))
-    tails: list[float] = []
-    for _, y in pts:
-        idx = bisect_left(tails, y)
-        if idx == len(tails):
-            tails.append(y)
-        else:
-            tails[idx] = y
-    return len(tails)
+    size = len(ns)
+    key = np.empty(len(points), dtype=complex)  # complex order: by x, then by -y
+    key.real, key.imag = points[:, 0], -points[:, 1]
+    order = np.argsort(key)
+    # a stable sort by sample keeps that order within each sample (a radix
+    # sort while sample numbers fit in 16 bits)
+    sample = np.repeat(np.arange(size, dtype=np.min_scalar_type(size)), ns)
+    order = order[np.argsort(sample[order], kind="stable")]
+    ys = np.full((int(ns.max(initial=0)), size), np.inf)
+    ys[np.arange(len(sample)) - (np.cumsum(ns) - ns)[sample], sample] = points[order, 1]
+    tails = np.full_like(ys, np.inf)
+    width = 0  # the longest chain so far: tails from row `width` on are inf
+    for y in ys:
+        idx = (tails[:width + 1] < y).sum(axis=0)
+        tails[idx, np.arange(size)] = y
+        width += bool(np.isfinite(tails[width]).any())
+    return np.isfinite(tails).sum(axis=0)
+
+
+def longest_increasing_chain(points) -> int:
+    """Longest chain strictly increasing in both coordinates, by patience sorting."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    return int(_chain_lengths(np.array([len(pts)]), pts)[0])
 
 
 # Eight marked points whose longest strictly increasing chain has length 3,
@@ -194,19 +209,12 @@ EIGHT_POINT_CONFIGURATION = (
 
 
 def _poisson_chain_counts(lam: float, l_max: int, n_samples: int, seed: int) -> np.ndarray:
+    """Chain-length counts; each chunk draws its point counts, then all its points."""
     counts = np.zeros(l_max + 2, dtype=np.int64)
-    start = 0
-    chunk_index = 0
-    while start < n_samples:
-        size = min(_MC_CHUNK, n_samples - start)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                           spawn_key=(chunk_index,)))
+    for size, rng in chunk_streams(seed, n_samples, MC_CHUNK):
         ns = rng.poisson(lam, size)
-        for n in ns:
-            chain = longest_increasing_chain(rng.random((n, 2))) if n else 0
-            counts[min(chain, l_max + 1)] += 1
-        start += size
-        chunk_index += 1
+        chains = _chain_lengths(ns, rng.random((int(ns.sum()), 2)))
+        counts += np.bincount(np.minimum(chains, l_max + 1), minlength=l_max + 2)
     return counts
 
 

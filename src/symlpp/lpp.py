@@ -19,7 +19,11 @@ import numpy as np
 from .core import DistributionTable, IntMatrix, ModelSpec
 from .rsk import rsk_shape
 
-_CHUNK = 4096
+# Samples per Monte Carlo chunk (`mc`, `verify`, Poisson chains) and matrices
+# per `sample` chunk.  Both are part of the pinned output streams: each chunk
+# has its own generator, so another size gives other draws.
+MC_CHUNK = 4096
+SAMPLE_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -107,80 +111,81 @@ def _site_plan(spec: ModelSpec) -> list[_Site]:
                 sites.append(_Site("geom", (p,), tuple(sorted(orbit))))
     else:
         raise ValueError(f"no sampler for variant {v!r}")
+    n_rows, n_cols = spec.matrix_shape
+    filled = sorted(pos for site in sites for pos in site.positions)
+    if filled != [(i, j) for i in range(1, n_rows + 1) for j in range(1, n_cols + 1)]:
+        raise AssertionError("site plan must fill every position exactly once")
     return sites
 
 
 # ---------------------------------------------------------------------------
-# Inverse-CDF draws (scalar and vectorised share the same closed forms)
+# Inverse-CDF draws and the batch sampler
 # ---------------------------------------------------------------------------
 
 
-def _geom_scalar(w: float, p: float) -> int:
-    # survival Pr(X >= k) = p^k; w uniform on (0, 1]
-    if p <= 0.0:
-        return 0
-    return int(math.floor(math.log(w) / math.log(p)))
+def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Draws of `site`'s law from uniforms `u` on [0, 1), stored into `out`.
 
-
-def _parity_geom_scalar(w: float, q: float, beta: float) -> int:
-    """Inverse CDF for Pr(k) proportional to beta^(k mod 2) q^k.
-
-    [0,1) splits into consecutive survival intervals: Pr(X >= 2j) = q^(2j) and
+    With w = 1 - u: a geometric site (survival Pr(X >= k) = p^k) draws
+    floor(log(w) / log(p)), where log(0) = -inf gives 0; a Bernoulli site
+    draws u < p / (1 + p).  For the parity-weighted geometric law, Pr(k)
+    proportional to beta^(k mod 2) q^k, [0,1) splits into consecutive
+    survival intervals Pr(X >= 2j) = q^(2j) and
     Pr(X >= 2j+1) = q^(2j+1) (beta+q)/(1+beta q); the draw is the largest k
     whose survival still covers w.
     """
-    if q <= 0.0:
-        return 0
-    j = int(math.floor(math.log(w) / (2 * math.log(q))))
-    if j > 0 and q ** (2 * j) < w:
-        j -= 1
-    if q ** (2 * j + 2) >= w:
-        j += 1
-    odd_survival = q ** (2 * j + 1) * (beta + q) / (1 + beta * q)
-    return 2 * j + 1 if odd_survival >= w else 2 * j
-
-
-def _draw_scalar(site: _Site, u: float) -> int:
-    w = 1.0 - u
-    if site.law == "geom":
-        return _geom_scalar(w, site.params[0])
+    if out is None:
+        out = np.empty(u.shape, dtype=np.int64)
     if site.law == "bernoulli":
         p = site.params[0]
-        return 1 if u < p / (1 + p) else 0
-    return _parity_geom_scalar(w, *site.params)
-
-
-def _draw_vector(site: _Site, u: np.ndarray) -> np.ndarray:
+        out[...] = u < p / (1 + p)
+        return out
     w = 1.0 - u
     if site.law == "geom":
         p = site.params[0]
-        if p <= 0.0:
-            return np.zeros(u.shape, dtype=np.int64)
-        return np.floor(np.log(w) / math.log(p)).astype(np.int64)
-    if site.law == "bernoulli":
-        p = site.params[0]
-        return (u < p / (1 + p)).astype(np.int64)
+        np.log(w, out=w)
+        w /= math.log(p) if p > 0.0 else -math.inf
+        out[...] = np.floor(w, out=w)
+        return out
     q, beta = site.params
     if q <= 0.0:
-        return np.zeros(u.shape, dtype=np.int64)
+        out[...] = 0
+        return out
     j = np.floor(np.log(w) / (2 * math.log(q))).astype(np.int64)
     j = np.where((j > 0) & (q ** (2 * j) < w), j - 1, j)
     j = np.where(q ** (2 * j + 2) >= w, j + 1, j)
     odd_survival = q ** (2 * j + 1) * (beta + q) / (1 + beta * q)
-    return 2 * j + (odd_survival >= w)
+    out[...] = 2 * j + (odd_survival >= w)
+    return out
+
+
+def _sample_matrices(plan: list[_Site], shape: tuple[int, int], rng: np.random.Generator,
+                     count: int) -> list[IntMatrix]:
+    """`count` matrices; each takes one uniform per site, in plan order."""
+    u = rng.random((count, len(plan)))
+    grid = np.empty((count, *shape), dtype=np.int64)
+    for site, column in zip(plan, u.T):
+        (i, j), *images = site.positions
+        values = _draw_vector(site, column, grid[:, i - 1, j - 1])
+        for (i, j) in images:
+            grid[:, i - 1, j - 1] = values
+    return [IntMatrix(tuple(map(tuple, rows))) for rows in grid.tolist()]
 
 
 def sample_matrix(spec: ModelSpec, rng: np.random.Generator) -> IntMatrix:
     """One matrix from the ensemble; dependent entries filled by its symmetry."""
-    n_rows, n_cols = spec.matrix_shape
-    grid = [[-1] * n_cols for _ in range(n_rows)]
-    for site in _site_plan(spec):
-        value = _draw_scalar(site, rng.random())
-        for (i, j) in site.positions:
-            grid[i - 1][j - 1] = value
-    if any(x < 0 for row in grid for x in row):
-        raise AssertionError("site plan left positions unfilled")
-    return IntMatrix(tuple(tuple(row) for row in grid))
+    return _sample_matrices(_site_plan(spec), spec.matrix_shape, rng, 1)[0]
+
+
+def chunk_streams(seed: int, total: int, size: int):
+    """(size, generator) for each chunk of `total` draws, `size` per full chunk.
+
+    Chunk k draws from SeedSequence(seed, spawn_key=(k,)), so the draws do not
+    depend on how the chunks are spread over workers.
+    """
+    for index, start in enumerate(range(0, total, size)):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+        yield min(size, total - start), np.random.default_rng(seq)
 
 
 @dataclass(frozen=True)
@@ -191,12 +196,11 @@ class SampleBatch:
 
 
 def sample_batch(spec: ModelSpec, count: int, seed: int) -> SampleBatch:
-    """Deterministic batch; chunked streams make it worker-count independent."""
+    """Deterministic batch: chunks of SAMPLE_CHUNK matrices, one stream each."""
+    plan = _site_plan(spec)
     matrices: list[IntMatrix] = []
-    for chunk in range((count + 1023) // 1024):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
-        for _ in range(min(1024, count - 1024 * chunk)):
-            matrices.append(sample_matrix(spec, rng))
+    for size, rng in chunk_streams(seed, count, SAMPLE_CHUNK):
+        matrices.extend(_sample_matrices(plan, spec.matrix_shape, rng, size))
     return SampleBatch(spec, seed, tuple(matrices))
 
 
@@ -307,40 +311,49 @@ def greene_oracle(X: IntMatrix, l: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _batch_entries(plan: list[_Site], shape: tuple[int, int],
-                   rng: np.random.Generator, count: int) -> np.ndarray:
-    rows, cols = shape
-    out = np.zeros((count, rows, cols), dtype=np.int64)
-    for site in plan:
-        values = _draw_vector(site, rng.random(count))
-        for (i, j) in site.positions:
-            out[:, i - 1, j - 1] = values
-    return out
+def _entry_rows(plan: list[_Site], shape: tuple[int, int], rng: np.random.Generator,
+                count: int):
+    """A chunk's `count` matrices row by row, bottom row first, each row as a
+    (cols, count) array, yielded once the sites drawn so far fill it and every
+    row below it.  Uniforms are drawn site-major: `count` per site, in plan
+    order.
+    """
+    n_rows, n_cols = shape
+    last_site = {i: s for s, site in enumerate(plan) for i, _ in site.positions}
+    rows: dict[int, np.ndarray] = {}
+
+    def cell(i, j):
+        if i not in rows:
+            rows[i] = np.empty((n_cols, count), dtype=np.int64)
+        return rows[i][j - 1]
+
+    done = 0
+    for s, site in enumerate(plan):
+        first, *images = site.positions
+        values = _draw_vector(site, rng.random(count), cell(*first))
+        for (i, j) in images:
+            cell(i, j)[...] = values
+        while done < n_rows and last_site[done + 1] <= s:
+            done += 1
+            yield rows.pop(done)
 
 
-def _batch_last_passage(arr: np.ndarray) -> np.ndarray:
-    count, rows, cols = arr.shape
-    scores = np.zeros((count, cols), dtype=np.int64)
-    for i in range(rows):
-        for j in range(cols):
-            if i > 0 and j > 0:
-                base = np.maximum(scores[:, j], scores[:, j - 1])
-            elif j > 0:
-                base = scores[:, j - 1]
-            elif i > 0:
-                base = scores[:, j]
-            else:
-                base = 0
-            scores[:, j] = arr[:, i, j] + base
-    return scores[:, -1]
+def _batch_last_passage(rows, n_cols: int, count: int) -> np.ndarray:
+    scores = np.zeros((n_cols, count), dtype=np.int64)
+    for row in rows:
+        scores[0] += row[0]
+        for j in range(1, n_cols):
+            np.maximum(scores[j], scores[j - 1], out=scores[j])
+            scores[j] += row[j]
+    return scores[-1]
 
 
-def _batch_bernoulli_passage(arr: np.ndarray) -> np.ndarray:
-    count, rows, cols = arr.shape
-    scores = arr[:, 0, :].copy()
-    for i in range(1, rows):
-        scores = arr[:, i, :] + np.maximum.accumulate(scores, axis=1)
-    return scores.max(axis=1)
+def _batch_bernoulli_passage(rows) -> np.ndarray:
+    scores = next(rows)
+    for row in rows:
+        row += np.maximum.accumulate(scores, axis=0)
+        scores = row
+    return scores.max(axis=0)
 
 
 def class_statistic(spec: ModelSpec, X: IntMatrix) -> int:
@@ -350,14 +363,13 @@ def class_statistic(spec: ModelSpec, X: IntMatrix) -> int:
     return last_passage(X)
 
 
-def _chunk_counts(spec: ModelSpec, plan, l_max: int, seed: int,
-                  chunk_index: int, count: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    entries = _batch_entries(plan, spec.matrix_shape, rng, count)
+def _chunk_counts(spec: ModelSpec, plan: list[_Site], l_max: int, count: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    rows = _entry_rows(plan, spec.matrix_shape, rng, count)
     if spec.variant == "bernoulli":
-        stat = _batch_bernoulli_passage(entries)
+        stat = _batch_bernoulli_passage(rows)
     else:
-        stat = _batch_last_passage(entries)
+        stat = _batch_last_passage(rows, spec.matrix_shape[1], count)
     clipped = np.clip(stat, 0, l_max + 1)
     return np.bincount(clipped, minlength=l_max + 2)
 
@@ -370,25 +382,19 @@ def mc_distribution(spec: ModelSpec, l_max: int, n_samples: int, seed: int,
     if l_max < 0:
         raise ValueError("l_max must be nonnegative")
     plan = _site_plan(spec)
-    jobs = []
-    start = 0
-    index = 0
-    while start < n_samples:
-        size = min(_CHUNK, n_samples - start)
-        jobs.append((index, size))
-        start += size
-        index += 1
 
-    def run(job):
-        chunk_index, count = job
-        return _chunk_counts(spec, plan, l_max, seed, chunk_index, count)
+    def run(chunk):
+        count, rng = chunk
+        return _chunk_counts(spec, plan, l_max, count, rng)
 
+    # chunk counts are added as they arrive, so memory does not grow with
+    # the number of chunks times l_max
+    chunks = chunk_streams(seed, n_samples, MC_CHUNK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, jobs))
+            counts = sum(pool.map(run, chunks))
     else:
-        partials = [run(job) for job in jobs]
-    counts = np.sum(partials, axis=0)
+        counts = sum(map(run, chunks))
 
     cumulative = np.cumsum(counts)[: l_max + 1]
     probs: dict[int, float] = {}

@@ -35,7 +35,7 @@ from math import factorial
 
 import numpy as np
 
-from .core import ModelSpec, Partition, alternating_sum
+from .core import BudgetError, ModelSpec, Partition, alternating_sum
 from .numerics import (
     GeomInv,
     PolyPlus,
@@ -396,7 +396,7 @@ def _quad_average(st: _Structure, cf: ClassFunctionSpec, tol: float) -> float:
 
     nodes = 2 * _angle_degree(st, cf, tol) + 2
     if nodes**p > _QUAD_POINT_BUDGET:
-        raise ValueError(f"quadrature grid of {nodes}^{p} points exceeds the budget of "
+        raise BudgetError(f"quadrature grid of {nodes}^{p} points exceeds the budget of "
                          f"{_QUAD_POINT_BUDGET} points")
     theta = 2 * np.pi * np.arange(nodes) / nodes
     grids = np.meshgrid(*([theta] * p), indexing="ij")

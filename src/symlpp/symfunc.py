@@ -12,6 +12,7 @@ from itertools import accumulate
 from math import lcm
 
 from .core import (
+    BudgetError,
     ModelSpec,
     Partition,
     alternating_sum,
@@ -41,7 +42,7 @@ def _check_box(max_part: int, max_length: int):
     size = count_partitions_in_box(max_part, max_length)
     cells = size * max_part * max_length // 2
     if cells > CELL_BUDGET:
-        raise ValueError(f"partition box {max_part} x {max_length} holds {size} partitions "
+        raise BudgetError(f"partition box {max_part} x {max_length} holds {size} partitions "
                          f"of {cells} cells in all, over the budget of {CELL_BUDGET} cells")
 
 

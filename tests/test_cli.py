@@ -31,6 +31,13 @@ def test_dump_json_formatting():
     assert "0.5" in text
     # 17 significant digits for floats
     assert format(1 / 3, ".17g") in dump_json({"x": 1 / 3})
+    # int rows, bools, empty lists and mixed lists print as they always did
+    nested = {"rows": [[3, 0], [1, 12]], "flags": [True, False], "none": [], "mixed": [1, True]}
+    assert dump_json(nested) == (
+        '{\n  "rows": [\n    [\n      3,\n      0\n    ],\n    [\n      1,\n      12\n    ]\n  ],'
+        '\n  "flags": [\n    true,\n    false\n  ],\n  "none": [],'
+        '\n  "mixed": [\n    1,\n    true\n  ]\n}')
+    assert json.loads(dump_json(nested)) == nested
 
 
 def test_exact_subcommand_diagonal(model_file, capsys):
@@ -218,7 +225,17 @@ def test_oversized_exact_box_is_config_error(model_file, capsys):
     path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
     code, out = run_cli(capsys, ["exact", "--model", path, "--lmax", "100000"])
     assert code == 2
-    assert "budget" in json.loads(out)["error"]["message"]
+    error = json.loads(out)["error"]
+    assert "budget" in error["message"] and error["field"] == "lmax"
+    code, out = run_cli(capsys, ["verify", "--model", path, "--lmax", "100000",
+                                 "--samples", "10"])
+    assert code == 2
+    assert json.loads(out)["error"]["field"] == "lmax"
+    # the point-reflection matrix-average route reads the exact table at --l
+    path = model_file("p.json", {"variant": "pointreflection", "q": ["1/2"]})
+    code, out = run_cli(capsys, ["rmt", "--model", path, "--l", "100000"])
+    assert code == 2
+    assert json.loads(out)["error"]["field"] == "l"
 
 
 # `exact --lmax 5` stdout, recorded before exact laws became one-sweep tables:
@@ -263,3 +280,67 @@ def test_exact_output_is_pinned(variant, model_file, capsys):
     assert code == 0
     assert [row["p"] for row in json.loads(out)["distribution"]] == probs
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _ratios(n, start):
+    return [f"{k}/{k + 3}" for k in range(start, start + n)]
+
+
+# One model per variant with 66-81 sampled sites, so a Monte Carlo chunk draws
+# more than 64 sites' uniforms.
+STREAM_MODELS = {
+    "johansson": {"variant": "johansson", "a": _ratios(9, 1), "b": _ratios(9, 2)},
+    "bernoulli": {"variant": "bernoulli", "a": _ratios(5, 1), "b": _ratios(14, 1)},
+    "antidiagonal": {"variant": "antidiagonal", "q": _ratios(11, 1), "beta": "2/5"},
+    "diagonal": {"variant": "diagonal", "q": _ratios(11, 1), "alpha": "1/3"},
+    "doublysymmetric": {"variant": "doublysymmetric", "q": _ratios(8, 1), "alpha": "1/3"},
+    "pointreflection": {"variant": "pointreflection", "q": _ratios(6, 1)},
+}
+
+# SHA-256 of `mc --lmax 60 --samples 9000 --seed 5` (three chunks, the last
+# one partial) and of `sample --count 1100 --seed 5` (two chunks), recorded
+# before the sampling kernels drew uniforms in blocks.
+PINNED_MC = {
+    "johansson": "9db6be19551cabc07ce9b0f6f896461cefe325be3ef7eac588fdfde73523e8bc",
+    "bernoulli": "4937cf2a120bffce6782cf473e69b5486eb15bfbe904c20b6790298033d93f9e",
+    "antidiagonal": "3d3029874accff3cb5b92387b68fb2b2dfa8c94c5f0d6185cb25b4370be110a7",
+    "diagonal": "368b9a2503b480574646fec0a165843aaa1c9b9172878da9a1f6d6a4c6fe31ec",
+    "doublysymmetric": "fc7ee795e25d36bee5a1e1e77e49cad9d5407c806b83537ea56d4a4e979992d7",
+    "pointreflection": "dd439bbc27cccd27ddbe703db75aae4d3c3dc049c9e83b8269572c976586be8c",
+}
+PINNED_SAMPLE = {
+    "johansson": "de4c8253d96c6c1312eef2784c6ca5e4d3aaa202f5eead28b4431dfb17ae3aa5",
+    "bernoulli": "18a8b8f36425941d0cbb6195d8a66c9bf2e6497d5da047bc51a0b2aeffdee8f3",
+    "antidiagonal": "564f1aa708f3243d9425eeabd521dd4f3999ea533ea8e0b6c503dfcacec1e650",
+    "diagonal": "4996d8d20ec25479ca2c15ebe1187cbc1fce33562eb3dc8d06a8f52a202ef0b3",
+    "doublysymmetric": "c66ab1a76b761073eab53a585872bd991190261e475a8d9c1138f607e8247ef3",
+    "pointreflection": "fbd0277c4685011c630a19c878928e098a428a396058622eafe33d330b2b0130",
+}
+# `hammersley --lam 4 --lmax 14 --samples 9000 --seed 5`, recorded likewise.
+PINNED_HAMMERSLEY = "91a7a30d5010ef0965c45bdd4e1edf84ecb7145676fe13a5770031bd08b823de"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("variant", sorted(STREAM_MODELS))
+def test_mc_output_is_pinned(variant, threads, model_file, capsys):
+    path = model_file(f"{variant}.json", STREAM_MODELS[variant])
+    code, out = run_cli(capsys, ["mc", "--model", path, "--lmax", "60", "--samples", "9000",
+                                 "--seed", "5", "--threads", threads])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MC[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(STREAM_MODELS))
+def test_sample_output_is_pinned(variant, model_file, capsys):
+    path = model_file(f"{variant}.json", STREAM_MODELS[variant])
+    code, out = run_cli(capsys, ["sample", "--model", path, "--count", "1100", "--seed", "5"])
+    assert code == 0
+    assert len(json.loads(out)["matrices"]) == 1100
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SAMPLE[variant]
+
+
+def test_hammersley_output_is_pinned(capsys):
+    code, out = run_cli(capsys, ["hammersley", "--lam", "4", "--lmax", "14",
+                                 "--samples", "9000", "--seed", "5"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HAMMERSLEY

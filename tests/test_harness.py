@@ -1,11 +1,14 @@
 import math
+from bisect import bisect_left
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from symlpp.core import ModelSpec
 from symlpp.harness import (
     EIGHT_POINT_CONFIGURATION,
+    _chain_lengths,
     hammersley_check,
     longest_increasing_chain,
     toeplitz_bessel,
@@ -70,6 +73,27 @@ def test_longest_increasing_chain():
     assert longest_increasing_chain([(0.5, 0.1), (0.5, 0.2), (0.5, 0.3)]) == 1
     descending = [(i / 10, 1 - i / 10) for i in range(1, 8)]
     assert longest_increasing_chain(descending) == 1
+
+
+def _patience_chain(points):
+    """Reference: one sample at a time, sorted by (x, -y), bisect_left on the tails."""
+    tails = []
+    for _, y in sorted(points, key=lambda p: (p[0], -p[1])):
+        idx = bisect_left(tails, y)
+        tails[idx:idx + 1] = [y]
+    return len(tails)
+
+
+def test_batched_chains_match_one_sample_patience_sort():
+    rng = np.random.default_rng(4)
+    for lam, size in ((0.5, 300), (4, 300), (30, 60)):
+        ns = rng.poisson(lam, size)
+        # coarse coordinates, so ties in x, in y and whole points repeat
+        points = rng.integers(0, 6, (int(ns.sum()), 2)) / 5
+        lengths = _chain_lengths(ns, points)
+        starts = np.cumsum(ns) - ns
+        expected = [_patience_chain(map(tuple, points[a:a + n])) for a, n in zip(starts, ns)]
+        assert lengths.tolist() == expected
 
 
 def test_eight_point_configuration_has_chain_three():

@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from symlpp import lpp
 from symlpp.core import IntMatrix, ModelSpec
 from symlpp.lpp import (
     _draw_vector,
@@ -228,8 +230,75 @@ def test_mc_matches_exact_johansson():
     assert table.stderr[1] > 0
 
 
+def _stream_spec(variant):
+    q = (F(1, 3), F(1, 2), F(2, 5))
+    if variant == "johansson":
+        return ModelSpec(variant, a=q, b=q[::-1])
+    if variant == "bernoulli":
+        return ModelSpec(variant, a=q[:2], b=q + (F(3, 4),))
+    if variant == "antidiagonal":
+        return ModelSpec(variant, q=q, beta=F(1, 2))
+    if variant in ("diagonal", "doublysymmetric"):
+        return ModelSpec(variant, q=q if variant == "diagonal" else q[:2], alpha=F(1, 3))
+    return ModelSpec(variant, q=q[:2])
+
+
+VARIANTS = ["johansson", "bernoulli", "antidiagonal", "diagonal", "doublysymmetric",
+            "pointreflection"]
+
+
 def test_mc_thread_count_invariance():
-    spec = ModelSpec("antidiagonal", q=(F(1, 3), F(1, 2)), beta=F(1, 2))
-    t1 = mc_distribution(spec, 4, 20_000, seed=3, threads=1)
-    t3 = mc_distribution(spec, 4, 20_000, seed=3, threads=3)
-    assert t1.probs == t3.probs and t1.stderr == t3.stderr
+    for variant in VARIANTS:
+        spec = _stream_spec(variant)
+        # 20000 samples: four full chunks and a partial fifth
+        t1 = mc_distribution(spec, 12, 20_000, seed=3, threads=1)
+        t3 = mc_distribution(spec, 12, 20_000, seed=3, threads=3)
+        assert t1.probs == t3.probs and t1.stderr == t3.stderr, variant
+
+
+def test_mc_memory_does_not_grow_with_chunk_count():
+    # 50 chunks with 20002 counts each would hold 7.8 MiB of chunk counts at once
+    spec = ModelSpec("johansson", a=(F(1, 2),), b=(F(1, 2),))
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            mc_distribution(spec, 20_000, 50 * 4096, seed=1, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (threads, peak)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_chunk_kernel_matches_per_matrix_reference(variant):
+    """Row-by-row site-major draws and the batched DP against one uniform vector
+    per site, matrices assembled one at a time and the scalar DP."""
+    spec = _stream_spec(variant)
+    plan = lpp._site_plan(spec)
+    n_rows, n_cols = spec.matrix_shape
+    count = 300
+    rng = np.random.default_rng(8)
+    draws = [_draw_vector(site, rng.random(count)) for site in plan]
+    expected = []
+    for t in range(count):
+        grid = [[0] * n_cols for _ in range(n_rows)]
+        for site, values in zip(plan, draws):
+            for (i, j) in site.positions:
+                grid[i - 1][j - 1] = int(values[t])
+        expected.append(class_statistic(spec, IntMatrix(tuple(map(tuple, grid)))))
+    rows = lpp._entry_rows(plan, spec.matrix_shape, np.random.default_rng(8), count)
+    if variant == "bernoulli":
+        stat = lpp._batch_bernoulli_passage(rows)
+    else:
+        stat = lpp._batch_last_passage(rows, n_cols, count)
+    assert stat.tolist() == expected
+
+
+def test_sample_batch_is_sample_matrix_per_chunk():
+    spec = _stream_spec("antidiagonal")
+    batch = sample_batch(spec, 1030, seed=4)
+    for chunk, start in enumerate((0, 1024)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(chunk,)))
+        stop = min(start + 1024, 1030)
+        assert batch.matrices[start:stop] == tuple(sample_matrix(spec, rng)
+                                                    for _ in range(stop - start))
