@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads (default 1); the output does not depend on it")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("verify", help="Monte Carlo vs exact vs matrix average")
@@ -311,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--zmax", type=float, default=4.0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads (default 1); the output does not depend on it")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("rsk", help="insertion pair of a matrix")

@@ -15,13 +15,8 @@ import numpy as np
 
 from .core import ModelSpec, format_rational
 from .lpp import MC_CHUNK, chunk_streams, mc_distribution
-from .numerics import ExpCos, SymbolSpec
-from .rmt import (
-    antidiagonal_odd_prefactors,
-    model_rmt_distribution,
-    rmt_method,
-    u_average,
-)
+from .numerics import ExpCos, SymbolSpec, fourier_coefficients
+from .rmt import antidiagonal_odd_prefactors, model_rmt_distribution, rmt_method
 from .symfunc import exact_distribution, exact_table, pointreflection_selfdual_table
 
 
@@ -105,14 +100,15 @@ def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
     path sums and the second column is the product of two independently
     computed square-lattice laws.
     """
-    mc = mc_distribution(spec, l_max, mc_samples, seed, threads)
     point_reflection = spec.variant == "pointreflection"
     second_kind = "johansson-factorization" if point_reflection else rmt_method(spec)
+    # the exact tables check their cell budget, so they come before any sampling
     if point_reflection:
         exact_column = pointreflection_selfdual_table(spec.q, l_max)
         factored = exact_table(spec, l_max)
     else:
         exact_column = exact_table(spec, l_max)
+    mc = mc_distribution(spec, l_max, mc_samples, seed, threads)
     rows: list[ReportRow] = []
     for l, exact in enumerate(exact_column):
         second = factored[l] if point_reflection else model_rmt_distribution(spec, l, quad_tol)
@@ -175,15 +171,12 @@ def _chain_lengths(ns: np.ndarray, points: np.ndarray) -> np.ndarray:
     inserts inf at its first inf tail, which changes nothing.
     """
     size = len(ns)
-    key = np.empty(len(points), dtype=complex)  # complex order: by x, then by -y
-    key.real, key.imag = points[:, 0], -points[:, 1]
-    order = np.argsort(key)
-    # a stable sort by sample keeps that order within each sample (a radix
-    # sort while sample numbers fit in 16 bits)
-    sample = np.repeat(np.arange(size, dtype=np.min_scalar_type(size)), ns)
-    order = order[np.argsort(sample[order], kind="stable")]
-    ys = np.full((int(ns.max(initial=0)), size), np.inf)
-    ys[np.arange(len(sample)) - (np.cumsum(ns) - ns)[sample], sample] = points[order, 1]
+    # one row per sample, padded with inf; complex order is by x, then by -y
+    mask = np.arange(int(ns.max(initial=0))) < ns[:, None]
+    key = np.full(mask.shape, np.inf, dtype=complex)
+    key[mask] = points[:, 0] - 1j * points[:, 1]  # row-major mask order is sample order
+    key.sort(axis=1)
+    ys = np.where(mask, -key.imag, np.inf).T.copy()
     tails = np.full_like(ys, np.inf)
     width = 0  # the longest chain so far: tails from row `width` on are inf
     for y in ys:
@@ -218,10 +211,28 @@ def _poisson_chain_counts(lam: float, l_max: int, n_samples: int, seed: int) -> 
     return counts
 
 
+def toeplitz_bessel_minors(cos_coefficient: float, l_max: int,
+                           tol: float = 1e-12) -> list[float]:
+    """[D_0, ..., D_lmax]: the l x l Toeplitz determinants of exp(c cos theta).
+
+    The Bessel coefficients are computed once, for the largest order; each
+    D_l is then the float determinant of its own l x l matrix, as
+    `rmt.u_average` takes it, so every value is the same float.
+    """
+    if l_max < 0:
+        raise ValueError("l must be nonnegative")
+    if l_max == 0:
+        return [1.0]
+    coeffs, _ = fourier_coefficients(SymbolSpec((ExpCos(cos_coefficient),)),
+                                     -(l_max - 1), l_max - 1, tol)
+    matrix = np.array([[coeffs[j - k] for k in range(l_max)] for j in range(l_max)],
+                      dtype=float)
+    return [1.0] + [float(np.linalg.det(matrix[:l, :l])) for l in range(1, l_max + 1)]
+
+
 def toeplitz_bessel(cos_coefficient: float, l: int, tol: float = 1e-12) -> float:
     """l x l Toeplitz determinant of the exponential symbol exp(c cos theta)."""
-    value = u_average(SymbolSpec((ExpCos(cos_coefficient),)), l, tol)
-    return float(value)
+    return toeplitz_bessel_minors(cos_coefficient, l, tol)[l]
 
 
 def hammersley_check(lam: float, l_max: int, mc_samples: int, seed: int,
@@ -248,10 +259,11 @@ def hammersley_check(lam: float, l_max: int, mc_samples: int, seed: int,
         "prefactor=exp(-lam), coefficient=sqrt(lam)": (math.exp(-lam), root),
         "prefactor=1, coefficient=sqrt(lam) (as displayed)": (1.0, root),
     }
+    minors = {c: toeplitz_bessel_minors(c, l_max, tol) for c in (2 * root, root)}
     scores: dict[str, float] = {}
     tables: dict[str, list[float]] = {}
     for name, (pref, coeff) in candidates.items():
-        table = [min(pref * toeplitz_bessel(coeff, l, tol), 1.0) for l in range(l_max + 1)]
+        table = [min(pref * d, 1.0) for d in minors[coeff]]
         tables[name] = table
         worst = 0.0
         for l in range(l_max + 1):

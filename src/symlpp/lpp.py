@@ -123,7 +123,8 @@ def _site_plan(spec: ModelSpec) -> list[_Site]:
 # ---------------------------------------------------------------------------
 
 
-def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None,
+                 scratch: bool = False) -> np.ndarray:
     """Draws of `site`'s law from uniforms `u` on [0, 1), stored into `out`.
 
     With w = 1 - u: a geometric site (survival Pr(X >= k) = p^k) draws
@@ -133,6 +134,9 @@ def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None) -> n
     survival intervals Pr(X >= 2j) = q^(2j) and
     Pr(X >= 2j+1) = q^(2j+1) (beta+q)/(1+beta q); the draw is the largest k
     whose survival still covers w.
+
+    Only `out` is written, unless `scratch` is set: then `u` holds w and its
+    logarithm along the way and is overwritten.
     """
     if out is None:
         out = np.empty(u.shape, dtype=np.int64)
@@ -140,7 +144,7 @@ def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None) -> n
         p = site.params[0]
         out[...] = u < p / (1 + p)
         return out
-    w = 1.0 - u
+    w = np.subtract(1.0, u, out=u) if scratch else 1.0 - u
     if site.law == "geom":
         p = site.params[0]
         np.log(w, out=w)
@@ -316,11 +320,12 @@ def _entry_rows(plan: list[_Site], shape: tuple[int, int], rng: np.random.Genera
     """A chunk's `count` matrices row by row, bottom row first, each row as a
     (cols, count) array, yielded once the sites drawn so far fill it and every
     row below it.  Uniforms are drawn site-major: `count` per site, in plan
-    order.
+    order, into one buffer that each site's draw then uses as scratch.
     """
     n_rows, n_cols = shape
     last_site = {i: s for s, site in enumerate(plan) for i, _ in site.positions}
     rows: dict[int, np.ndarray] = {}
+    u = np.empty(count)
 
     def cell(i, j):
         if i not in rows:
@@ -330,7 +335,7 @@ def _entry_rows(plan: list[_Site], shape: tuple[int, int], rng: np.random.Genera
     done = 0
     for s, site in enumerate(plan):
         first, *images = site.positions
-        values = _draw_vector(site, rng.random(count), cell(*first))
+        values = _draw_vector(site, rng.random(out=u), cell(*first), scratch=True)
         for (i, j) in images:
             cell(i, j)[...] = values
         while done < n_rows and last_site[done + 1] <= s:
@@ -351,7 +356,9 @@ def _batch_last_passage(rows, n_cols: int, count: int) -> np.ndarray:
 def _batch_bernoulli_passage(rows) -> np.ndarray:
     scores = next(rows)
     for row in rows:
-        row += np.maximum.accumulate(scores, axis=0)
+        for j in range(1, len(scores)):  # prefix max over columns, in place
+            np.maximum(scores[j], scores[j - 1], out=scores[j])
+        row += scores
         scores = row
     return scores.max(axis=0)
 

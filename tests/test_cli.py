@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from symlpp.cli import dump_json, main, rows_to_csv
+from symlpp import harness
+from symlpp.cli import build_parser, dump_json, main, rows_to_csv
 
 
 @pytest.fixture()
@@ -236,6 +237,25 @@ def test_oversized_exact_box_is_config_error(model_file, capsys):
     code, out = run_cli(capsys, ["rmt", "--model", path, "--l", "100000"])
     assert code == 2
     assert json.loads(out)["error"]["field"] == "l"
+
+
+def test_verify_checks_the_cell_budget_before_sampling(model_file, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the budget check")
+
+    monkeypatch.setattr(harness, "mc_distribution", no_sampling)
+    path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
+    code, out = run_cli(capsys, ["verify", "--model", path, "--lmax", "100000",
+                                 "--samples", "1000000"])
+    assert code == 2
+    assert json.loads(out)["error"]["field"] == "lmax"
+
+
+def test_threads_default_to_one():
+    parser = build_parser()
+    for command in ("mc", "verify"):
+        args = parser.parse_args([command, "--model", "m.json", "--lmax", "1"])
+        assert args.threads == 1
 
 
 # `exact --lmax 5` stdout, recorded before exact laws became one-sweep tables:

@@ -9,11 +9,15 @@ from symlpp.core import ModelSpec
 from symlpp.harness import (
     EIGHT_POINT_CONFIGURATION,
     _chain_lengths,
+    _poisson_chain_counts,
     hammersley_check,
     longest_increasing_chain,
     toeplitz_bessel,
+    toeplitz_bessel_minors,
     verify_model,
 )
+from symlpp.numerics import ExpCos, SymbolSpec
+from symlpp.rmt import u_average
 
 
 def test_verify_johansson_geometric_column():
@@ -86,7 +90,8 @@ def _patience_chain(points):
 
 def test_batched_chains_match_one_sample_patience_sort():
     rng = np.random.default_rng(4)
-    for lam, size in ((0.5, 300), (4, 300), (30, 60)):
+    # lam 0: every sample of the chunk is empty
+    for lam, size in ((0.5, 300), (4, 300), (30, 60), (0, 50), (0.5, 5000)):
         ns = rng.poisson(lam, size)
         # coarse coordinates, so ties in x, in y and whole points repeat
         points = rng.integers(0, 6, (int(ns.sum()), 2)) / 5
@@ -94,6 +99,21 @@ def test_batched_chains_match_one_sample_patience_sort():
         starts = np.cumsum(ns) - ns
         expected = [_patience_chain(map(tuple, points[a:a + n])) for a, n in zip(starts, ns)]
         assert lengths.tolist() == expected
+
+
+# Chain-length counts of `hammersley --lam 100 --lmax 30 --samples 9000
+# --seed 0`, recorded before the chain kernel changed: this pins the Monte
+# Carlo column only, not the Toeplitz formula column.
+PINNED_LAM100_COUNTS = [0] * 11 + [8, 44, 248, 727, 1370, 1870, 1850, 1386, 847, 395,
+                                   174, 61, 14, 6] + [0] * 7
+
+
+def test_lam100_chain_counts_are_pinned():
+    counts = _poisson_chain_counts(100.0, 30, 9000, 0)
+    assert counts.tolist() == PINNED_LAM100_COUNTS
+    report = hammersley_check(100.0, 30, 9000, seed=0)
+    assert [r.mc_estimate for r in report.rows] == \
+        (np.cumsum(PINNED_LAM100_COUNTS)[:31] / 9000).tolist()
 
 
 def test_eight_point_configuration_has_chain_three():
@@ -115,6 +135,20 @@ def test_toeplitz_bessel_small_intensity():
     value = math.exp(-lam) * toeplitz_bessel(2 * math.sqrt(lam), 1)
     # one-point squares always chain: Pr(<=1) = Pr(N<=1) + sum_{k>=2} ...
     assert 0 < value < 1
+
+
+def test_toeplitz_bessel_minors_match_one_determinant_per_order():
+    # every leading minor is bit for bit the float determinant u_average
+    # takes of that order alone
+    for c in (0.5, 4.0, 20.0):
+        minors = toeplitz_bessel_minors(c, 30)
+        assert len(minors) == 31
+        for l, minor in enumerate(minors):
+            assert minor == float(u_average(SymbolSpec((ExpCos(c),)), l)), (c, l)
+            assert toeplitz_bessel(c, l) == minor
+    assert toeplitz_bessel_minors(3.0, 0) == [1.0]
+    with pytest.raises(ValueError):
+        toeplitz_bessel_minors(3.0, -1)
 
 
 def test_hammersley_check_resolves_normalization():
