@@ -24,7 +24,6 @@ from .lpp import (
 from .numerics import (
     ExpCos,
     GeomInv,
-    LaurentPoly,
     PolyPlus,
     SymbolSpec,
     det_exact,
@@ -39,9 +38,7 @@ from .rmt import (
     group_average,
     model_rmt_distribution,
     o_average,
-    o_schur_identity,
     sp_average,
-    sp_schur_identity,
     u_average,
 )
 from .rsk import Tableau, TableauPair, check_symmetry_lemmas, dual_rsk, evacuate, rsk

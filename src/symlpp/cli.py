@@ -3,7 +3,8 @@
 Model specs come in as JSON files; rationals travel as decimal-free "p/q"
 strings and floats print with 17 significant digits, so a fixed config and
 seed reproduce byte-identical output.  Exit status: 0 on success / PASS,
-1 on a FAIL verdict, 2 on configuration errors (reported as a JSON object).
+1 on a FAIL verdict, 2 on configuration errors, 3 on internal errors (both
+reported as a JSON object on stdout).
 """
 
 from __future__ import annotations
@@ -349,6 +350,13 @@ def main(argv=None) -> int:
         error = {"schema": SCHEMA_VERSION, "error": {"message": str(exc), "field": field}}
         sys.stdout.write(dump_json(error) + "\n")
         return 2
+    except Exception as exc:
+        # any other failure is a fault of symlpp, not of the input or the verdict
+        message = type(exc).__name__ + (f": {exc}" if str(exc) else "")
+        error = {"schema": SCHEMA_VERSION,
+                 "error": {"message": message, "field": None, "internal": True}}
+        sys.stdout.write(dump_json(error) + "\n")
+        return 3
 
 
 if __name__ == "__main__":

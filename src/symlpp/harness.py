@@ -90,8 +90,8 @@ def _diff_ok(exact, second, tol: float) -> tuple[Fraction | float | None, bool]:
 
 
 def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
-                 tol: float = 1e-9, z_max: float = 4.0, threads: int = 1,
-                 quad_tol: float = 1e-12) -> VerificationReport:
+                 tol: float = 1e-9, z_max: float = 4.0,
+                 threads: int = 1) -> VerificationReport:
     """Three-column check of Pr(L <= l) for l = 0..l_max.
 
     Columns: Monte Carlo with binomial standard errors, the exact bounded
@@ -111,7 +111,7 @@ def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
     mc = mc_distribution(spec, l_max, mc_samples, seed, threads)
     rows: list[ReportRow] = []
     for l, exact in enumerate(exact_column):
-        second = factored[l] if point_reflection else model_rmt_distribution(spec, l, quad_tol)
+        second = factored[l] if point_reflection else model_rmt_distribution(spec, l)
         diff, diff_ok = _diff_ok(exact, second, tol)
         z = _z_score(mc.probs[l], float(exact), mc_samples)
         ok = diff_ok and abs(z) <= z_max
@@ -119,13 +119,13 @@ def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
                               "PASS" if ok else "FAIL"))
     notes: dict = {}
     if spec.variant == "antidiagonal":
-        notes["odd_bound_prefactor"] = _resolve_antidiagonal_prefactor(spec, rows, tol, quad_tol)
+        notes["odd_bound_prefactor"] = _resolve_antidiagonal_prefactor(spec, rows, tol)
     verdict = "PASS" if all(r.verdict == "PASS" for r in rows) else "FAIL"
     return VerificationReport(spec.to_json_dict(), second_kind, rows, verdict, notes)
 
 
-def _resolve_antidiagonal_prefactor(spec: ModelSpec, rows: list[ReportRow], tol: float,
-                                    quad_tol: float) -> dict:
+def _resolve_antidiagonal_prefactor(spec: ModelSpec, rows: list[ReportRow],
+                                    tol: float) -> dict:
     """Try both candidate prefactors of the odd-bound formula against the exact law.
 
     The two candidates differ in the index pairing of the cross terms; they
@@ -140,7 +140,7 @@ def _resolve_antidiagonal_prefactor(spec: ModelSpec, rows: list[ReportRow], tol:
     matches = {name: True for name in candidates}
     worst = {name: Fraction(0) for name in candidates}
     odd = [(r.exact_value, r.second_value) for r in rows if r.l % 2 == 1] or [
-        (exact_distribution(spec, 1), model_rmt_distribution(spec, 1, quad_tol))]
+        (exact_distribution(spec, 1), model_rmt_distribution(spec, 1))]
     for exact, second in odd:
         for name, pref in candidates.items():
             diff, ok = _diff_ok(exact, pref / standard * second, tol)

@@ -17,66 +17,6 @@ from .core import Rational
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials (one variable, exact coefficients)
-# ---------------------------------------------------------------------------
-
-
-class LaurentPoly:
-    """Finitely supported map exponent -> Fraction; zero coefficients are dropped."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        self.coeffs: dict[int, Fraction] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[int(k)] = c
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(1)})
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs.get(k, Fraction(0))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LaurentPoly(out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, Fraction] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return LaurentPoly(out)
-
-    def scaled(self, c) -> "LaurentPoly":
-        c = Fraction(c)
-        return LaurentPoly({k: v * c for k, v in self.coeffs.items()})
-
-    def min_exponent(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
-
-    def max_exponent(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
-    def __repr__(self):
-        terms = [f"{c}*z^{k}" for k, c in sorted(self.coeffs.items())]
-        return " + ".join(terms) if terms else "0"
-
-
-# ---------------------------------------------------------------------------
 # Symbols
 # ---------------------------------------------------------------------------
 
@@ -136,14 +76,6 @@ class SymbolSpec:
     def is_polynomial(self) -> bool:
         return all(isinstance(f, PolyPlus) for f in self.factors)
 
-    def poly(self) -> LaurentPoly:
-        if not self.is_polynomial():
-            raise ValueError("symbol has non-polynomial factors")
-        out = LaurentPoly.one()
-        for f in self.factors:
-            out = out * LaurentPoly({0: Fraction(1), f.exponent_sign: f.c})
-        return out
-
     def evaluate(self, z):
         """Value at a point (or numpy array of points) on the unit circle."""
         out = 1
@@ -160,14 +92,6 @@ class SymbolSpec:
 
     def times(self, *extra: Factor) -> "SymbolSpec":
         return SymbolSpec(self.factors + tuple(extra))
-
-    def series_order(self, tol: float) -> int:
-        """Total truncation order of the non-polynomial factors at tolerance tol."""
-        return sum(_truncation_order(f, tol, self._norm_product())
-                   for f in self.factors if not isinstance(f, PolyPlus))
-
-    def poly_degree(self) -> int:
-        return sum(1 for f in self.factors if isinstance(f, PolyPlus))
 
     def _norm_product(self) -> float:
         out = 1.0
@@ -188,11 +112,6 @@ def _exp_of(x):
         import numpy as np
 
         return np.exp(x)
-
-
-def symbol_from_poly_factors(pairs) -> SymbolSpec:
-    """SymbolSpec from (coefficient, sign) pairs, every factor (1 + c z^sign)."""
-    return SymbolSpec(tuple(PolyPlus(c, s) for c, s in pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,21 @@
 """Eigenvalue averages over the classical compact groups and the model formulas.
 
-Three engines compute the averages, each for its own kind of class function.
+One engine computes every average, as a determinant in exact Fourier
+coefficients.
 
-* Multiplicative class functions made of (1 + c z^s) factors (the
-  det(1 + alpha U) factor included) and at most one geometric factor
-  (1 - c z^s)^-1 have, over Sp(2l), O+(l) and O-(l), the Toeplitz +- Hankel
-  determinant forms of Johansson (Ann. Math. 145, 1997) and Baik & Rains
-  (Duke Math. J. 109, 2001) in the exact Fourier coefficients of
-  g(z) = f(z) f(1/z).  The result is a rational of determinant order at
-  most l.
-* Other polynomial integrands (Schur factors, and every polynomial average
-  under method='exact') expand the Weyl density and the class function as
-  exact Laurent polynomials in the angle variables; the average is a rational
-  constant-term extraction.
-* Everything else (exponential factors, a geometric factor beside a Schur
-  factor, several geometric factors, or method='quadrature') goes through
-  product trapezoidal quadrature on a uniform grid whose node count exceeds
-  the integrand's trigonometric degree, so polynomial parts are still
-  integrated exactly and series parts contribute below the requested
-  tolerance.  The grid size is checked before anything is allocated.
+* Over U(l), the average of a multiplicative symbol is the Toeplitz
+  determinant of its Fourier coefficients (u_average, Heine's identity).
+* Over Sp(2l), O+(l) and O-(l), multiplicative class functions made of
+  (1 + c z^s) factors (the det(1 + alpha U) factor included) and at most one
+  geometric factor (1 - c z^s)^-1 have the Toeplitz +- Hankel determinant
+  forms of Johansson (Ann. Math. 145, 1997) and Baik & Rains (Duke Math. J.
+  109, 2001) in the exact Fourier coefficients of g(z) = f(z) f(1/z).  The
+  result is a rational of determinant order at most l.
 
-The unitary average of a multiplicative symbol is the Toeplitz determinant of
-its Fourier coefficients (u_average).
+Every matrix average a model formula asks for has one of these forms;
+group_average raises ValueError for any other class function.  Two general
+engines (constant-term extraction and tensor quadrature) live in
+symlpp.oracles as independent witnesses for tests.
 
 Conventions: an average over a size-0 group is 1, and 0**0 = 1 wherever a
 weight parameter is 0 with a vanishing exponent.
@@ -35,16 +29,9 @@ from math import factorial
 
 import numpy as np
 
-from .core import BudgetError, ModelSpec, Partition, alternating_sum
-from .numerics import (
-    GeomInv,
-    PolyPlus,
-    SymbolSpec,
-    _truncation_order,
-    det_exact,
-    fourier_coefficients,
-)
-from .symfunc import _upper_pair_product, exact_distribution, odd_part_count, schur
+from .core import ModelSpec, Partition
+from .numerics import GeomInv, PolyPlus, SymbolSpec, det_exact, fourier_coefficients
+from .symfunc import _upper_pair_product, exact_distribution, model_prefactor
 
 GROUP_FAMILIES = ("U", "Sp", "O+", "O-", "O")
 
@@ -126,144 +113,6 @@ def _structure(family: str, l: int) -> _Structure:
     raise ValueError(f"no eigenvalue structure for {family!r}")
 
 
-_SINGLE_DEGREE = {"sin2": 2, "one_minus": 1, "one_plus": 1, None: 0}
-
-
-# ---------------------------------------------------------------------------
-# Exact engine: multivariate Laurent polynomials and constant terms
-# ---------------------------------------------------------------------------
-
-
-class _ZPoly:
-    """Laurent polynomial in the angle variables with Fraction coefficients."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        self.terms: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[e] = c
-
-    @staticmethod
-    def constant(nvars: int, value) -> "_ZPoly":
-        return _ZPoly(nvars, {(0,) * nvars: Fraction(value)})
-
-    @staticmethod
-    def monomial(nvars: int, var: int, power: int, coeff=1) -> "_ZPoly":
-        e = [0] * nvars
-        e[var] = power
-        return _ZPoly(nvars, {tuple(e): Fraction(coeff)})
-
-    def __add__(self, other):
-        if not isinstance(other, _ZPoly):
-            other = _ZPoly.constant(self.nvars, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return _ZPoly(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if not isinstance(other, _ZPoly):
-            c = Fraction(other)
-            return _ZPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                out[e] = s
-        return _ZPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = _ZPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
-
-def _density_zpoly(st: _Structure) -> _ZPoly:
-    p = st.pairs
-    out = _ZPoly.constant(p, 1)
-    two = Fraction(2)
-    for j in range(p):
-        if st.single == "sin2":
-            out = out * (_ZPoly.constant(p, two)
-                         + _ZPoly.monomial(p, j, 2, -1) + _ZPoly.monomial(p, j, -2, -1))
-        elif st.single == "one_minus":
-            out = out * (_ZPoly.constant(p, two)
-                         + _ZPoly.monomial(p, j, 1, -1) + _ZPoly.monomial(p, j, -1, -1))
-        elif st.single == "one_plus":
-            out = out * (_ZPoly.constant(p, two)
-                         + _ZPoly.monomial(p, j, 1, 1) + _ZPoly.monomial(p, j, -1, 1))
-    for j in range(p):
-        for k in range(j + 1, p):
-            diff = _ZPoly(p, {
-                _exps(p, {j: 0}): two,
-                _exps(p, {j: 1, k: -1}): Fraction(-1),
-                _exps(p, {j: -1, k: 1}): Fraction(-1),
-            })
-            out = out * diff
-            if st.pair_kind == "BC":
-                summ = _ZPoly(p, {
-                    _exps(p, {j: 0}): two,
-                    _exps(p, {j: 1, k: 1}): Fraction(-1),
-                    _exps(p, {j: -1, k: -1}): Fraction(-1),
-                })
-                out = out * summ
-    return out
-
-
-def _exps(p: int, assignments: dict[int, int]) -> tuple[int, ...]:
-    e = [0] * p
-    for var, power in assignments.items():
-        e[var] = power
-    return tuple(e)
-
-
-def _exact_average(st: _Structure, cf: ClassFunctionSpec) -> Fraction:
-    symbol = cf.effective_symbol()
-    if not symbol.is_polynomial():
-        raise ValueError("exact engine needs a polynomial class function")
-    p = st.pairs
-    f = _density_zpoly(st)
-    for j in range(p):
-        for fac in symbol.factors:
-            f = f * (_ZPoly.constant(p, 1)
-                     + _ZPoly.monomial(p, j, fac.exponent_sign, fac.c))
-            if st.paired:
-                f = f * (_ZPoly.constant(p, 1)
-                         + _ZPoly.monomial(p, j, -fac.exponent_sign, fac.c))
-    scalar = Fraction(1)
-    for eps in st.forced:
-        for fac in symbol.factors:
-            scalar *= 1 + fac.c * eps
-    if cf.schur_rho is not None:
-        eigs: list = []
-        for j in range(p):
-            eigs.append(_ZPoly.monomial(p, j, 1))
-            if st.paired:
-                eigs.append(_ZPoly.monomial(p, j, -1))
-        eigs.extend(Fraction(eps) for eps in st.forced)
-        eigs.extend(Fraction(x) for x in cf.schur_extra_vars)
-        value = schur(cf.schur_rho, eigs)
-        f = f * value if isinstance(value, _ZPoly) else f * Fraction(value)
-    return f.constant_term() * scalar / st.divisor
-
-
 # ---------------------------------------------------------------------------
 # Determinant engine: Toeplitz +- Hankel forms of multiplicative averages
 # ---------------------------------------------------------------------------
@@ -328,26 +177,6 @@ def _determinant_average(st: _Structure, symbol: SymbolSpec) -> Fraction:
     return value
 
 
-# ---------------------------------------------------------------------------
-# Quadrature engine
-# ---------------------------------------------------------------------------
-
-# Largest tensor grid quadrature builds, in points; each array over the grid
-# holds one complex128 per point.
-_QUAD_POINT_BUDGET = 1 << 22
-
-
-def _angle_degree(st: _Structure, cf: ClassFunctionSpec, tol: float) -> int:
-    symbol = cf.effective_symbol()
-    norm = symbol._norm_product()
-    sym_deg = sum(_truncation_order(fac, tol, norm) for fac in symbol.factors)
-    degree = _SINGLE_DEGREE[st.single] + (st.pairs - 1) * (2 if st.pair_kind == "BC" else 1)
-    degree += sym_deg * (2 if st.paired else 1)
-    if cf.schur_rho is not None:
-        degree += cf.schur_rho.weight
-    return max(degree, 1)
-
-
 def _value_at_point(symbol: SymbolSpec, eps: int) -> Fraction:
     """Exact value of a rational symbol at the real eigenvalue eps = +-1."""
     value = Fraction(1)
@@ -361,120 +190,35 @@ def _value_at_point(symbol: SymbolSpec, eps: int) -> Fraction:
     return value
 
 
-def _forced_only_average(st: _Structure, cf: ClassFunctionSpec) -> Fraction:
-    """No free angles: the average is a finite product over forced eigenvalues."""
-    symbol = cf.effective_symbol()
-    value = Fraction(1)
-    for eps in st.forced:
-        value *= _value_at_point(symbol, eps)
-    if cf.schur_rho is not None:
-        eigs = tuple(Fraction(eps) for eps in st.forced) + tuple(
-            Fraction(x) for x in cf.schur_extra_vars)
-        value *= schur(cf.schur_rho, eigs)
-    return value / st.divisor
-
-
-def _quad_average(st: _Structure, cf: ClassFunctionSpec, tol: float) -> float:
-    symbol = cf.effective_symbol()
-    p = st.pairs
-    if p == 0:
-        try:
-            return _forced_only_average(st, cf)
-        except ValueError:
-            pass
-        value = 1.0
-        for eps in st.forced:
-            value *= float(np.real(symbol.evaluate(complex(eps))))
-        if cf.schur_rho is not None:
-            eigs = tuple(float(eps) for eps in st.forced) + tuple(
-                float(x) for x in cf.schur_extra_vars)
-            value *= float(schur(cf.schur_rho, eigs))
-        return value / st.divisor
-    scalar = 1.0
-    for eps in st.forced:
-        scalar *= float(np.real(symbol.evaluate(complex(eps))))
-
-    nodes = 2 * _angle_degree(st, cf, tol) + 2
-    if nodes**p > _QUAD_POINT_BUDGET:
-        raise BudgetError(f"quadrature grid of {nodes}^{p} points exceeds the budget of "
-                         f"{_QUAD_POINT_BUDGET} points")
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    grids = np.meshgrid(*([theta] * p), indexing="ij")
-    zs = [np.exp(1j * g.ravel()) for g in grids]
-
-    weight = np.ones_like(zs[0])
-    for j in range(p):
-        z = zs[j]
-        if st.single == "sin2":
-            weight = weight * (2 - z**2 - z**-2)
-        elif st.single == "one_minus":
-            weight = weight * (2 - z - 1 / z)
-        elif st.single == "one_plus":
-            weight = weight * (2 + z + 1 / z)
-    for j in range(p):
-        for k in range(j + 1, p):
-            weight = weight * (2 - zs[j] / zs[k] - zs[k] / zs[j])
-            if st.pair_kind == "BC":
-                weight = weight * (2 - zs[j] * zs[k] - 1 / (zs[j] * zs[k]))
-
-    values = np.ones_like(zs[0])
-    for j in range(p):
-        values = values * symbol.evaluate(zs[j])
-        if st.paired:
-            values = values * symbol.evaluate(np.conj(zs[j]))
-    if cf.schur_rho is not None:
-        eigs: list = []
-        for j in range(p):
-            eigs.append(zs[j])
-            if st.paired:
-                eigs.append(np.conj(zs[j]))
-        eigs.extend(complex(eps) for eps in st.forced)
-        eigs.extend(complex(x) for x in cf.schur_extra_vars)
-        values = values * schur(cf.schur_rho, eigs)
-
-    mean = (weight * values).mean()
-    return float(np.real(mean)) * scalar / st.divisor
-
-
-def group_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT,
-                  tol: float = 1e-12, method: str = "auto"):
+def group_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT):
     """Average of the class function over the group's eigenvalue measure.
 
-    Under method='auto', Sp and O averages of multiplicative class functions
-    built from (1 + c z^s) factors, det(1 + alpha U) and at most one geometric
-    factor are exact Toeplitz +- Hankel determinants (a Fraction).  Other
-    polynomial integrands, Schur factors among them, and every average under
-    method='exact' come as a Fraction from the constant-term engine; the rest,
-    and every average under method='quadrature', as a float from trapezoidal
-    quadrature, which raises ValueError when its grid would exceed
-    _QUAD_POINT_BUDGET points.  The two explicit methods stay independent
-    witnesses for the determinant forms.  family 'O' averages the two
+    U averages are Toeplitz determinants (u_average).  Sp and O averages of
+    multiplicative class functions built from (1 + c z^s) factors,
+    det(1 + alpha U) and at most one geometric factor are exact Toeplitz +-
+    Hankel determinants (a Fraction).  Any other class function, a Schur
+    factor among them, raises ValueError.  Family 'O' averages the two
     components.
     """
     if group.family == "O":
-        plus = group_average(GroupSpec("O+", group.l), cf, tol, method)
-        minus = group_average(GroupSpec("O-", group.l), cf, tol, method)
-        if isinstance(plus, Fraction) and isinstance(minus, Fraction):
-            return (plus + minus) / 2
-        return (float(plus) + float(minus)) / 2.0
-    st = _structure(group.family, group.l)
-    if method == "auto" and group.family != "U" and _has_determinant_form(cf):
-        return _determinant_average(st, cf.effective_symbol())
-    if method == "exact" or (method == "auto" and cf.is_polynomial()):
-        return _exact_average(st, cf)
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    return _quad_average(st, cf, tol)
+        plus = group_average(GroupSpec("O+", group.l), cf)
+        minus = group_average(GroupSpec("O-", group.l), cf)
+        return (plus + minus) / 2
+    if group.family == "U" and cf.schur_rho is None:
+        return u_average(cf.effective_symbol(), group.l)
+    if group.family == "U" or not _has_determinant_form(cf):
+        raise ValueError("class function has no determinant form: it has a Schur factor, "
+                         "an exponential factor or several geometric factors")
+    return _determinant_average(_structure(group.family, group.l), cf.effective_symbol())
 
 
-def sp_average(cf: ClassFunctionSpec, l: int, tol: float = 1e-12):
-    return group_average(GroupSpec("Sp", l), cf, tol)
+def sp_average(cf: ClassFunctionSpec, l: int):
+    return group_average(GroupSpec("Sp", l), cf)
 
 
-def o_average(cf: ClassFunctionSpec, l: int, component: str = "mean",
-              tol: float = 1e-12):
+def o_average(cf: ClassFunctionSpec, l: int, component: str = "mean"):
     family = {"plus": "O+", "minus": "O-", "mean": "O"}[component]
-    return group_average(GroupSpec(family, l), cf, tol)
+    return group_average(GroupSpec(family, l), cf)
 
 
 def u_average(s: SymbolSpec, l: int, tol: float = 1e-12):
@@ -492,92 +236,6 @@ def u_average(s: SymbolSpec, l: int, tol: float = 1e-12):
     if exact:
         return det_exact(rows)
     return float(np.linalg.det(np.array(rows, dtype=float)))
-
-
-# ---------------------------------------------------------------------------
-# Schur-average identities
-# ---------------------------------------------------------------------------
-
-
-def _as_diff(lhs, rhs) -> float:
-    return abs(float(lhs) - float(rhs))
-
-
-def sp_schur_identity(rho: Partition, beta: Fraction, l: int,
-                      odd_case: bool, tol: float = 1e-12) -> dict:
-    """Evaluate both sides of the symplectic Schur-average identity.
-
-    Even case: average of s_rho on the 2l eigenvalues against the
-    |1 - beta e^{-i theta}|^{-2} weight.  Odd case: beta joins the eigenvalue
-    list as an extra Schur variable and the weight is plain.  Both sides equal
-    beta ** (alternating sum of rho), with 0**0 = 1.
-    """
-    beta = Fraction(beta)
-    if not 0 <= beta < 1:
-        raise ValueError("beta must lie in [0, 1)")
-    limit = 2 * l + 1 if odd_case else 2 * l
-    if rho.length > limit:
-        raise ValueError(f"rho has more than {limit} parts")
-    if odd_case:
-        cf = ClassFunctionSpec(schur_rho=rho, schur_extra_vars=(beta,))
-    else:
-        cf = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(beta, -1),)), schur_rho=rho)
-    lhs = sp_average(cf, l, tol)
-    rhs = beta ** alternating_sum(rho)
-    exact = isinstance(lhs, Fraction)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_diff": Fraction(0) if exact and lhs == rhs else _as_diff(lhs, rhs),
-        "exact": exact,
-    }
-
-
-def o_schur_identity(rho: Partition, alpha: Fraction, l: int,
-                     tol: float = 1e-12) -> dict:
-    """Averages of det(1 + alpha U) s_rho(U) over both orthogonal components.
-
-    With n_odd odd parts in rho (padded to length l), the predictions are
-    alpha**n_odd + alpha**(l - n_odd) on the plus component, the difference on
-    the minus component, and alpha**n_odd for the half-half mixture.
-    """
-    alpha = Fraction(alpha)
-    if rho.length > l:
-        raise ValueError("rho has more parts than eigenvalues")
-    cf = ClassFunctionSpec(det_alpha=alpha, schur_rho=rho)
-    plus = o_average(cf, l, "plus", tol)
-    minus = o_average(cf, l, "minus", tol)
-    mean = o_average(cf, l, "mean", tol)
-    n_odd = odd_part_count(rho)
-    expected = {
-        "plus": alpha**n_odd + alpha ** (l - n_odd),
-        "minus": alpha**n_odd - alpha ** (l - n_odd),
-        "mean": alpha**n_odd,
-    }
-    actual = {"plus": plus, "minus": minus, "mean": mean}
-    report = {"expected": expected, "actual": actual}
-    for key in expected:
-        a, e = actual[key], expected[key]
-        if isinstance(a, Fraction):
-            report[f"abs_diff_{key}"] = Fraction(0) if a == e else _as_diff(a, e)
-        else:
-            report[f"abs_diff_{key}"] = _as_diff(a, e)
-    return report
-
-
-def o_component_reflection_gap(rho: Partition, alpha: Fraction, l_odd: int,
-                               tol: float = 1e-12):
-    """Difference in the change-of-variables relation between the two odd
-    components: <det(1+aU)s_rho>_{O-(l)} - (-1)^|rho| <det(1-aU)s_rho>_{O+(l)}."""
-    if l_odd % 2 == 0:
-        raise ValueError("relation is for odd sizes")
-    alpha = Fraction(alpha)
-    left = o_average(ClassFunctionSpec(det_alpha=alpha, schur_rho=rho), l_odd, "minus", tol)
-    right = o_average(ClassFunctionSpec(det_alpha=-alpha, schur_rho=rho), l_odd, "plus", tol)
-    sign = -1 if rho.weight % 2 else 1
-    if isinstance(left, Fraction) and isinstance(right, Fraction):
-        return left - sign * right
-    return float(left) - sign * float(right)
 
 
 # ---------------------------------------------------------------------------
@@ -635,56 +293,33 @@ def model_rmt_distribution(spec: ModelSpec, l: int, tol: float = 1e-12):
     if l < 0:
         raise ValueError("l must be nonnegative")
     v = spec.variant
+    if v == "pointreflection":
+        return exact_distribution(spec, l)
+    if v == "antidiagonal" and l % 2 == 1:
+        pref = antidiagonal_odd_prefactors(spec.q)["standard"]
+    else:
+        pref = model_prefactor(spec)
     if v == "johansson":
-        pref = Fraction(1)
-        for x in spec.a:
-            for y in spec.b:
-                pref *= 1 - x * y
         return pref * u_average(johansson_symbol(spec.a, spec.b), l, tol)
     if v == "bernoulli":
         # Polynomial factors carry the column parameters and the geometric
         # inverses the row parameters; the transposed assignment reproduces the
         # length-bounded sum instead of the width-bounded law.
-        pref = Fraction(1)
-        for x in spec.a:
-            for y in spec.b:
-                pref /= 1 + x * y
         symbol = SymbolSpec(tuple(PolyPlus(y, 1) for y in spec.b)
                             + tuple(GeomInv(x, -1) for x in spec.a))
         value = u_average(symbol, l, tol)
         return float(pref) * value if not isinstance(value, Fraction) else pref * value
     if v == "antidiagonal":
-        q, beta, h = spec.q, spec.beta, l // 2
+        factors = tuple(PolyPlus(x, 1) for x in spec.q)
         if l % 2 == 0:
-            pref = Fraction(1)
-            for x in q:
-                pref *= (1 - x * x) / (1 + beta * x)
-            pref *= _upper_pair_product(q)
-            symbol = SymbolSpec((GeomInv(beta, -1),)
-                                + tuple(PolyPlus(x, 1) for x in q))
-        else:
-            pref = antidiagonal_odd_prefactors(q)["standard"]
-            symbol = SymbolSpec(tuple(PolyPlus(x, 1) for x in q))
-        return pref * sp_average(ClassFunctionSpec(symbol=symbol), h, tol)
+            factors = (GeomInv(spec.beta, -1),) + factors
+        return pref * sp_average(ClassFunctionSpec(symbol=SymbolSpec(factors)), l // 2)
     if v == "diagonal":
-        pref = Fraction(1)
-        for x in spec.q:
-            pref *= 1 - spec.alpha * x
-        pref *= _upper_pair_product(spec.q)
         cf = ClassFunctionSpec(symbol=SymbolSpec(tuple(PolyPlus(x, 1) for x in spec.q)),
                                det_alpha=spec.alpha)
-        return pref * o_average(cf, l, "mean", tol)
-    if v == "doublysymmetric":
-        pref = Fraction(1)
-        for x in spec.q:
-            pref *= 1 - spec.alpha * x
-        for x in spec.q:
-            for y in spec.q:
-                pref *= 1 - x * y
-        factors = (PolyPlus(spec.alpha, 1),)
-        for x in spec.q:
-            factors += (PolyPlus(x, 1), PolyPlus(x, -1))
-        return pref * u_average(SymbolSpec(factors), l // 2, tol)
-    if v == "pointreflection":
-        return exact_distribution(spec, l)
-    raise ValueError(f"unsupported model variant {v!r}")
+        return pref * o_average(cf, l, "mean")
+    # doublysymmetric
+    factors = (PolyPlus(spec.alpha, 1),)
+    for x in spec.q:
+        factors += (PolyPlus(x, 1), PolyPlus(x, -1))
+    return pref * u_average(SymbolSpec(factors), l // 2, tol)

@@ -2,7 +2,7 @@
 
 Everything here is exact: parameters come in as Fractions and probabilities go
 out as Fractions.  The same Schur evaluator also accepts complex, numpy and
-Laurent-polynomial values, which the matrix-average engines reuse.
+Laurent-polynomial values, which the oracle engines of symlpp.oracles reuse.
 """
 
 from __future__ import annotations
@@ -338,15 +338,46 @@ def _upper_pair_product(q) -> Fraction:
     return out
 
 
+def model_prefactor(spec: ModelSpec) -> Fraction:
+    """The normalisation in front of a model's bounded sums and matrix averages.
+
+    johansson         prod(1 - a_i b_j)
+    bernoulli         prod(1 + a_i b_j)^-1
+    antidiagonal      prod_{i<j}(1 - q_i q_j) prod(1 - q_i^2) / (1 + beta q_i)
+    diagonal          prod_{i<j}(1 - q_i q_j) prod(1 - alpha q_i)
+    doublysymmetric   prod_{i,j}(1 - q_i q_j) prod(1 - alpha q_i)
+
+    The anti-diagonal matrix average uses it at even bounds only.
+    """
+    v = spec.variant
+    if v == "johansson":
+        return _pair_product(spec.a, spec.b)
+    if v == "bernoulli":
+        return 1 / _pair_product(spec.a, tuple(-y for y in spec.b))
+    q = spec.q
+    if v == "antidiagonal":
+        pref = _upper_pair_product(q)
+        for x in q:
+            pref *= (1 - x * x) / (1 + spec.beta * x)
+        return pref
+    if v in ("diagonal", "doublysymmetric"):
+        pref = _upper_pair_product(q) if v == "diagonal" else _pair_product(q, q)
+        for x in q:
+            pref *= 1 - spec.alpha * x
+        return pref
+    raise ValueError(f"no prefactor for model variant {v!r}")
+
+
 def exact_table(spec: ModelSpec, lmax: int) -> list[Fraction]:
     """[Pr(L <= l) for l = 0..lmax] for the class statistic of the model, exactly.
 
-    Each table is one sweep of its largest partition box (see _bounded_table).
+    Each table is one sweep of its largest partition box (see _bounded_table),
+    times model_prefactor(spec).
 
-    johansson         prod(1 - a_i b_j) * bounded Cauchy sums
-    bernoulli         prod(1 + a_i b_j)^-1 * bounded dual Cauchy sums
-    antidiagonal      normalisation * beta-weighted sums
-    diagonal          normalisation * alpha-weighted sums
+    johansson         bounded Cauchy sums
+    bernoulli         bounded dual Cauchy sums
+    antidiagonal      beta-weighted sums
+    diagonal          alpha-weighted sums
     doublysymmetric   the statistic is even, so Pr(<=2l) = Pr(<=2l+1); the sum
                       pairs s_lam(q) with s_lam(q, alpha) over lam_1 <= floor(l/2)
     pointreflection   products of two square-case laws at the halved bound
@@ -354,32 +385,22 @@ def exact_table(spec: ModelSpec, lmax: int) -> list[Fraction]:
     if lmax < 0:
         raise ValueError("l must be nonnegative")
     v = spec.variant
-    if v == "johansson":
-        return [_pair_product(spec.a, spec.b) * x for x in _cauchy_table(spec.a, spec.b, lmax)]
-    if v == "bernoulli":
-        pref = 1 / _pair_product(spec.a, tuple(-y for y in spec.b))
-        return [pref * x for x in _dual_cauchy_table(spec.a, spec.b, lmax)]
-    q = spec.q
-    if v == "antidiagonal":
-        pref = _upper_pair_product(q)
-        for x in q:
-            pref *= (1 - x * x) / (1 + spec.beta * x)
-        return [pref * x for x in _weighted_table(q, spec.beta, odd_part_count, lmax)]
-    if v == "diagonal":
-        pref = _upper_pair_product(q)
-        for x in q:
-            pref *= 1 - spec.alpha * x
-        return [pref * x for x in _weighted_table(q, spec.alpha, alternating_sum, lmax)]
-    if v == "doublysymmetric":
-        pref = _pair_product(q, q)
-        for x in q:
-            pref *= 1 - spec.alpha * x
-        halves = _cauchy_table(q, q + (spec.alpha,), lmax // 2)
-        return [pref * halves[l // 2] for l in range(lmax + 1)]
     if v == "pointreflection":
-        square = exact_table(ModelSpec("johansson", a=q, b=q), lmax // 2 + 1)
+        square = exact_table(ModelSpec("johansson", a=spec.q, b=spec.q), lmax // 2 + 1)
         return [square[l // 2] * square[(l + 1) // 2] for l in range(lmax + 1)]
-    raise ValueError(f"unsupported model variant {v!r}")
+    pref = model_prefactor(spec)
+    if v == "johansson":
+        table = _cauchy_table(spec.a, spec.b, lmax)
+    elif v == "bernoulli":
+        table = _dual_cauchy_table(spec.a, spec.b, lmax)
+    elif v == "antidiagonal":
+        table = _weighted_table(spec.q, spec.beta, odd_part_count, lmax)
+    elif v == "diagonal":
+        table = _weighted_table(spec.q, spec.alpha, alternating_sum, lmax)
+    else:  # doublysymmetric
+        halves = _cauchy_table(spec.q, spec.q + (spec.alpha,), lmax // 2)
+        table = [halves[l // 2] for l in range(lmax + 1)]
+    return [pref * x for x in table]
 
 
 def exact_distribution(spec: ModelSpec, l: int) -> Fraction:

@@ -25,14 +25,8 @@ from symlpp.numerics import (
     pfaffian_minor_sum_check,
     pfaffian_sign_identity_check,
 )
-from symlpp.rmt import (
-    GroupSpec,
-    antidiagonal_odd_prefactors,
-    group_average,
-    model_rmt_distribution,
-    o_schur_identity,
-    sp_schur_identity,
-)
+from symlpp.oracles import exact_average, o_schur_identity, quadrature_average, sp_schur_identity
+from symlpp.rmt import GroupSpec, antidiagonal_odd_prefactors, model_rmt_distribution
 from symlpp.rsk import check_symmetry_lemmas, dual_rsk, rsk
 from symlpp.symfunc import (
     exact_distribution,
@@ -262,8 +256,8 @@ def test_09_group_normalizations():
     worst = 0.0
     for family in ("U", "Sp", "O+", "O-", "O"):
         for l in range(4):
-            exact = group_average(GroupSpec(family, l), method="exact")
-            quad = group_average(GroupSpec(family, l), method="quadrature")
+            exact = exact_average(GroupSpec(family, l))
+            quad = quadrature_average(GroupSpec(family, l))
             worst = max(worst, abs(float(exact) - 1.0), abs(float(quad) - 1.0))
     report(9, "average of 1 is 1 on every group and component", worst <= 1e-12,
            f"worst deviation {worst:.2e} <= 1e-12, both engines, l <= 3")

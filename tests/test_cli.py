@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from symlpp import harness
+from symlpp import cli, harness
 from symlpp.cli import build_parser, dump_json, main, rows_to_csv
 
 
@@ -249,6 +249,29 @@ def test_verify_checks_the_cell_budget_before_sampling(model_file, capsys, monke
                                  "--samples", "1000000"])
     assert code == 2
     assert json.loads(out)["error"]["field"] == "lmax"
+
+
+def test_internal_error_exits_three_with_json(model_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError
+
+    monkeypatch.setattr(cli, "exact_table", broken)
+    path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
+    code, out = run_cli(capsys, ["exact", "--model", path, "--lmax", "2"])
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["internal"] is True and error["message"] == "AssertionError"
+
+    def overflow(*args, **kwargs):
+        raise ArithmeticError("series failed to converge")
+
+    monkeypatch.setattr(harness, "model_rmt_distribution", overflow)
+    code, out = run_cli(capsys, ["verify", "--model", path, "--lmax", "2",
+                                 "--samples", "100"])
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error == {"message": "ArithmeticError: series failed to converge",
+                     "field": None, "internal": True}
 
 
 def test_threads_default_to_one():

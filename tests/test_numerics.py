@@ -7,7 +7,6 @@ import scipy.special
 from symlpp.numerics import (
     ExpCos,
     GeomInv,
-    LaurentPoly,
     PolyPlus,
     SymbolSpec,
     bessel_i,
@@ -27,16 +26,6 @@ def rand_skew(rnd, n):
             m[j][k] = v
             m[k][j] = -v
     return m
-
-
-def test_laurent_poly_ops():
-    p = LaurentPoly({0: F(1), 1: F(1, 2)})
-    q = LaurentPoly({-1: F(1, 3), 0: F(1)})
-    assert (p * q).coefficient(0) == 1 + F(1, 6)
-    assert (p * q).coefficient(1) == F(1, 2)
-    assert (p * q).coefficient(-1) == F(1, 3)
-    assert (p + q).coefficient(0) == 2
-    assert not LaurentPoly({0: F(0)})
 
 
 def test_symbol_validation():

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+import symlpp
 from symlpp.core import ModelSpec, Partition, partitions_in_box
 from symlpp.numerics import ExpCos, GeomInv, PolyPlus, SymbolSpec
 from symlpp.rmt import (
@@ -13,11 +18,15 @@ from symlpp.rmt import (
     group_average,
     model_rmt_distribution,
     o_average,
+    sp_average,
+    u_average,
+)
+from symlpp.oracles import (
+    exact_average,
     o_component_reflection_gap,
     o_schur_identity,
-    sp_average,
+    quadrature_average,
     sp_schur_identity,
-    u_average,
 )
 from symlpp.symfunc import exact_distribution, schur
 
@@ -25,8 +34,8 @@ from symlpp.symfunc import exact_distribution, schur
 def test_normalizations_both_engines():
     for family, lmax in (("U", 3), ("Sp", 3), ("O+", 5), ("O-", 5), ("O", 5)):
         for l in range(lmax + 1):
-            exact = group_average(GroupSpec(family, l), method="exact")
-            quad = group_average(GroupSpec(family, l), method="quadrature")
+            exact = exact_average(GroupSpec(family, l))
+            quad = quadrature_average(GroupSpec(family, l))
             assert exact == 1, (family, l)
             assert abs(quad - 1) < 1e-12, (family, l)
 
@@ -45,14 +54,13 @@ def test_u_average_agrees_with_weyl_quadrature():
     symbol = SymbolSpec((PolyPlus(a, -1), PolyPlus(b, 1), PolyPlus(F(1, 7), 1)))
     for l in (1, 2, 3):
         toeplitz = u_average(symbol, l)
-        quad = group_average(GroupSpec("U", l), ClassFunctionSpec(symbol=symbol),
-                             method="quadrature")
+        quad = quadrature_average(GroupSpec("U", l), ClassFunctionSpec(symbol=symbol))
         assert abs(float(toeplitz) - quad) < 1e-10
 
 
 def test_sp_average_examples():
     assert sp_average(ClassFunctionSpec(), 2) == 1
-    assert sp_average(ClassFunctionSpec(schur_rho=Partition()), 2) == 1
+    assert exact_average(GroupSpec("Sp", 2), ClassFunctionSpec(schur_rho=Partition())) == 1
     # pair products of a linear symbol expand through bounded dual pairing sums:
     # the average of prod |1+q e^{i theta}|^2 picks out the shapes whose
     # conjugate averages to 1, i.e. the even shapes
@@ -60,8 +68,8 @@ def test_sp_average_examples():
     lhs = sp_average(ClassFunctionSpec(symbol=SymbolSpec((PolyPlus(q, 1),))), 1)
     rhs = F(0)
     for mu in partitions_in_box(2, 1):
-        coeff = sp_average(ClassFunctionSpec(schur_rho=Partition(
-            tuple(sorted((p for p in _conj(mu)), reverse=True)))), 1)
+        coeff = exact_average(GroupSpec("Sp", 1), ClassFunctionSpec(schur_rho=Partition(
+            tuple(sorted((p for p in _conj(mu)), reverse=True)))))
         rhs += schur(mu, (q,)) * coeff
     assert lhs == rhs
 
@@ -80,7 +88,7 @@ def test_sp_schur_average_vanishing_pattern():
     # with no weight, the Schur average over conjugate pairs is 1 exactly when
     # every column has even length, else 0
     for rho in partitions_in_box(3, 4):
-        value = sp_average(ClassFunctionSpec(schur_rho=rho), 2)
+        value = exact_average(GroupSpec("Sp", 2), ClassFunctionSpec(schur_rho=rho))
         expect = 1 if all(c % 2 == 0 for c in _conj(rho)) else 0
         assert value == expect, rho.parts
 
@@ -183,8 +191,8 @@ def test_expcos_quadrature_matches_toeplitz():
     symbol = SymbolSpec((ExpCos(1.5),))
     for l in (1, 2):
         toeplitz = u_average(symbol, l)
-        quad = group_average(GroupSpec("U", l), ClassFunctionSpec(symbol=symbol),
-                             method="quadrature", tol=1e-12)
+        quad = quadrature_average(GroupSpec("U", l), ClassFunctionSpec(symbol=symbol),
+                                  tol=1e-12)
         assert abs(toeplitz - quad) < 1e-9
 
 
@@ -200,7 +208,7 @@ def test_determinant_engine_matches_constant_terms():
         for family, lmax in (("Sp", 3), ("O+", 6), ("O-", 6), ("O", 6)):
             for l in range(lmax + 1):
                 auto = group_average(GroupSpec(family, l), cf)
-                exact = group_average(GroupSpec(family, l), cf, method="exact")
+                exact = exact_average(GroupSpec(family, l), cf)
                 assert isinstance(auto, F) and auto == exact, (family, l, factors, det_alpha)
 
 
@@ -222,8 +230,37 @@ def test_quadrature_grid_budget_checked_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="budget"):
-            group_average(GroupSpec("Sp", 8), cf, method="quadrature")
+            quadrature_average(GroupSpec("Sp", 8), cf)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_constant_term_guard_raises_before_expanding():
+    # four free angles and more are refused before the density is expanded
+    factors = (PolyPlus(F(1, 2), 1), PolyPlus(F(1, 3), 1), PolyPlus(F(1, 5), -1))
+    cf = ClassFunctionSpec(symbol=SymbolSpec(factors))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="free angles"):
+        exact_average(GroupSpec("Sp", 8), cf)
+    assert time.monotonic() - start < 1.0
+
+
+def test_production_average_rejects_non_determinant_forms():
+    schur_cf = ClassFunctionSpec(det_alpha=F(1, 3), schur_rho=Partition((1,)))
+    for family in ("U", "Sp", "O+", "O-", "O"):
+        with pytest.raises(ValueError, match="no determinant form"):
+            group_average(GroupSpec(family, 2), schur_cf)
+    two_geometric = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(1, 2), 1),
+                                                         GeomInv(F(1, 3), -1))))
+    with pytest.raises(ValueError, match="no determinant form"):
+        sp_average(two_geometric, 2)
+
+
+def test_cli_import_does_not_load_oracles():
+    src = os.path.dirname(os.path.dirname(symlpp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, symlpp.cli; assert 'symlpp.oracles' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
