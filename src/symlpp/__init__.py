@@ -37,6 +37,7 @@ from .rmt import (
     GroupSpec,
     group_average,
     model_rmt_distribution,
+    model_rmt_table,
     o_average,
     sp_average,
     u_average,

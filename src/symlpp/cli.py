@@ -24,7 +24,7 @@ from .core import (
 )
 from .harness import hammersley_check, verify_model
 from .lpp import mc_distribution, sample_batch
-from .rmt import model_rmt_distribution, rmt_method
+from .rmt import model_rmt_table, rmt_method
 from .rsk import rsk
 from .symfunc import exact_table
 
@@ -189,15 +189,13 @@ def _cmd_exact(args) -> int:
 
 def _cmd_rmt(args) -> int:
     model = _load_model(args.model)
-    value = model_rmt_distribution(model, args.l, args.tol)
-    exact = isinstance(value, Fraction)
     payload = {
         "schema": SCHEMA_VERSION,
         "model": model.to_json_dict(),
         "l": args.l,
         "method": rmt_method(model),
-        "value": value if exact else float(value),
-        "exactness": "rational" if exact else "float",
+        "value": model_rmt_table(model, args.l)[args.l],
+        "exactness": "rational",
     }
     if args.format == "csv":
         _emit(rows_to_csv([{k: payload[k] for k in ("l", "method", "value", "exactness")}]),
@@ -211,7 +209,7 @@ def _cmd_verify(args) -> int:
     model = _load_model(args.model)
     seed = _seed_from(args)
     report = verify_model(model, args.lmax, args.samples, seed,
-                          tol=args.tol, z_max=args.zmax, threads=args.threads)
+                          z_max=args.zmax, threads=args.threads)
     if args.format == "csv":
         _emit(rows_to_csv([r.to_json_dict() for r in report.rows]), args.out)
     else:
@@ -295,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rmt", help="matrix-average formula at one bound")
     common(p)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="series/quadrature tolerance")
     p.set_defaults(func=_cmd_rmt)
 
     p = sub.add_parser("mc", help="Monte Carlo cumulative law")
@@ -311,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--zmax", type=float, default=4.0)
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads (default 1); the output does not depend on it")

@@ -1,8 +1,8 @@
 """Verification pipelines: Monte Carlo vs exact law vs matrix-average formula.
 
-Exact-vs-average comparisons use equality (both rational) or an absolute
-tolerance; Monte Carlo enters only through z-scores against the exact value.
-The two error models are never mixed in one verdict.
+Exact-vs-average comparisons are equalities of rationals; Monte Carlo enters
+only through z-scores against the exact value.  The two error models are never
+mixed in one verdict.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 from .core import ModelSpec, format_rational
 from .lpp import MC_CHUNK, chunk_streams, mc_distribution
 from .numerics import ExpCos, SymbolSpec, fourier_coefficients
-from .rmt import antidiagonal_odd_prefactors, model_rmt_distribution, rmt_method
-from .symfunc import exact_distribution, exact_table, pointreflection_selfdual_table
+from .rmt import antidiagonal_odd_prefactors, model_rmt_table, rmt_method
+from .symfunc import exact_table, pointreflection_selfdual_table
 
 
 @dataclass
@@ -26,8 +26,8 @@ class ReportRow:
     mc_estimate: float
     mc_stderr: float
     exact_value: Fraction | float
-    second_value: Fraction | float | None
-    abs_diff: Fraction | float | None
+    second_value: Fraction | None
+    abs_diff: Fraction | None
     z_score: float
     verdict: str
 
@@ -40,11 +40,8 @@ class ReportRow:
                             if isinstance(self.exact_value, Fraction) else self.exact_value),
         }
         if self.second_value is not None:
-            key = "second_value"
-            out[key] = (format_rational(self.second_value)
-                        if isinstance(self.second_value, Fraction) else self.second_value)
-            out["abs_diff"] = (format_rational(self.abs_diff)
-                               if isinstance(self.abs_diff, Fraction) else self.abs_diff)
+            out["second_value"] = format_rational(self.second_value)
+            out["abs_diff"] = format_rational(self.abs_diff)
         out["z_score"] = self.z_score
         out["verdict"] = self.verdict
         return out
@@ -79,74 +76,63 @@ def _z_score(mc: float, exact: float, n_samples: int) -> float:
     return (mc - exact) / se
 
 
-def _diff_ok(exact, second, tol: float) -> tuple[Fraction | float | None, bool]:
-    if second is None:
-        return None, True
-    if isinstance(second, Fraction):
-        diff = abs(exact - second)
-        return diff, diff == 0
-    diff = abs(float(exact) - second)
-    return diff, diff <= tol
-
-
 def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
-                 tol: float = 1e-9, z_max: float = 4.0,
-                 threads: int = 1) -> VerificationReport:
+                 z_max: float = 4.0, threads: int = 1) -> VerificationReport:
     """Three-column check of Pr(L <= l) for l = 0..l_max.
 
     Columns: Monte Carlo with binomial standard errors, the exact bounded
-    Schur-sum law, and the matrix-average formula.  The point-reflection model
-    has no separate average; its exact column comes straight from self-dual
-    path sums and the second column is the product of two independently
-    computed square-lattice laws.
+    Schur-sum law, and the matrix-average formula, each exact column one
+    table.  The point-reflection model has no separate average; its exact
+    column comes straight from self-dual path sums and the second column is
+    the product of two independently computed square-lattice laws.
     """
     point_reflection = spec.variant == "pointreflection"
     second_kind = "johansson-factorization" if point_reflection else rmt_method(spec)
-    # the exact tables check their cell budget, so they come before any sampling
+    # the odd-bound prefactor of the anti-diagonal model is resolved at bound 1 or more
+    top = max(l_max, 1) if spec.variant == "antidiagonal" else l_max
+    # the exact tables check their budgets, so they come before any sampling
     if point_reflection:
         exact_column = pointreflection_selfdual_table(spec.q, l_max)
-        factored = exact_table(spec, l_max)
+        second_column = exact_table(spec, l_max)
     else:
-        exact_column = exact_table(spec, l_max)
+        exact_column = exact_table(spec, top)
+        second_column = model_rmt_table(spec, top)
     mc = mc_distribution(spec, l_max, mc_samples, seed, threads)
     rows: list[ReportRow] = []
-    for l, exact in enumerate(exact_column):
-        second = factored[l] if point_reflection else model_rmt_distribution(spec, l)
-        diff, diff_ok = _diff_ok(exact, second, tol)
+    for l in range(l_max + 1):
+        exact, second = exact_column[l], second_column[l]
         z = _z_score(mc.probs[l], float(exact), mc_samples)
-        ok = diff_ok and abs(z) <= z_max
-        rows.append(ReportRow(l, mc.probs[l], mc.stderr[l], exact, second, diff, z,
-                              "PASS" if ok else "FAIL"))
+        ok = exact == second and abs(z) <= z_max
+        rows.append(ReportRow(l, mc.probs[l], mc.stderr[l], exact, second,
+                              abs(exact - second), z, "PASS" if ok else "FAIL"))
     notes: dict = {}
     if spec.variant == "antidiagonal":
-        notes["odd_bound_prefactor"] = _resolve_antidiagonal_prefactor(spec, rows, tol)
+        notes["odd_bound_prefactor"] = _resolve_antidiagonal_prefactor(
+            spec, exact_column, second_column)
     verdict = "PASS" if all(r.verdict == "PASS" for r in rows) else "FAIL"
     return VerificationReport(spec.to_json_dict(), second_kind, rows, verdict, notes)
 
 
-def _resolve_antidiagonal_prefactor(spec: ModelSpec, rows: list[ReportRow],
-                                    tol: float) -> dict:
+def _resolve_antidiagonal_prefactor(spec: ModelSpec, exact_column: list[Fraction],
+                                    second_column: list[Fraction]) -> dict:
     """Try both candidate prefactors of the odd-bound formula against the exact law.
 
     The two candidates differ in the index pairing of the cross terms; they
-    agree for n = 1.  Whichever reproduces the exact law at every odd bound is
-    reported as 'resolved'; the mismatch of the other candidate is reported,
-    not silently fixed.  The report's second column at an odd bound is the
-    standard prefactor times the Sp average, so each candidate's value is
-    rescaled from it; with no odd bound in the report, bound 1 is checked.
+    agree for n = 1.  Whichever reproduces the exact law at every odd bound of
+    the columns (bound 1 at least) is reported as 'resolved'; the mismatch of
+    the other candidate is reported, not silently fixed.  The second column
+    at an odd bound is the standard prefactor times the Sp average, so each
+    candidate's value is rescaled from it.
     """
     candidates = antidiagonal_odd_prefactors(spec.q)
     standard = candidates["standard"]
     matches = {name: True for name in candidates}
     worst = {name: Fraction(0) for name in candidates}
-    odd = [(r.exact_value, r.second_value) for r in rows if r.l % 2 == 1] or [
-        (exact_distribution(spec, 1), model_rmt_distribution(spec, 1))]
-    for exact, second in odd:
+    for l in range(1, len(exact_column), 2):
         for name, pref in candidates.items():
-            diff, ok = _diff_ok(exact, pref / standard * second, tol)
-            matches[name] = matches[name] and ok
-            if float(diff) > float(worst[name]):
-                worst[name] = diff
+            diff = abs(exact_column[l] - pref / standard * second_column[l])
+            matches[name] = matches[name] and diff == 0
+            worst[name] = max(worst[name], diff)
     return {
         "resolved": next((n for n in ("standard", "printed") if matches[n]), None),
         "matches": matches,
@@ -211,32 +197,30 @@ def _poisson_chain_counts(lam: float, l_max: int, n_samples: int, seed: int) -> 
     return counts
 
 
-def toeplitz_bessel_minors(cos_coefficient: float, l_max: int,
-                           tol: float = 1e-12) -> list[float]:
+def toeplitz_bessel_minors(cos_coefficient: float, l_max: int) -> list[float]:
     """[D_0, ..., D_lmax]: the l x l Toeplitz determinants of exp(c cos theta).
 
     The Bessel coefficients are computed once, for the largest order; each
-    D_l is then the float determinant of its own l x l matrix, as
-    `rmt.u_average` takes it, so every value is the same float.
+    D_l is then the float determinant of its own l x l matrix.
     """
     if l_max < 0:
         raise ValueError("l must be nonnegative")
     if l_max == 0:
         return [1.0]
     coeffs, _ = fourier_coefficients(SymbolSpec((ExpCos(cos_coefficient),)),
-                                     -(l_max - 1), l_max - 1, tol)
+                                     -(l_max - 1), l_max - 1)
     matrix = np.array([[coeffs[j - k] for k in range(l_max)] for j in range(l_max)],
                       dtype=float)
     return [1.0] + [float(np.linalg.det(matrix[:l, :l])) for l in range(1, l_max + 1)]
 
 
-def toeplitz_bessel(cos_coefficient: float, l: int, tol: float = 1e-12) -> float:
+def toeplitz_bessel(cos_coefficient: float, l: int) -> float:
     """l x l Toeplitz determinant of the exponential symbol exp(c cos theta)."""
-    return toeplitz_bessel_minors(cos_coefficient, l, tol)[l]
+    return toeplitz_bessel_minors(cos_coefficient, l)[l]
 
 
 def hammersley_check(lam: float, l_max: int, mc_samples: int, seed: int,
-                     z_max: float = 4.0, tol: float = 1e-12) -> VerificationReport:
+                     z_max: float = 4.0) -> VerificationReport:
     """Poisson Monte Carlo against the Toeplitz evaluation of the chain law.
 
     The normalization of the determinant formula is resolved empirically: the
@@ -259,7 +243,7 @@ def hammersley_check(lam: float, l_max: int, mc_samples: int, seed: int,
         "prefactor=exp(-lam), coefficient=sqrt(lam)": (math.exp(-lam), root),
         "prefactor=1, coefficient=sqrt(lam) (as displayed)": (1.0, root),
     }
-    minors = {c: toeplitz_bessel_minors(c, l_max, tol) for c in (2 * root, root)}
+    minors = {c: toeplitz_bessel_minors(c, l_max) for c in (2 * root, root)}
     scores: dict[str, float] = {}
     tables: dict[str, list[float]] = {}
     for name, (pref, coeff) in candidates.items():

@@ -2,18 +2,20 @@
 
 Symbols are multiplicative descriptions of scalar functions on the unit circle,
 built from three factor kinds: (1 + c z^s), (1 - c z^s)^-1 with |c| < 1, and
-exp(c (z + 1/z) / 2).  Purely polynomial symbols keep exact rational Fourier
-data; the inverse and exponential factors go through truncated series and the
-results are tagged approximate.
+exp(c (z + 1/z) / 2).  Polynomial and geometric factors keep exact rational
+Fourier data (the geometric ones divide exactly when they share one exponent
+sign); only the exponential factor goes through a truncated series, and its
+results are tagged approximate.  leading_minors gives every leading minor of
+a rational matrix from one integer elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial
+from math import exp, factorial, lcm, prod
 
-from .core import Rational
+from .core import BudgetError, Rational
 
 
 # ---------------------------------------------------------------------------
@@ -76,42 +78,8 @@ class SymbolSpec:
     def is_polynomial(self) -> bool:
         return all(isinstance(f, PolyPlus) for f in self.factors)
 
-    def evaluate(self, z):
-        """Value at a point (or numpy array of points) on the unit circle."""
-        out = 1
-        for f in self.factors:
-            if isinstance(f, ExpCos):
-                out = out * _exp_of(f.c * (z + 1 / z) / 2)
-                continue
-            zz = z if f.exponent_sign == 1 else 1 / z
-            if isinstance(f, PolyPlus):
-                out = out * (1 + float(f.c) * zz)
-            else:
-                out = out / (1 - float(f.c) * zz)
-        return out
-
     def times(self, *extra: Factor) -> "SymbolSpec":
         return SymbolSpec(self.factors + tuple(extra))
-
-    def _norm_product(self) -> float:
-        out = 1.0
-        for f in self.factors:
-            if isinstance(f, PolyPlus):
-                out *= 1 + abs(float(f.c))
-            elif isinstance(f, GeomInv):
-                out *= 1 / (1 - abs(float(f.c)))
-            else:
-                out *= exp(abs(f.c))
-        return out
-
-
-def _exp_of(x):
-    try:
-        return exp(x)
-    except TypeError:
-        import numpy as np
-
-        return np.exp(x)
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +102,14 @@ def bessel_i(k: int, c: float, tol: float = 1e-15) -> float:
     return total
 
 
-def _truncation_order(f: Factor, tol: float, norm_product: float) -> int:
-    if isinstance(f, PolyPlus):
-        return 1
-    if isinstance(f, GeomInv):
-        c = abs(float(f.c))
-        if c == 0.0:
-            return 0
-        n = 0
-        bound = norm_product / (1 - c)
-        while bound * c ** (n + 1) >= tol:
-            n += 1
-            if n > 100_000:
-                raise ArithmeticError("geometric truncation failed to converge")
-        return n
-    c = abs(f.c)
+# Tail bound of the Bessel expansion of an exponential factor, the one
+# truncated series left (the Toeplitz-Bessel determinants of hammersley).
+BESSEL_TOL = 1e-12
+
+
+def _bessel_order(c: float, tol: float, norm_product: float) -> int:
+    """Last Bessel order kept for exp(c cos theta), the tail below tol."""
+    c = abs(c)
     n = 0
     bound = 2 * exp(c * c / 4) * norm_product
     while bound * (c / 2) ** (n + 1) / factorial(min(n + 1, 170)) >= tol:
@@ -158,41 +119,49 @@ def _truncation_order(f: Factor, tol: float, norm_product: float) -> int:
     return n
 
 
-def fourier_coefficients(s: SymbolSpec, k_min: int, k_max: int,
-                         tol: float = 1e-12) -> tuple[dict[int, Rational | float], bool]:
+def fourier_coefficients(s: SymbolSpec, k_min: int,
+                         k_max: int) -> tuple[dict[int, Rational | float], bool]:
     """Coefficients of z^k, k_min <= k <= k_max, and whether they are exact.
 
-    Polynomial symbols convolve exactly.  Geometric inverses expand as
-    truncated geometric series with the tail below tol; the exponential factor
-    expands in modified Bessel coefficients.  Any truncation marks the whole
-    result approximate.
+    Polynomial factors convolve exactly.  Geometric factors (1 - c z^s)^-1 of
+    one exponent sign s divide exactly, out_k = acc_k + c out_{k-s} from the
+    far end of the polynomial part to the window: the coefficient of z^k in
+    prod(1 + b_j z) / prod(1 - a_i / z) is the finite sum sum_s e_s(b) h_{s-k}(a).
+    An exponential factor (never beside a geometric one) expands in Bessel
+    coefficients with the tail below BESSEL_TOL, and the result is approximate.
     """
     if k_min > k_max:
         raise ValueError("empty coefficient range")
-    norm_product = s._norm_product()
-    exact = True
+    geometric = [f for f in s.factors if isinstance(f, GeomInv)]
+    exact = not any(isinstance(f, ExpCos) for f in s.factors)
+    if len({f.exponent_sign for f in geometric}) > 1 or (geometric and not exact):
+        raise ValueError("no finite expansion: geometric factors of both exponent signs, "
+                         "or beside an exponential factor")
     acc: dict[int, Fraction | float] = {0: Fraction(1)}
-
-    def convolve(table: dict[int, Fraction | float]):
-        nonlocal acc
+    for f in s.factors:
+        if isinstance(f, PolyPlus):
+            table = {0: Fraction(1), f.exponent_sign: f.c}
+        elif isinstance(f, ExpCos):
+            # the sup norm of the other factors, none of them geometric here
+            norm = prod(1 + abs(float(g.c)) if isinstance(g, PolyPlus) else exp(abs(g.c))
+                        for g in s.factors)
+            n = _bessel_order(f.c, BESSEL_TOL, norm)
+            table = {k: bessel_i(k, f.c) for k in range(-n, n + 1)}
+        else:
+            continue
         out: dict = {}
         for k1, c1 in acc.items():
             for k2, c2 in table.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
+                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
         acc = out
-
-    for f in s.factors:
-        if isinstance(f, PolyPlus):
-            convolve({0: Fraction(1), f.exponent_sign: f.c})
-        elif isinstance(f, GeomInv):
-            exact = False
-            n = _truncation_order(f, tol, norm_product)
-            convolve({r * f.exponent_sign: f.c**r for r in range(n + 1)})
-        else:
-            exact = False
-            n = _truncation_order(f, tol, norm_product)
-            convolve({k: bessel_i(k, f.c) for k in range(-n, n + 1)})
+    for f in geometric:
+        # powers only move away from the far end, so nothing past the window returns
+        end = (max(acc), k_min - 1) if f.exponent_sign == -1 else (min(acc), k_max + 1)
+        out, prev = {}, Fraction(0)
+        for k in range(*end, f.exponent_sign):
+            prev = acc.get(k, 0) + f.c * prev
+            out[k] = prev
+        acc = out or {0: Fraction(0)}
 
     window = {k: acc.get(k, Fraction(0) if exact else 0.0) for k in range(k_min, k_max + 1)}
     if not exact:
@@ -201,8 +170,58 @@ def fourier_coefficients(s: SymbolSpec, k_min: int, k_max: int,
 
 
 # ---------------------------------------------------------------------------
-# Exact determinant and Pfaffian
+# Leading minors, exact determinant and Pfaffian
 # ---------------------------------------------------------------------------
+
+def scaled(xs) -> tuple[int, tuple[int, ...]]:
+    """(D, D * xs) with D the lcm of the denominators, so D * xs are integers."""
+    xs = tuple(Fraction(x) for x in xs)
+    d = lcm(*(x.denominator for x in xs)) if xs else 1
+    return d, tuple(int(x * d) for x in xs)
+
+
+# Bound on the elimination of leading_minors, checked before any matrix is
+# built: order n over b-bit integer entries holds n^2 minors of at most
+# n (b + log2(n) / 2) bits each (Hadamard).  It admits order 200 at 28 bits.
+MINOR_BIT_BUDGET = 1 << 28
+
+
+def check_minor_budget(order: int, coefficients=()) -> None:
+    """Raise BudgetError unless a sweep of this order, over entries that are sums or
+    differences of two of these coefficients, fits in MINOR_BIT_BUDGET.  With no
+    coefficients the order alone is checked, at 1-bit entries."""
+    bits = max((abs(x).bit_length() for x in scaled(coefficients)[1]), default=0) + 1
+    cost = order**3 * (bits + order.bit_length() // 2)
+    if cost > MINOR_BIT_BUDGET:
+        raise BudgetError(f"determinant sweep of order {order} over {bits}-bit entries needs "
+                          f"about {cost} bits, over the budget of {MINOR_BIT_BUDGET} bits")
+
+
+def leading_minors(rows) -> list[Fraction]:
+    """[D_0, ..., D_n]: every leading principal minor of a rational matrix, in one pass.
+
+    One fraction-free (Bareiss) elimination without pivoting runs on the
+    matrix scaled to integers by the lcm d of its denominators; its k-th pivot
+    is d^k D_k.  A zero pivot raises ArithmeticError: callers' minors are positive.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("leading minors need a square matrix")
+    d, flat = scaled(x for row in rows for x in row)
+    m = [list(flat[j * n:(j + 1) * n]) for j in range(n)]
+    minors = [Fraction(1)]
+    prev = 1
+    for k in range(n):
+        pivot, row_k = m[k][k], m[k]
+        if pivot == 0:
+            raise ArithmeticError(f"leading minor of order {k + 1} is zero")
+        minors.append(Fraction(pivot, d ** (k + 1)))
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return minors
 
 
 def det_exact(matrix) -> Fraction:

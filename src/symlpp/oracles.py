@@ -24,11 +24,12 @@ does not import this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import exp
 
 import numpy as np
 
 from .core import BudgetError, Partition, alternating_sum
-from .numerics import GeomInv, SymbolSpec, _truncation_order
+from .numerics import ExpCos, GeomInv, PolyPlus, SymbolSpec, _bessel_order
 from .rmt import UNIT, ClassFunctionSpec, GroupSpec, _Structure, _structure, _value_at_point
 from .symfunc import odd_part_count, schur
 
@@ -68,7 +69,7 @@ def quadrature_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT,
 
 def _average(group: GroupSpec, cf: ClassFunctionSpec, tol: float):
     """Constant terms for polynomial class functions, quadrature for the rest."""
-    if cf.is_polynomial():
+    if cf.effective_symbol().is_polynomial():
         return exact_average(group, cf)
     return quadrature_average(group, cf, tol)
 
@@ -161,7 +162,7 @@ def _density_zpoly(st: _Structure) -> _ZPoly:
                 _exps(p, {j: -1, k: 1}): Fraction(-1),
             })
             out = out * diff
-            if st.pair_kind == "BC":
+            if st.paired:
                 summ = _ZPoly(p, {
                     _exps(p, {j: 0}): two,
                     _exps(p, {j: 1, k: 1}): Fraction(-1),
@@ -216,11 +217,56 @@ def _exact_average(st: _Structure, cf: ClassFunctionSpec) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _evaluate(symbol: SymbolSpec, z):
+    """Value of the symbol at a point (or numpy array of points) on the unit circle."""
+    out = 1
+    for f in symbol.factors:
+        if isinstance(f, ExpCos):
+            out = out * np.exp(f.c * (z + 1 / z) / 2)
+            continue
+        zz = z if f.exponent_sign == 1 else 1 / z
+        if isinstance(f, PolyPlus):
+            out = out * (1 + float(f.c) * zz)
+        else:
+            out = out / (1 - float(f.c) * zz)
+    return out
+
+
+def _norm_product(symbol: SymbolSpec) -> float:
+    """Sup norm bound of the symbol on the unit circle: the product of its factors'."""
+    out = 1.0
+    for f in symbol.factors:
+        if isinstance(f, PolyPlus):
+            out *= 1 + abs(float(f.c))
+        elif isinstance(f, GeomInv):
+            out *= 1 / (1 - abs(float(f.c)))
+        else:
+            out *= exp(abs(f.c))
+    return out
+
+
+def _truncation_order(f, tol: float, norm_product: float) -> int:
+    """Fourier degree kept for one factor: the tail of a geometric or exponential
+    series below tol, relative to the symbol's norm product."""
+    if isinstance(f, PolyPlus):
+        return 1
+    if isinstance(f, ExpCos):
+        return _bessel_order(f.c, tol, norm_product)
+    c = abs(float(f.c))
+    n = 0
+    bound = norm_product / (1 - c)
+    while bound * c ** (n + 1) >= tol:
+        n += 1
+        if n > 100_000:
+            raise ArithmeticError("geometric truncation failed to converge")
+    return n
+
+
 def _angle_degree(st: _Structure, cf: ClassFunctionSpec, tol: float) -> int:
     symbol = cf.effective_symbol()
-    norm = symbol._norm_product()
+    norm = _norm_product(symbol)
     sym_deg = sum(_truncation_order(fac, tol, norm) for fac in symbol.factors)
-    degree = _SINGLE_DEGREE[st.single] + (st.pairs - 1) * (2 if st.pair_kind == "BC" else 1)
+    degree = _SINGLE_DEGREE[st.single] + (st.pairs - 1) * (2 if st.paired else 1)
     degree += sym_deg * (2 if st.paired else 1)
     if cf.schur_rho is not None:
         degree += cf.schur_rho.weight
@@ -250,7 +296,7 @@ def _quad_average(st: _Structure, cf: ClassFunctionSpec, tol: float) -> float:
             pass
         value = 1.0
         for eps in st.forced:
-            value *= float(np.real(symbol.evaluate(complex(eps))))
+            value *= float(np.real(_evaluate(symbol, complex(eps))))
         if cf.schur_rho is not None:
             eigs = tuple(float(eps) for eps in st.forced) + tuple(
                 float(x) for x in cf.schur_extra_vars)
@@ -258,7 +304,7 @@ def _quad_average(st: _Structure, cf: ClassFunctionSpec, tol: float) -> float:
         return value / st.divisor
     scalar = 1.0
     for eps in st.forced:
-        scalar *= float(np.real(symbol.evaluate(complex(eps))))
+        scalar *= float(np.real(_evaluate(symbol, complex(eps))))
 
     nodes = 2 * _angle_degree(st, cf, tol) + 2
     if nodes**p > _QUAD_POINT_BUDGET:
@@ -280,14 +326,14 @@ def _quad_average(st: _Structure, cf: ClassFunctionSpec, tol: float) -> float:
     for j in range(p):
         for k in range(j + 1, p):
             weight = weight * (2 - zs[j] / zs[k] - zs[k] / zs[j])
-            if st.pair_kind == "BC":
+            if st.paired:
                 weight = weight * (2 - zs[j] * zs[k] - 1 / (zs[j] * zs[k]))
 
     values = np.ones_like(zs[0])
     for j in range(p):
-        values = values * symbol.evaluate(zs[j])
+        values = values * _evaluate(symbol, zs[j])
         if st.paired:
-            values = values * symbol.evaluate(np.conj(zs[j]))
+            values = values * _evaluate(symbol, np.conj(zs[j]))
     if cf.schur_rho is not None:
         eigs: list = []
         for j in range(p):

@@ -3,19 +3,21 @@
 One engine computes every average, as a determinant in exact Fourier
 coefficients.
 
-* Over U(l), the average of a multiplicative symbol is the Toeplitz
-  determinant of its Fourier coefficients (u_average, Heine's identity).
+* Over U(l), the average of a rational multiplicative symbol ((1 + c z^s)
+  factors and geometric factors (1 - c z^s)^-1 of one exponent sign) is the
+  Toeplitz determinant of its exact Fourier coefficients (Heine; Gessel 1990).
 * Over Sp(2l), O+(l) and O-(l), multiplicative class functions made of
   (1 + c z^s) factors (the det(1 + alpha U) factor included) and at most one
   geometric factor (1 - c z^s)^-1 have the Toeplitz +- Hankel determinant
   forms of Johansson (Ann. Math. 145, 1997) and Baik & Rains (Duke Math. J.
-  109, 2001) in the exact Fourier coefficients of g(z) = f(z) f(1/z).  The
-  result is a rational of determinant order at most l.
+  109, 2001) in the exact Fourier coefficients of g(z) = f(z) f(1/z).
 
-Every matrix average a model formula asks for has one of these forms;
-group_average raises ValueError for any other class function.  Two general
-engines (constant-term extraction and tensor quadrature) live in
-symlpp.oracles as independent witnesses for tests.
+The determinant at each size is a leading minor of the matrix at the largest
+size, so one integer elimination (numerics.leading_minors) gives a whole table
+of rationals; model_rmt_table mirrors symfunc.exact_table.  Every average a
+model formula asks for has one of these forms; group_average raises
+ValueError for any other class function.  Two general engines (constant-term
+extraction and tensor quadrature) live in symlpp.oracles as test witnesses.
 
 Conventions: an average over a size-0 group is 1, and 0**0 = 1 wherever a
 weight parameter is 0 with a vanishing exponent.
@@ -27,11 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
-
 from .core import ModelSpec, Partition
-from .numerics import GeomInv, PolyPlus, SymbolSpec, det_exact, fourier_coefficients
-from .symfunc import _upper_pair_product, exact_distribution, model_prefactor
+from .numerics import (
+    GeomInv,
+    PolyPlus,
+    SymbolSpec,
+    check_minor_budget,
+    fourier_coefficients,
+    leading_minors,
+)
+from .symfunc import _upper_pair_product, exact_table, model_prefactor
 
 GROUP_FAMILIES = ("U", "Sp", "O+", "O-", "O")
 
@@ -67,9 +74,6 @@ class ClassFunctionSpec:
             return self.symbol
         return self.symbol.times(PolyPlus(Fraction(self.det_alpha), 1))
 
-    def is_polynomial(self) -> bool:
-        return self.effective_symbol().is_polynomial()
-
 
 UNIT = ClassFunctionSpec()
 
@@ -78,6 +82,10 @@ UNIT = ClassFunctionSpec()
 # Eigenvalue structure of each family
 # ---------------------------------------------------------------------------
 
+# Hankel shift and sign of det(g_{j-k} + sign * g_{j+k+shift}), by the per-angle
+# density factor of the component.
+_HANKEL = {"sin2": (2, -1), "one_minus": (1, -1), "one_plus": (1, 1), None: (0, 1)}
+
 
 @dataclass(frozen=True)
 class _Structure:
@@ -85,50 +93,50 @@ class _Structure:
     paired: bool                  # each free angle carries z and its conjugate
     forced: tuple[int, ...]       # real eigenvalues fixed by the component
     single: str | None            # per-angle density factor
-    pair_kind: str                # "A" -> |z_j - z_k|^2 only, "BC" -> both factors
-    divisor: int
+
+    @property
+    def halved(self) -> bool:
+        """O+(2m), m >= 1: its Toeplitz + Hankel determinant is twice the average."""
+        return self.paired and self.single is None and self.pairs > 0
+
+    @property
+    def divisor(self) -> int:
+        """Normalisation of the Weyl density over the free angles."""
+        return (2**self.pairs if self.paired else 1) * factorial(self.pairs) // (1 + self.halved)
+
+    @property
+    def hankel(self) -> tuple[int, int] | None:
+        """(shift, sign) of the Hankel part; None for U, whose form is Toeplitz only."""
+        return _HANKEL[self.single] if self.paired else None
 
 
 def _structure(family: str, l: int) -> _Structure:
-    if family == "U":
-        return _Structure(l, False, (), None, "A", factorial(l))
-    if family == "Sp":
-        return _Structure(l, True, (), "sin2", "BC", 2**l * factorial(l))
+    """Unpaired angles (U) have the density |z_j - z_k|^2 only, paired ones both factors."""
+    m = l // 2
+    if family in ("U", "Sp"):
+        return _Structure(l, family == "Sp", (), "sin2" if family == "Sp" else None)
     if family == "O+":
-        if l % 2 == 0:
-            m = l // 2
-            divisor = 2 ** (m - 1) * factorial(m) if m else 1
-            return _Structure(m, True, (), None, "BC", divisor)
-        m = (l - 1) // 2
-        return _Structure(m, True, (1,), "one_minus", "BC", 2**m * factorial(m))
+        return _Structure(m, True, (1,), "one_minus") if l % 2 else _Structure(m, True, (), None)
     if family == "O-":
-        if l % 2 == 0:
-            m = l // 2
-            if m == 0:
-                return _Structure(0, True, (), None, "BC", 1)
-            return _Structure(m - 1, True, (1, -1), "sin2", "BC",
-                              2 ** (m - 1) * factorial(m - 1))
-        m = (l - 1) // 2
-        return _Structure(m, True, (-1,), "one_plus", "BC", 2**m * factorial(m))
+        if l % 2:
+            return _Structure(m, True, (-1,), "one_plus")
+        return _Structure(m - 1, True, (1, -1), "sin2") if m else _Structure(0, True, (), None)
     raise ValueError(f"no eigenvalue structure for {family!r}")
 
 
 # ---------------------------------------------------------------------------
-# Determinant engine: Toeplitz +- Hankel forms of multiplicative averages
+# Determinant engine: leading minors of Toeplitz (+- Hankel) matrices
 # ---------------------------------------------------------------------------
 
-# Hankel shift and sign of det(g_{j-k} + sign * g_{j+k+shift}), by the per-angle
-# density factor of the component.
-_HANKEL = {"sin2": (2, -1), "one_minus": (1, -1), "one_plus": (1, 1), None: (0, 1)}
 
-
-def _has_determinant_form(cf: ClassFunctionSpec) -> bool:
-    """Multiplicative, rational and with at most one geometric factor."""
-    if cf.schur_rho is not None:
-        return False
+def _has_determinant_form(family: str, cf: ClassFunctionSpec) -> bool:
+    """Rational and multiplicative, with geometric factors of one exponent sign
+    over U and at most one geometric factor over Sp and O."""
     factors = cf.effective_symbol().factors
-    return (all(isinstance(f, (PolyPlus, GeomInv)) for f in factors)
-            and sum(isinstance(f, GeomInv) for f in factors) <= 1)
+    geometric = [f for f in factors if isinstance(f, GeomInv)]
+    limited = {f.exponent_sign for f in geometric} if family == "U" else geometric
+    return (cf.schur_rho is None and len(limited) <= 1
+            and all(isinstance(f, (PolyPlus, GeomInv)) for f in factors))
 
 
 def _pair_coefficients(symbol: SymbolSpec, k_max: int) -> list[Fraction]:
@@ -157,24 +165,53 @@ def _pair_coefficients(symbol: SymbolSpec, k_max: int) -> list[Fraction]:
             for k in range(k_max + 1)]
 
 
-def _determinant_average(st: _Structure, symbol: SymbolSpec) -> Fraction:
-    """Sp/O+-/O- average of prod f(eigenvalue) as a Toeplitz +- Hankel determinant.
+def _sweep(hankel: tuple[int, int] | None, symbol: SymbolSpec, order: int) -> list[Fraction]:
+    """[D_0, ..., D_order] of det(f_{j-k}) (hankel None) or det(g_{|j-k|} + sign g_{j+k+shift}).
 
-    Sp(2l): det(g_{j-k} - g_{j+k+2}); O+(2m): 1/2 det(g_{j-k} + g_{j+k});
-    O+-(2m+1): f(+-1) det(g_{j-k} -+ g_{j+k+1}); O-(2m): f(1) f(-1)
-    det(g_{j-k} - g_{j+k+2}) of order m - 1.  The order is the number of free
-    angles and each forced eigenvalue contributes its point value.
+    The budget is checked on the order alone before any coefficient is
+    computed, then on the coefficients before the matrix is built.
     """
-    shift, sign = _HANKEL[st.single]
-    p = st.pairs
-    g = _pair_coefficients(symbol, max(2 * p - 2 + shift, 0))
-    value = det_exact([[g[abs(j - k)] + sign * g[j + k + shift] for k in range(p)]
-                       for j in range(p)])
-    if st.single is None and p:
-        value /= 2
-    for eps in st.forced:
-        value *= _value_at_point(symbol, eps)
-    return value
+    check_minor_budget(order)
+    if hankel is None:
+        f, _ = fourier_coefficients(symbol, -order, order)
+        check_minor_budget(order, list(f.values()))
+        rows = [[f[j - k] for k in range(order)] for j in range(order)]
+    else:
+        shift, sign = hankel
+        g = _pair_coefficients(symbol, max(2 * order - 2 + shift, 0))
+        check_minor_budget(order, g)
+        rows = [[g[abs(j - k)] + sign * g[j + k + shift] for k in range(order)]
+                for j in range(order)]
+    return leading_minors(rows)
+
+
+def _averages(family: str, symbol: SymbolSpec, sizes) -> list[Fraction]:
+    """Averages of prod f(eigenvalue) over the family at each size, one sweep per form.
+
+    U(l): det(f_{j-k}) (Heine).  Sp(2l): det(g_{j-k} - g_{j+k+2});
+    O+(2m): 1/2 det(g_{j-k} + g_{j+k}); O+-(2m+1): f(+-1) det(g_{j-k} -+
+    g_{j+k+1}); O-(2m): f(1) f(-1) det(g_{j-k} - g_{j+k+2}) of order m - 1.
+    The order is the number of free angles and each forced eigenvalue
+    contributes its point value.  Family 'O' averages the two components.
+    """
+    if family == "O":
+        return [(plus + minus) / 2 for plus, minus in
+                zip(_averages("O+", symbol, sizes), _averages("O-", symbol, sizes))]
+    orders: dict = {}
+    for l in sizes:
+        st = _structure(family, l)
+        orders[st.hankel] = max(orders.get(st.hankel, 0), st.pairs)
+    sweeps = {form: _sweep(form, symbol, order) for form, order in orders.items()}
+    values = []
+    for l in sizes:
+        st = _structure(family, l)
+        value = sweeps[st.hankel][st.pairs]
+        if st.halved:
+            value /= 2
+        for eps in st.forced:
+            value *= _value_at_point(symbol, eps)
+        values.append(value)
+    return values
 
 
 def _value_at_point(symbol: SymbolSpec, eps: int) -> Fraction:
@@ -190,26 +227,16 @@ def _value_at_point(symbol: SymbolSpec, eps: int) -> Fraction:
     return value
 
 
-def group_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT):
-    """Average of the class function over the group's eigenvalue measure.
+def group_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT) -> Fraction:
+    """Average of the class function over the group's eigenvalue measure, a Fraction.
 
-    U averages are Toeplitz determinants (u_average).  Sp and O averages of
-    multiplicative class functions built from (1 + c z^s) factors,
-    det(1 + alpha U) and at most one geometric factor are exact Toeplitz +-
-    Hankel determinants (a Fraction).  Any other class function, a Schur
-    factor among them, raises ValueError.  Family 'O' averages the two
-    components.
+    Any class function without a determinant form (a Schur factor, an
+    exponential factor, too many geometric factors) raises ValueError.
     """
-    if group.family == "O":
-        plus = group_average(GroupSpec("O+", group.l), cf)
-        minus = group_average(GroupSpec("O-", group.l), cf)
-        return (plus + minus) / 2
-    if group.family == "U" and cf.schur_rho is None:
-        return u_average(cf.effective_symbol(), group.l)
-    if group.family == "U" or not _has_determinant_form(cf):
+    if not _has_determinant_form(group.family, cf):
         raise ValueError("class function has no determinant form: it has a Schur factor, "
-                         "an exponential factor or several geometric factors")
-    return _determinant_average(_structure(group.family, group.l), cf.effective_symbol())
+                         "an exponential factor or too many geometric factors")
+    return _averages(group.family, cf.effective_symbol(), [group.l])[0]
 
 
 def sp_average(cf: ClassFunctionSpec, l: int):
@@ -221,31 +248,14 @@ def o_average(cf: ClassFunctionSpec, l: int, component: str = "mean"):
     return group_average(GroupSpec(family, l), cf)
 
 
-def u_average(s: SymbolSpec, l: int, tol: float = 1e-12):
-    """U(l) average of a multiplicative symbol as a Toeplitz determinant.
-
-    The (j,k) entry is the (j-k)-th Fourier coefficient of the symbol; exact
-    rational whenever the symbol is polynomial, float otherwise.
-    """
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    if l == 0:
-        return Fraction(1) if s.is_polynomial() else 1.0
-    coeffs, exact = fourier_coefficients(s, -(l - 1), l - 1, tol)
-    rows = [[coeffs[j - k] for k in range(l)] for j in range(l)]
-    if exact:
-        return det_exact(rows)
-    return float(np.linalg.det(np.array(rows, dtype=float)))
+def u_average(s: SymbolSpec, l: int) -> Fraction:
+    """U(l) average of a rational symbol: the Toeplitz determinant of its coefficients."""
+    return group_average(GroupSpec("U", l), ClassFunctionSpec(symbol=s))
 
 
 # ---------------------------------------------------------------------------
 # Model distributions through matrix averages
 # ---------------------------------------------------------------------------
-
-
-def johansson_symbol(a, b) -> SymbolSpec:
-    factors = tuple(PolyPlus(x, -1) for x in a) + tuple(PolyPlus(x, 1) for x in b)
-    return SymbolSpec(factors)
 
 
 def antidiagonal_odd_prefactors(q) -> dict[str, Fraction]:
@@ -271,7 +281,7 @@ def antidiagonal_odd_prefactors(q) -> dict[str, Fraction]:
 def rmt_method(spec: ModelSpec) -> str:
     return {
         "johansson": "toeplitz-U",
-        "bernoulli": "toeplitz-U-series",
+        "bernoulli": "toeplitz-U",
         "antidiagonal": "sp-average",
         "diagonal": "o-average-mean",
         "doublysymmetric": "toeplitz-U",
@@ -279,47 +289,48 @@ def rmt_method(spec: ModelSpec) -> str:
     }[spec.variant]
 
 
-def model_rmt_distribution(spec: ModelSpec, l: int, tol: float = 1e-12):
-    """Pr(L <= l) through the model's matrix-average formula.
+def model_rmt_table(spec: ModelSpec, lmax: int) -> list[Fraction]:
+    """[Pr(L <= l) for l = 0..lmax] through the model's matrix-average formula, exactly.
 
-    Exact (Fraction) for every route but one: the square-lattice and doubly
-    symmetric Toeplitz determinants, and the anti-diagonal (Sp) and diagonal
-    (O) Toeplitz +- Hankel determinants, the even anti-diagonal bound at
-    beta > 0 included, whose geometric factor has closed-form coefficients.
-    Float for the Bernoulli series symbol only.  The point-reflection law
-    factors into square-lattice laws instead of having its own average; this
-    dispatches to the exact engine.
+    The counterpart of symfunc.exact_table: one sweep per determinant form.
+    johansson and bernoulli take U(l), doublysymmetric U(l // 2), antidiagonal
+    Sp(2 (l // 2)) with one symbol per bound parity, and diagonal the mean of
+    O+(l) and O-(l), each component at both parities.  The point-reflection
+    law factors into square-lattice laws instead; this reads exact_table.
     """
-    if l < 0:
+    if lmax < 0:
         raise ValueError("l must be nonnegative")
     v = spec.variant
     if v == "pointreflection":
-        return exact_distribution(spec, l)
-    if v == "antidiagonal" and l % 2 == 1:
-        pref = antidiagonal_odd_prefactors(spec.q)["standard"]
-    else:
-        pref = model_prefactor(spec)
-    if v == "johansson":
-        return pref * u_average(johansson_symbol(spec.a, spec.b), l, tol)
-    if v == "bernoulli":
-        # Polynomial factors carry the column parameters and the geometric
-        # inverses the row parameters; the transposed assignment reproduces the
-        # length-bounded sum instead of the width-bounded law.
-        symbol = SymbolSpec(tuple(PolyPlus(y, 1) for y in spec.b)
-                            + tuple(GeomInv(x, -1) for x in spec.a))
-        value = u_average(symbol, l, tol)
-        return float(pref) * value if not isinstance(value, Fraction) else pref * value
+        return exact_table(spec, lmax)
+    pref = model_prefactor(spec)
+    if v in ("johansson", "bernoulli"):
+        # Bernoulli row parameters enter as geometric inverses: the transposed
+        # assignment reproduces the length-bounded sum, not the width-bounded law.
+        row = PolyPlus if v == "johansson" else GeomInv
+        symbol = SymbolSpec(tuple(row(x, -1) for x in spec.a)
+                            + tuple(PolyPlus(y, 1) for y in spec.b))
+        return [pref * x for x in _averages("U", symbol, range(lmax + 1))]
     if v == "antidiagonal":
-        factors = tuple(PolyPlus(x, 1) for x in spec.q)
-        if l % 2 == 0:
-            factors = (GeomInv(spec.beta, -1),) + factors
-        return pref * sp_average(ClassFunctionSpec(symbol=SymbolSpec(factors)), l // 2)
+        odd_pref = antidiagonal_odd_prefactors(spec.q)["standard"]
+        poly = tuple(PolyPlus(x, 1) for x in spec.q)
+        odd = _averages("Sp", SymbolSpec(poly), range((lmax + 1) // 2))
+        even = _averages("Sp", SymbolSpec((GeomInv(spec.beta, -1),) + poly),
+                         range(lmax // 2 + 1))
+        return [odd_pref * odd[l // 2] if l % 2 else pref * even[l // 2]
+                for l in range(lmax + 1)]
     if v == "diagonal":
-        cf = ClassFunctionSpec(symbol=SymbolSpec(tuple(PolyPlus(x, 1) for x in spec.q)),
-                               det_alpha=spec.alpha)
-        return pref * o_average(cf, l, "mean")
+        # the last factor is det(1 + alpha U)
+        symbol = SymbolSpec(tuple(PolyPlus(x, 1) for x in spec.q) + (PolyPlus(spec.alpha, 1),))
+        return [pref * x for x in _averages("O", symbol, range(lmax + 1))]
     # doublysymmetric
     factors = (PolyPlus(spec.alpha, 1),)
     for x in spec.q:
         factors += (PolyPlus(x, 1), PolyPlus(x, -1))
-    return pref * u_average(SymbolSpec(factors), l // 2, tol)
+    half = _averages("U", SymbolSpec(factors), range(lmax // 2 + 1))
+    return [pref * half[l // 2] for l in range(lmax + 1)]
+
+
+def model_rmt_distribution(spec: ModelSpec, l: int) -> Fraction:
+    """Pr(L <= l) through the model's matrix-average formula: model_rmt_table(spec, l)[l]."""
+    return model_rmt_table(spec, l)[l]

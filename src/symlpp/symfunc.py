@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 
 from .core import (
     BudgetError,
@@ -21,7 +20,7 @@ from .core import (
     count_partitions_in_box,
     partitions_in_box,
 )
-from .numerics import det_exact
+from .numerics import det_exact, scaled
 from .rsk import Tableau, evacuate
 
 # ---------------------------------------------------------------------------
@@ -106,17 +105,6 @@ def schur_bialternant(mu: Partition, xs) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _scaled(xs) -> tuple[int, tuple[int, ...]]:
-    """(D, D * xs) with D the lcm of the denominators, so D * xs are integers.
-
-    s_mu(xs) = s_mu(D * xs) / D ** |mu|, so a sweep evaluates every Schur
-    polynomial at integer points and divides once per bucket.
-    """
-    xs = tuple(Fraction(x) for x in xs)
-    d = lcm(*(x.denominator for x in xs)) if xs else 1
-    return d, tuple(int(x * d) for x in xs)
-
-
 def _bounded_table(lmax: int, max_length: int, term, scale: int,
                    weight: Fraction = Fraction(1)) -> list[Fraction]:
     """Cumulative sums over mu_1 <= l, l = 0..lmax, of term(mu) / scale**|mu| * weight**k.
@@ -141,7 +129,7 @@ def _bounded_table(lmax: int, max_length: int, term, scale: int,
 
 
 def _cauchy_table(a, b, lmax: int) -> list[Fraction]:
-    (da, xa), (db, xb) = _scaled(a), _scaled(b)
+    (da, xa), (db, xb) = scaled(a), scaled(b)
     length = min(len(xa), len(xb))
     sa = _schur_values(xa, lmax, length)
     sb = sa if xb == xa else _schur_values(xb, lmax, length)
@@ -150,7 +138,7 @@ def _cauchy_table(a, b, lmax: int) -> list[Fraction]:
 
 def _dual_cauchy_table(a, b, lmax: int) -> list[Fraction]:
     """Saturates at lmax >= len(a): s_{mu'}(a) vanishes once mu_1 > len(a)."""
-    (da, xa), (db, xb) = _scaled(a), _scaled(b)
+    (da, xa), (db, xb) = scaled(a), scaled(b)
     width = min(lmax, len(xa))
     sa = _schur_values(xa, len(xb), width)
     sb = _schur_values(xb, width, len(xb))
@@ -160,7 +148,7 @@ def _dual_cauchy_table(a, b, lmax: int) -> list[Fraction]:
 
 
 def _weighted_table(q, weight, exponent, lmax: int) -> list[Fraction]:
-    d, xq = _scaled(q)
+    d, xq = scaled(q)
     sq = _schur_values(xq, lmax, len(xq))
     return _bounded_table(lmax, len(xq), lambda mu: (exponent(mu), sq[mu.parts]), d,
                           Fraction(weight))
@@ -416,7 +404,7 @@ def pointreflection_selfdual_table(q, lmax: int) -> list[Fraction]:
     functions.  The square of s_{q0}(q) s_{q1}(q) at the scaled points carries
     D ** (2 |q0| + 2 |q1|) = D ** |mu|, so it buckets like any other term.
     """
-    d, xq = _scaled(q)
+    d, xq = scaled(q)
     _check_box(lmax, 2 * len(xq))  # the sweep's box, before the smaller quotient box is built
     # mu_1 <= lmax bounds both quotients' first parts by (lmax + 1) // 2
     sq = _schur_values(xq, (lmax + 1) // 2, len(xq))

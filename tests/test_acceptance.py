@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Every tolerance is pinned here; exact routes must agree as identical rationals
-(tolerance zero), quadrature and truncated-series routes within their stated
-absolute tolerances, and Monte Carlo within z-score bounds.
+(tolerance zero), quadrature routes within their stated absolute tolerances,
+and Monte Carlo within z-score bounds.
 """
 
 import math
@@ -70,7 +70,7 @@ def test_01_johansson_triangle():
 def test_02_bernoulli_triangle():
     start = time.monotonic()
     rnd = random.Random(202)
-    max_diff = 0.0
+    mismatches = 0
     max_z = 0.0
     for m, n in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
         spec = ModelSpec("bernoulli", a=random_params(rnd, m), b=random_params(rnd, n))
@@ -78,7 +78,8 @@ def test_02_bernoulli_triangle():
         for l in range(4):
             exact = exact_distribution(spec, l)
             average = model_rmt_distribution(spec, l)
-            max_diff = max(max_diff, abs(float(exact) - float(average)))
+            assert isinstance(average, F)
+            mismatches += exact != average
             p = float(exact)
             if 0 < p < 1:
                 se = math.sqrt(p * (1 - p) / 100_000)
@@ -86,9 +87,9 @@ def test_02_bernoulli_triangle():
             else:
                 assert mc.probs[l] == p
     elapsed = time.monotonic() - start
-    report(2, "binary law vs series Toeplitz and Monte Carlo",
-           max_diff <= 1e-10 and max_z <= 4.0 and elapsed < 30.0,
-           f"max|exact-rmt|={max_diff:.2e} <= 1e-10, max|z|={max_z:.2f} <= 4, "
+    report(2, "binary law vs Toeplitz determinant and Monte Carlo",
+           mismatches == 0 and max_z <= 4.0 and elapsed < 30.0,
+           f"{mismatches} exact-vs-rmt mismatches, tolerance 0, max|z|={max_z:.2f} <= 4, "
            f"runtime {elapsed:.1f}s")
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -70,8 +72,10 @@ def test_rmt_subcommand_exactness(model_file, capsys):
     b = model_file("b.json", {"variant": "bernoulli", "a": ["1/2"], "b": ["1/3"]})
     code, out = run_cli(capsys, ["rmt", "--model", b, "--l", "1"])
     payload = json.loads(out)
-    assert payload["exactness"] == "float"
-    assert abs(payload["value"] - 1.0) < 1e-12
+    assert payload["exactness"] == "rational"
+    assert payload["method"] == "toeplitz-U"
+    code, out = run_cli(capsys, ["exact", "--model", b, "--lmax", "1"])
+    assert payload["value"] == json.loads(out)["distribution"][1]["p"] == "1"
 
 
 def test_sample_deterministic_and_symmetric(model_file, capsys):
@@ -251,6 +255,47 @@ def test_verify_checks_the_cell_budget_before_sampling(model_file, capsys, monke
     assert json.loads(out)["error"]["field"] == "lmax"
 
 
+def test_oversized_determinant_sweep_is_config_error(model_file, capsys, monkeypatch):
+    path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        code, out = run_cli(capsys, ["rmt", "--model", path, "--l", "20000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 5
+    assert peak < 1 << 20
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "budget" in error["message"] and error["field"] == "l"
+    # the sweep budget grows with the entry size: 40-bit entries at bound 200,
+    # checked before any Monte Carlo
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the budget check")
+
+    monkeypatch.setattr(harness, "mc_distribution", no_sampling)
+    path = model_file("k.json", {"variant": "johansson", "a": ["999999/1000000"],
+                                 "b": ["999999/1000000"]})
+    code, out = run_cli(capsys, ["verify", "--model", path, "--lmax", "200"])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "determinant sweep" in error["message"] and error["field"] == "lmax"
+
+
+def test_bernoulli_verify_second_column_is_exact(model_file, capsys):
+    params = ["2/3", "3/4", "8/9"]
+    path = model_file("b.json", {"variant": "bernoulli", "a": params, "b": params})
+    code, out = run_cli(capsys, ["verify", "--model", path, "--lmax", "12",
+                                 "--samples", "20000", "--seed", "4"])
+    report = json.loads(out)
+    assert report["second_kind"] == "toeplitz-U"
+    assert [r["second_value"] for r in report["rows"]] == \
+        [r["exact_value"] for r in report["rows"]]
+    assert all(r["abs_diff"] == "0" for r in report["rows"])
+    assert code == 0 and report["verdict"] == "PASS"
+
+
 def test_internal_error_exits_three_with_json(model_file, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError
@@ -265,7 +310,7 @@ def test_internal_error_exits_three_with_json(model_file, capsys, monkeypatch):
     def overflow(*args, **kwargs):
         raise ArithmeticError("series failed to converge")
 
-    monkeypatch.setattr(harness, "model_rmt_distribution", overflow)
+    monkeypatch.setattr(harness, "model_rmt_table", overflow)
     code, out = run_cli(capsys, ["verify", "--model", path, "--lmax", "2",
                                  "--samples", "100"])
     assert code == 3

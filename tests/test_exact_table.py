@@ -2,13 +2,16 @@
 
 import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symlpp.core import ModelSpec, Partition, box_parts
-from symlpp.rmt import model_rmt_distribution
+from symlpp import rmt
+from symlpp.numerics import det_exact
+from symlpp.rmt import model_rmt_distribution, model_rmt_table
 from symlpp.symfunc import (
     _schur_values,
     exact_table,
@@ -88,17 +91,25 @@ def test_selfdual_table_equals_factorisation(q, lmax):
 @PROPERTY
 @given(models(), st.integers(0, 6))
 def test_table_equals_matrix_average(spec, lmax):
-    if spec.variant == "bernoulli":
-        # the series symbol is a float and slow to converge near 1
-        spec = ModelSpec("bernoulli", a=tuple(x / 2 for x in spec.a),
-                         b=tuple(x / 2 for x in spec.b))
     table = exact_table(spec, lmax)
     for l, exact in enumerate(table):
         average = model_rmt_distribution(spec, l)
-        if isinstance(average, F):
-            assert average == exact, (spec, l)
-        else:
-            assert abs(average - float(exact)) < 1e-9, (spec, l)
+        assert isinstance(average, F) and average == exact, (spec, l)
+
+
+def _minors_one_by_one(rows):
+    return [det_exact([row[:k] for row in rows[:k]]) for k in range(len(rows) + 1)]
+
+
+@PROPERTY
+@given(models(), st.integers(0, 9))
+def test_sweep_table_equals_exact_table_and_each_determinant(spec, lmax):
+    table = model_rmt_table(spec, lmax)
+    assert all(isinstance(p, F) for p in table)
+    assert table == exact_table(spec, lmax)
+    # each bound's value is the determinant of its own leading matrix
+    with mock.patch.object(rmt, "leading_minors", _minors_one_by_one):
+        assert model_rmt_table(spec, lmax) == table
 
 
 @PROPERTY

@@ -12,6 +12,7 @@ from symlpp.numerics import (
     bessel_i,
     det_exact,
     fourier_coefficients,
+    leading_minors,
     pfaffian,
     pfaffian_minor_sum_check,
     pfaffian_sign_identity_check,
@@ -73,13 +74,8 @@ def test_fourier_polynomial_convolution_property():
 def test_fourier_geometric_series():
     b = F(1, 4)
     coeffs, exact = fourier_coefficients(SymbolSpec((GeomInv(b, -1),)), -3, 1)
-    assert not exact
-    assert coeffs[-2] == pytest.approx(float(b) ** 2, abs=1e-14)
-    assert coeffs[1] == pytest.approx(0.0, abs=1e-14)
-    # tighter tolerance changes nothing beyond the requested tail size
-    finer, _ = fourier_coefficients(SymbolSpec((GeomInv(b, -1),)), -3, 1, tol=1e-20)
-    for k in coeffs:
-        assert abs(coeffs[k] - finer[k]) < 1e-12
+    assert exact
+    assert coeffs == {-3: b**3, -2: b**2, -1: b, 0: 1, 1: 0}
 
 
 def test_bessel_series_against_scipy():
@@ -90,6 +86,35 @@ def test_bessel_series_against_scipy():
     assert not exact
     for k in range(-3, 4):
         assert coeffs[k] == pytest.approx(scipy.special.iv(abs(k), 4.0), rel=1e-10)
+
+
+def test_fourier_geometric_factors_divide_exactly():
+    a, b = F(2, 3), F(3, 4)
+    s = SymbolSpec((PolyPlus(b, 1), GeomInv(a, -1), GeomInv(a, -1)))
+    coeffs, exact = fourier_coefficients(s, -4, 2)
+    assert exact
+    # (1 + b z) / (1 - a/z)^2: z^-r carries (r + 1) a^r, z^1 carries b
+    assert coeffs == {k: (1 - k) * a ** -k + b * (2 - k) * a ** (1 - k) if k <= 0 else
+                      (b if k == 1 else 0) for k in range(-4, 3)}
+    with pytest.raises(ValueError, match="finite expansion"):
+        fourier_coefficients(SymbolSpec((GeomInv(a, -1), GeomInv(a, 1))), -1, 1)
+
+
+def test_leading_minors_match_each_determinant():
+    rnd = random.Random(7)
+    for n in range(6):
+        rows = [[F(rnd.randint(-9, 9), rnd.randint(1, 12)) for _ in range(n)] for _ in range(n)]
+        for j in range(n):
+            rows[j][j] += 20  # diagonally dominant: no leading minor vanishes
+        assert leading_minors(rows) == [det_exact([r[:k] for r in rows[:k]])
+                                        for k in range(n + 1)]
+
+
+def test_leading_minors_zero_pivot_raises():
+    with pytest.raises(ArithmeticError, match="order 1"):
+        leading_minors([[F(0), F(1)], [F(1), F(0)]])
+    with pytest.raises(ArithmeticError, match="order 2"):
+        leading_minors([[F(1), F(2), F(0)], [F(1, 2), F(1), F(3)], [F(0), F(1), F(1)]])
 
 
 def test_det_exact_examples():
