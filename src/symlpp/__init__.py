@@ -37,20 +37,14 @@ from .rmt import (
     GroupSpec,
     group_average,
     model_rmt_distribution,
-    model_rmt_table,
     o_average,
     sp_average,
     u_average,
 )
 from .rsk import Tableau, TableauPair, check_symmetry_lemmas, dual_rsk, evacuate, rsk
 from .symfunc import (
-    alpha_weighted_sum,
-    beta_weighted_sum,
-    bounded_cauchy_sum,
-    bounded_dual_cauchy_sum,
     domino_tilable,
     exact_distribution,
-    exact_table,
     pointreflection_selfdual_sum,
     pointreflection_selfdual_table,
     schur,
@@ -58,6 +52,7 @@ from .symfunc import (
     selfdual_schur_oracle,
     two_quotient,
 )
+from .variants import exact_table, model_rmt_table
 from .harness import hammersley_check, verify_model
 
 __all__ = [name for name in dir() if not name.startswith("_")]

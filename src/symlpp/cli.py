@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -24,9 +25,8 @@ from .core import (
 )
 from .harness import hammersley_check, verify_model
 from .lpp import mc_distribution, sample_batch
-from .rmt import model_rmt_table, rmt_method
 from .rsk import rsk
-from .symfunc import exact_table
+from .variants import exact_table, model_rmt_table, variant_of
 
 SCHEMA_VERSION = 1
 
@@ -111,11 +111,15 @@ def _load_model(path: str) -> ModelSpec:
 _COUNT_MINIMUMS = {"lmax": 0, "l": 0, "count": 1, "samples": 1, "threads": 1}
 
 
-def _check_counts(args):
+def _check_arguments(args):
     for name, minimum in _COUNT_MINIMUMS.items():
         value = getattr(args, name, None)
         if value is not None and value < minimum:
             raise ConfigError(f"--{name} must be at least {minimum}, got {value}", field=name)
+    for name in ("zmax", "lam"):
+        value = getattr(args, name, None)
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"--{name} must be positive and finite, got {value}", field=name)
 
 
 def _seed_from(args) -> int:
@@ -140,11 +144,23 @@ def _emit(text: str, out_path: str | None):
             sys.stdout.write("\n")
 
 
-def _distribution_payload(model: ModelSpec, table: DistributionTable, extra: dict) -> dict:
-    payload = {"schema": SCHEMA_VERSION, "model": model.to_json_dict()}
-    payload.update(extra)
-    payload["distribution"] = table.to_rows()
-    return payload
+def _emit_table(args, model: ModelSpec, table: DistributionTable, extra: dict) -> int:
+    if args.format == "csv":
+        _emit(rows_to_csv(table.to_rows()), args.out)
+    else:
+        payload = {"schema": SCHEMA_VERSION, "model": model.to_json_dict(), **extra,
+                   "distribution": table.to_rows()}
+        _emit(dump_json(payload), args.out)
+    return 0
+
+
+def _emit_report(args, report) -> int:
+    """A verification report's rows (csv) or the whole report (json); exit 1 on FAIL."""
+    if args.format == "csv":
+        _emit(rows_to_csv([r.to_json_dict() for r in report.rows]), args.out)
+    else:
+        _emit(dump_json(report.to_json_dict()), args.out)
+    return 0 if report.passed() else 1
 
 
 def _matrix_payload(matrix) -> dict:
@@ -179,12 +195,7 @@ def _cmd_sample(args) -> int:
 def _cmd_exact(args) -> int:
     model = _load_model(args.model)
     probs = dict(enumerate(exact_table(model, args.lmax)))
-    table = DistributionTable(probs, exact=True)
-    if args.format == "csv":
-        _emit(rows_to_csv(table.to_rows()), args.out)
-    else:
-        _emit(dump_json(_distribution_payload(model, table, {"kind": "exact"})), args.out)
-    return 0
+    return _emit_table(args, model, DistributionTable(probs, exact=True), {"kind": "exact"})
 
 
 def _cmd_rmt(args) -> int:
@@ -193,7 +204,7 @@ def _cmd_rmt(args) -> int:
         "schema": SCHEMA_VERSION,
         "model": model.to_json_dict(),
         "l": args.l,
-        "method": rmt_method(model),
+        "method": variant_of(model).method,
         "value": model_rmt_table(model, args.l)[args.l],
         "exactness": "rational",
     }
@@ -208,13 +219,8 @@ def _cmd_rmt(args) -> int:
 def _cmd_verify(args) -> int:
     model = _load_model(args.model)
     seed = _seed_from(args)
-    report = verify_model(model, args.lmax, args.samples, seed,
-                          z_max=args.zmax, threads=args.threads)
-    if args.format == "csv":
-        _emit(rows_to_csv([r.to_json_dict() for r in report.rows]), args.out)
-    else:
-        _emit(dump_json(report.to_json_dict()), args.out)
-    return 0 if report.passed() else 1
+    return _emit_report(args, verify_model(model, args.lmax, args.samples, seed,
+                                           z_max=args.zmax, threads=args.threads))
 
 
 def _cmd_rsk(args) -> int:
@@ -243,25 +249,15 @@ def _cmd_rsk(args) -> int:
 
 def _cmd_hammersley(args) -> int:
     seed = _seed_from(args)
-    report = hammersley_check(args.lam, args.lmax, args.samples, seed, z_max=args.zmax)
-    if args.format == "csv":
-        _emit(rows_to_csv([r.to_json_dict() for r in report.rows]), args.out)
-    else:
-        _emit(dump_json(report.to_json_dict()), args.out)
-    return 0 if report.passed() else 1
+    return _emit_report(args, hammersley_check(args.lam, args.lmax, args.samples, seed,
+                                               z_max=args.zmax))
 
 
 def _cmd_mc(args) -> int:
     model = _load_model(args.model)
     seed = _seed_from(args)
     table = mc_distribution(model, args.lmax, args.samples, seed, args.threads)
-    if args.format == "csv":
-        _emit(rows_to_csv(table.to_rows()), args.out)
-    else:
-        payload = _distribution_payload(model, table,
-                                        {"kind": "mc", "seed": seed, "samples": args.samples})
-        _emit(dump_json(payload), args.out)
-    return 0
+    return _emit_table(args, model, table, {"kind": "mc", "seed": seed, "samples": args.samples})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,13 +331,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_counts(args)
+        _check_arguments(args)
         return args.func(args)
     except (ConfigError, ValueError, TypeError) as exc:
         field = exc.field if isinstance(exc, ConfigError) else None
         if isinstance(exc, BudgetError):
-            # the bound that sets the size: --l of rmt, --lmax of exact and verify
-            field = "l" if args.command == "rmt" else "lmax"
+            # the argument that sets the size, by default the bound: --l of
+            # rmt, --lmax of the others
+            field = exc.field or ("l" if args.command == "rmt" else "lmax")
         error = {"schema": SCHEMA_VERSION, "error": {"message": str(exc), "field": field}}
         sys.stdout.write(dump_json(error) + "\n")
         return 2

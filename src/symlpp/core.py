@@ -1,8 +1,9 @@
 """Foundation types: exact rationals, partitions, bottom-indexed matrices, model specs.
 
 Exact probabilities and model parameters are `fractions.Fraction` throughout;
-floats only ever enter through Monte Carlo estimates, quadrature, or truncated
-series, and containers tag them as approximate.
+floats only ever enter through Monte Carlo estimates and the Bessel series of
+the continuum (`hammersley`) determinants, and containers tag them as
+approximate.
 """
 
 from __future__ import annotations
@@ -10,25 +11,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 Rational = Fraction
 
 Scalar = Union[Fraction, float]
 
-MODEL_VARIANTS = (
-    "johansson",
-    "bernoulli",
-    "antidiagonal",
-    "diagonal",
-    "doublysymmetric",
-    "pointreflection",
-)
+
+class _Parameters(NamedTuple):
+    lists: tuple[str, ...]      # the nonempty parameter lists
+    weight: str | None          # the weight parameter, if the variant has one
+    side: int | None            # matrix side in units of n; None for len(a) x len(b)
+
+
+# What parsing needs of each variant; every other per-variant fact is its
+# symlpp.variants.Variant record.
+MODEL_PARAMETERS = {
+    "johansson": _Parameters(("a", "b"), None, 1),
+    "bernoulli": _Parameters(("a", "b"), None, None),
+    "antidiagonal": _Parameters(("q",), "beta", 1),
+    "diagonal": _Parameters(("q",), "alpha", 1),
+    "doublysymmetric": _Parameters(("q",), "alpha", 2),
+    "pointreflection": _Parameters(("q",), None, 2),
+}
 
 
 class BudgetError(ValueError):
     """A computation would exceed a fixed resource budget; raised before
-    anything is allocated."""
+    anything is allocated.  `field` names the argument that sets the size,
+    when the raiser knows it."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+# Most bounds a table may hold, for the tables whose cost no box or sweep
+# budget bounds first: Monte Carlo counts, and the saturating Bernoulli law.
+TABLE_BOUND_BUDGET = 1 << 16
+
+
+def check_table_bound(lmax: int) -> None:
+    if lmax > TABLE_BOUND_BUDGET:
+        raise BudgetError(f"table to bound {lmax} is over the budget of "
+                          f"{TABLE_BOUND_BUDGET} bounds")
 
 
 def parse_rational(value) -> Fraction:
@@ -261,8 +287,9 @@ class ModelSpec:
     beta: Fraction | None = None
 
     def __post_init__(self):
-        if self.variant not in MODEL_VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {MODEL_VARIANTS}")
+        if self.variant not in MODEL_PARAMETERS:
+            raise ValueError(f"unknown variant {self.variant!r}; "
+                             f"expected one of {tuple(MODEL_PARAMETERS)}")
         object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
         object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
         object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
@@ -273,30 +300,24 @@ class ModelSpec:
 
     def _validate(self):
         v = self.variant
-        uses_ab = v in ("johansson", "bernoulli")
-        uses_q = not uses_ab
-        if uses_ab:
+        lists, weight, side = MODEL_PARAMETERS[v]
+        if lists == ("a", "b"):
             if not self.a or not self.b:
                 raise ValueError(f"{v} needs nonempty parameter lists 'a' and 'b'")
             if self.q or self.alpha is not None or self.beta is not None:
                 raise ValueError(f"{v} permits only 'a' and 'b'")
-            if v == "johansson" and len(self.a) != len(self.b):
-                raise ValueError("johansson is square: len(a) must equal len(b)")
-        if uses_q:
+            if side and len(self.a) != len(self.b):
+                raise ValueError(f"{v} is square: len(a) must equal len(b)")
+        else:
             if not self.q:
                 raise ValueError(f"{v} needs a nonempty parameter list 'q'")
             if self.a or self.b:
                 raise ValueError(f"{v} permits only 'q' plus its weight parameter")
-            needs_alpha = v in ("diagonal", "doublysymmetric")
-            needs_beta = v == "antidiagonal"
-            if needs_alpha and self.alpha is None:
-                raise ValueError(f"{v} needs 'alpha'")
-            if needs_beta and self.beta is None:
-                raise ValueError(f"{v} needs 'beta'")
-            if (self.alpha is not None) != needs_alpha:
-                raise ValueError(f"'alpha' not permitted for {v}")
-            if (self.beta is not None) != needs_beta:
-                raise ValueError(f"'beta' not permitted for {v}")
+            if weight is not None and getattr(self, weight) is None:
+                raise ValueError(f"{v} needs {weight!r}")
+            for name in ("alpha", "beta"):
+                if name != weight and getattr(self, name) is not None:
+                    raise ValueError(f"{name!r} not permitted for {v}")
         for name, values in (("a", self.a), ("b", self.b), ("q", self.q)):
             for k, x in enumerate(values):
                 if not 0 <= x < 1:
@@ -308,17 +329,15 @@ class ModelSpec:
     @property
     def n(self) -> int:
         """Number of parameters on each side (the model's size parameter)."""
-        return len(self.a) if self.variant in ("johansson", "bernoulli") else len(self.q)
+        return len(getattr(self, MODEL_PARAMETERS[self.variant].lists[0]))
 
     @property
     def matrix_shape(self) -> tuple[int, int]:
         """(n_rows, n_cols) of a sampled matrix."""
-        v = self.variant
-        if v == "bernoulli":
+        side = MODEL_PARAMETERS[self.variant].side
+        if side is None:
             return (len(self.a), len(self.b))
-        if v in ("johansson", "antidiagonal", "diagonal"):
-            return (self.n, self.n)
-        return (2 * self.n, 2 * self.n)
+        return (side * self.n, side * self.n)
 
     def to_json_dict(self) -> dict:
         out: dict = {"variant": self.variant}
@@ -362,8 +381,8 @@ class DistributionTable:
     """Cumulative law l -> Pr(L <= l), exact or tagged approximate.
 
     `exact` is True only when every probability is a Fraction produced by an
-    exact engine; Monte Carlo and truncated-series values are floats with
-    exact=False, and Monte Carlo tables carry a per-entry standard error.
+    exact engine; Monte Carlo values are floats with exact=False, and carry a
+    per-entry standard error.
     """
 
     probs: dict[int, Scalar]
@@ -382,12 +401,9 @@ class DistributionTable:
                 raise ValueError("cumulative probabilities must be nondecreasing in l")
             prev = p
 
-    def levels(self) -> list[int]:
-        return sorted(self.probs)
-
     def to_rows(self) -> list[dict]:
         rows = []
-        for l in self.levels():
+        for l in sorted(self.probs):
             p = self.probs[l]
             row: dict = {"l": l}
             if isinstance(p, Fraction):

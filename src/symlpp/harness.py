@@ -13,11 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ModelSpec, format_rational
+from .core import BudgetError, ModelSpec, format_rational
 from .lpp import MC_CHUNK, chunk_streams, mc_distribution
 from .numerics import ExpCos, SymbolSpec, fourier_coefficients
-from .rmt import antidiagonal_odd_prefactors, model_rmt_table, rmt_method
-from .symfunc import exact_table, pointreflection_selfdual_table
+from .variants import exact_table, model_rmt_table, variant_of
 
 
 @dataclass
@@ -82,21 +81,16 @@ def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
 
     Columns: Monte Carlo with binomial standard errors, the exact bounded
     Schur-sum law, and the matrix-average formula, each exact column one
-    table.  The point-reflection model has no separate average; its exact
-    column comes straight from self-dual path sums and the second column is
-    the product of two independently computed square-lattice laws.
+    table.  A variant with a witness takes its exact column from it: the
+    point-reflection model, whose matrix-average route is its factored exact
+    table, is checked against self-dual path sums.  The columns reach the
+    variant's least bound, and its notes are read off them.
     """
-    point_reflection = spec.variant == "pointreflection"
-    second_kind = "johansson-factorization" if point_reflection else rmt_method(spec)
-    # the odd-bound prefactor of the anti-diagonal model is resolved at bound 1 or more
-    top = max(l_max, 1) if spec.variant == "antidiagonal" else l_max
+    variant = variant_of(spec)
+    top = max(l_max, variant.least_bound)
     # the exact tables check their budgets, so they come before any sampling
-    if point_reflection:
-        exact_column = pointreflection_selfdual_table(spec.q, l_max)
-        second_column = exact_table(spec, l_max)
-    else:
-        exact_column = exact_table(spec, top)
-        second_column = model_rmt_table(spec, top)
+    exact_column = (variant.witness or exact_table)(spec, top)
+    second_column = model_rmt_table(spec, top)
     mc = mc_distribution(spec, l_max, mc_samples, seed, threads)
     rows: list[ReportRow] = []
     for l in range(l_max + 1):
@@ -105,40 +99,9 @@ def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
         ok = exact == second and abs(z) <= z_max
         rows.append(ReportRow(l, mc.probs[l], mc.stderr[l], exact, second,
                               abs(exact - second), z, "PASS" if ok else "FAIL"))
-    notes: dict = {}
-    if spec.variant == "antidiagonal":
-        notes["odd_bound_prefactor"] = _resolve_antidiagonal_prefactor(
-            spec, exact_column, second_column)
     verdict = "PASS" if all(r.verdict == "PASS" for r in rows) else "FAIL"
-    return VerificationReport(spec.to_json_dict(), second_kind, rows, verdict, notes)
-
-
-def _resolve_antidiagonal_prefactor(spec: ModelSpec, exact_column: list[Fraction],
-                                    second_column: list[Fraction]) -> dict:
-    """Try both candidate prefactors of the odd-bound formula against the exact law.
-
-    The two candidates differ in the index pairing of the cross terms; they
-    agree for n = 1.  Whichever reproduces the exact law at every odd bound of
-    the columns (bound 1 at least) is reported as 'resolved'; the mismatch of
-    the other candidate is reported, not silently fixed.  The second column
-    at an odd bound is the standard prefactor times the Sp average, so each
-    candidate's value is rescaled from it.
-    """
-    candidates = antidiagonal_odd_prefactors(spec.q)
-    standard = candidates["standard"]
-    matches = {name: True for name in candidates}
-    worst = {name: Fraction(0) for name in candidates}
-    for l in range(1, len(exact_column), 2):
-        for name, pref in candidates.items():
-            diff = abs(exact_column[l] - pref / standard * second_column[l])
-            matches[name] = matches[name] and diff == 0
-            worst[name] = max(worst[name], diff)
-    return {
-        "resolved": next((n for n in ("standard", "printed") if matches[n]), None),
-        "matches": matches,
-        "max_abs_diff": {n: float(worst[n]) for n in worst},
-        "prefactors": {n: format_rational(v) for n, v in candidates.items()},
-    }
+    return VerificationReport(spec.to_json_dict(), variant.second_kind or variant.method, rows,
+                              verdict, variant.notes(spec, exact_column, second_column))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +150,14 @@ EIGHT_POINT_CONFIGURATION = (
 )
 
 
+# Most Poisson points per Monte Carlo chunk, lam * MC_CHUNK on average (the
+# chain kernel takes about 25 MiB at the budget).  It admits lam <= 128, and the
+# Bessel series of exp(2 sqrt(lam) cos theta) leaves float range from lam = 195.
+POINT_BUDGET = 1 << 19
+# Largest order of the float Toeplitz-Bessel minors, O(l^4) flops: 0.5 s at 256.
+BESSEL_ORDER_BUDGET = 256
+
+
 def _poisson_chain_counts(lam: float, l_max: int, n_samples: int, seed: int) -> np.ndarray:
     """Chain-length counts; each chunk draws its point counts, then all its points."""
     counts = np.zeros(l_max + 2, dtype=np.int64)
@@ -205,6 +176,9 @@ def toeplitz_bessel_minors(cos_coefficient: float, l_max: int) -> list[float]:
     """
     if l_max < 0:
         raise ValueError("l must be nonnegative")
+    if l_max > BESSEL_ORDER_BUDGET:
+        raise BudgetError(f"Toeplitz-Bessel determinants of order {l_max} are over the "
+                          f"budget of order {BESSEL_ORDER_BUDGET}")
     if l_max == 0:
         return [1.0]
     coeffs, _ = fourier_coefficients(SymbolSpec((ExpCos(cos_coefficient),)),
@@ -227,47 +201,38 @@ def hammersley_check(lam: float, l_max: int, mc_samples: int, seed: int,
     four (prefactor, cosine coefficient) candidates built from {1, exp(-lam)}
     and {sqrt(lam), 2 sqrt(lam)} are scored by their worst z-score and the
     winner is reported; the displayed form of the formula (no prefactor,
-    coefficient sqrt(lam)) is flagged when it loses.
+    coefficient sqrt(lam)) is flagged when it loses.  The point and order
+    budgets are checked, and the determinants taken, before any sampling.
     """
-    if lam <= 0:
-        raise ValueError("intensity must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("intensity must be positive and finite")
+    if lam * MC_CHUNK > POINT_BUDGET:
+        raise BudgetError(f"intensity {lam} puts about {lam * MC_CHUNK:.6g} points in a chunk "
+                          f"of {MC_CHUNK} samples, over the budget of {POINT_BUDGET} points",
+                          field="lam")
+    root = math.sqrt(lam)
+    minors = {c: toeplitz_bessel_minors(c, l_max) for c in (2 * root, root)}
     counts = _poisson_chain_counts(lam, l_max, mc_samples, seed)
     cumulative = np.cumsum(counts)[: l_max + 1]
     mc = {l: float(cumulative[l] / mc_samples) for l in range(l_max + 1)}
     stderr = {l: math.sqrt(mc[l] * (1 - mc[l]) / mc_samples) for l in mc}
 
-    root = math.sqrt(lam)
     candidates = {
         "prefactor=exp(-lam), coefficient=2*sqrt(lam)": (math.exp(-lam), 2 * root),
         "prefactor=1, coefficient=2*sqrt(lam)": (1.0, 2 * root),
         "prefactor=exp(-lam), coefficient=sqrt(lam)": (math.exp(-lam), root),
         "prefactor=1, coefficient=sqrt(lam) (as displayed)": (1.0, root),
     }
-    minors = {c: toeplitz_bessel_minors(c, l_max) for c in (2 * root, root)}
-    scores: dict[str, float] = {}
-    tables: dict[str, list[float]] = {}
-    for name, (pref, coeff) in candidates.items():
-        table = [min(pref * d, 1.0) for d in minors[coeff]]
-        tables[name] = table
-        worst = 0.0
-        for l in range(l_max + 1):
-            if 0.0 < table[l] < 1.0:
-                se = math.sqrt(table[l] * (1 - table[l]) / mc_samples)
-                worst = max(worst, abs(mc[l] - table[l]) / se)
-            elif mc[l] != table[l]:
-                worst = math.inf
-        scores[name] = worst
+    tables = {name: [min(pref * d, 1.0) for d in minors[coeff]]
+              for name, (pref, coeff) in candidates.items()}
+    scores = {name: max(abs(_z_score(mc[l], t, mc_samples)) for l, t in enumerate(table))
+              for name, table in tables.items()}
     resolved = min(scores, key=lambda n: scores[n])
     displayed = "prefactor=1, coefficient=sqrt(lam) (as displayed)"
 
     rows: list[ReportRow] = []
-    for l in range(l_max + 1):
-        formula = tables[resolved][l]
-        if 0.0 < formula < 1.0:
-            se = math.sqrt(formula * (1 - formula) / mc_samples)
-            z = (mc[l] - formula) / se
-        else:
-            z = 0.0 if mc[l] == formula else math.inf
+    for l, formula in enumerate(tables[resolved]):
+        z = _z_score(mc[l], formula, mc_samples)
         rows.append(ReportRow(l, mc[l], stderr[l], formula, None, None, z,
                               "PASS" if abs(z) <= z_max else "FAIL"))
     notes = {

@@ -16,8 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DistributionTable, IntMatrix, ModelSpec
+from .core import DistributionTable, IntMatrix, ModelSpec, check_table_bound
 from .rsk import rsk_shape
+from .variants import variant_of
 
 # Samples per Monte Carlo chunk (`mc`, `verify`, Poisson chains) and matrices
 # per `sample` chunk.  Both are part of the pinned output streams: each chunk
@@ -39,83 +40,21 @@ class _Site:
     positions: tuple[tuple[int, int], ...]
 
 
-def _extended_q(q, n):
-    """q_i for i = 1..2n with the reflection q_{2n+1-i} = q_i."""
-    return list(q) + [q[2 * n - i] for i in range(n + 1, 2 * n + 1)]
-
-
-def _site_plan(spec: ModelSpec) -> list[_Site]:
-    v = spec.variant
-    sites: list[_Site] = []
-    if v == "johansson":
-        n = spec.n
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                p = float(spec.a[i - 1] * spec.b[j - 1])
-                sites.append(_Site("geom", (p,), ((i, j),)))
-    elif v == "bernoulli":
-        m, n = spec.matrix_shape
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                p = float(spec.a[i - 1] * spec.b[j - 1])
-                sites.append(_Site("bernoulli", (p,), ((i, j),)))
-    elif v == "antidiagonal":
-        n = spec.n
-        for i in range(1, n + 1):
-            for j in range(1, n + 2 - i):
-                if i + j == n + 1:
-                    sites.append(_Site("parity_geom",
-                                       (float(spec.q[i - 1]), float(spec.beta)),
-                                       ((i, j),)))
-                else:
-                    p = float(spec.q[i - 1] * spec.q[n - j])
-                    sites.append(_Site("geom", (p,), ((i, j), (n + 1 - j, n + 1 - i))))
-    elif v == "diagonal":
-        n = spec.n
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                if i == j:
-                    p = float(spec.alpha * spec.q[i - 1])
-                    sites.append(_Site("geom", (p,), ((i, i),)))
-                else:
-                    p = float(spec.q[i - 1] * spec.q[j - 1])
-                    sites.append(_Site("geom", (p,), ((i, j), (j, i))))
-    elif v == "doublysymmetric":
-        n = spec.n
-        qt = _extended_q(spec.q, n)
-        for i in range(1, 2 * n + 1):
-            for j in range(1, 2 * n + 1):
-                if i > min(j, 2 * n + 1 - j):
-                    continue
-                orbit = {(i, j), (j, i),
-                         (2 * n + 1 - j, 2 * n + 1 - i), (2 * n + 1 - i, 2 * n + 1 - j)}
-                if i == j:
-                    p = float(spec.alpha * spec.q[i - 1])
-                    sites.append(_Site("geom", (p,), tuple(sorted(orbit))))
-                elif i + j == 2 * n + 1:
-                    # parity weight 0: anti-diagonal entries are even
-                    sites.append(_Site("parity_geom", (float(spec.q[i - 1]), 0.0),
-                                       tuple(sorted(orbit))))
-                else:
-                    p = float(qt[i - 1] * qt[j - 1])
-                    sites.append(_Site("geom", (p,), tuple(sorted(orbit))))
-    elif v == "pointreflection":
-        n = spec.n
-        qt = _extended_q(spec.q, n)
-        for i in range(1, 2 * n + 1):
-            for j in range(1, 2 * n + 1):
-                if i + j > 2 * n + 1 or (i + j == 2 * n + 1 and i > n):
-                    continue
-                orbit = {(i, j), (2 * n + 1 - i, 2 * n + 1 - j)}
-                p = float(qt[i - 1] * qt[j - 1])
-                sites.append(_Site("geom", (p,), tuple(sorted(orbit))))
-    else:
-        raise ValueError(f"no sampler for variant {v!r}")
+@lru_cache(maxsize=32)
+def _site_plan(spec: ModelSpec) -> tuple[_Site, ...]:
+    """One site per orbit of the model's symmetry, in row-major order of the
+    cell that comes first in its orbit under (i + j, i); its law is the
+    record's law of that cell.  Cached: sample_matrix asks for it per matrix."""
+    variant = variant_of(spec)
     n_rows, n_cols = spec.matrix_shape
-    filled = sorted(pos for site in sites for pos in site.positions)
-    if filled != [(i, j) for i in range(1, n_rows + 1) for j in range(1, n_cols + 1)]:
-        raise AssertionError("site plan must fill every position exactly once")
-    return sites
+    sites: list[_Site] = []
+    for i in range(1, n_rows + 1):
+        for j in range(1, n_cols + 1):
+            orbit = variant.orbit(n_rows, i, j)
+            if min(orbit, key=lambda cell: (cell[0] + cell[1], cell[0])) == (i, j):
+                law, params = variant.site(spec, i, j)
+                sites.append(_Site(law, params, tuple(sorted(orbit))))
+    return tuple(sites)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +102,7 @@ def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None,
     return out
 
 
-def _sample_matrices(plan: list[_Site], shape: tuple[int, int], rng: np.random.Generator,
+def _sample_matrices(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random.Generator,
                      count: int) -> list[IntMatrix]:
     """`count` matrices; each takes one uniform per site, in plan order."""
     u = rng.random((count, len(plan)))
@@ -315,7 +254,7 @@ def greene_oracle(X: IntMatrix, l: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _entry_rows(plan: list[_Site], shape: tuple[int, int], rng: np.random.Generator,
+def _entry_rows(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random.Generator,
                 count: int):
     """A chunk's `count` matrices row by row, bottom row first, each row as a
     (cols, count) array, yielded once the sites drawn so far fill it and every
@@ -365,15 +304,13 @@ def _batch_bernoulli_passage(rows) -> np.ndarray:
 
 def class_statistic(spec: ModelSpec, X: IntMatrix) -> int:
     """The last-passage statistic whose law the model's formulas describe."""
-    if spec.variant == "bernoulli":
-        return last_passage_bernoulli(X)
-    return last_passage(X)
+    return (last_passage_bernoulli if variant_of(spec).binary else last_passage)(X)
 
 
-def _chunk_counts(spec: ModelSpec, plan: list[_Site], l_max: int, count: int,
+def _chunk_counts(spec: ModelSpec, plan: tuple[_Site, ...], l_max: int, count: int,
                   rng: np.random.Generator) -> np.ndarray:
     rows = _entry_rows(plan, spec.matrix_shape, rng, count)
-    if spec.variant == "bernoulli":
+    if variant_of(spec).binary:
         stat = _batch_bernoulli_passage(rows)
     else:
         stat = _batch_last_passage(rows, spec.matrix_shape[1], count)
@@ -388,6 +325,7 @@ def mc_distribution(spec: ModelSpec, l_max: int, n_samples: int, seed: int,
         raise ValueError("need at least one sample")
     if l_max < 0:
         raise ValueError("l_max must be nonnegative")
+    check_table_bound(l_max)
     plan = _site_plan(spec)
 
     def run(chunk):

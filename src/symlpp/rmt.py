@@ -14,7 +14,8 @@ coefficients.
 
 The determinant at each size is a leading minor of the matrix at the largest
 size, so one integer elimination (numerics.leading_minors) gives a whole table
-of rationals; model_rmt_table mirrors symfunc.exact_table.  Every average a
+of rationals (_averages); each model's formula calls it from its record in
+symlpp.variants, whose model_rmt_table mirrors exact_table.  Every average a
 model formula asks for has one of these forms; group_average raises
 ValueError for any other class function.  Two general engines (constant-term
 extraction and tensor quadrature) live in symlpp.oracles as test witnesses.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .core import ModelSpec, Partition
 from .numerics import (
@@ -38,7 +39,7 @@ from .numerics import (
     fourier_coefficients,
     leading_minors,
 )
-from .symfunc import _upper_pair_product, exact_table, model_prefactor
+from .symfunc import _upper_pair_product
 
 GROUP_FAMILIES = ("U", "Sp", "O+", "O-", "O")
 
@@ -268,69 +269,14 @@ def antidiagonal_odd_prefactors(q) -> dict[str, Fraction]:
     """
     q = tuple(q)
     n = len(q)
-    base = Fraction(1)
-    for x in q:
-        base *= 1 - x * x
-    printed = base
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            printed *= 1 - q[i - 1] * q[n - j]
+    base = prod(1 - x * x for x in q)
+    printed = base * prod(1 - q[i - 1] * q[n - j]
+                          for i in range(1, n + 1) for j in range(i + 1, n + 1))
     return {"standard": base * _upper_pair_product(q), "printed": printed}
 
 
-def rmt_method(spec: ModelSpec) -> str:
-    return {
-        "johansson": "toeplitz-U",
-        "bernoulli": "toeplitz-U",
-        "antidiagonal": "sp-average",
-        "diagonal": "o-average-mean",
-        "doublysymmetric": "toeplitz-U",
-        "pointreflection": "exact-factorization (no separate matrix-average formula)",
-    }[spec.variant]
-
-
-def model_rmt_table(spec: ModelSpec, lmax: int) -> list[Fraction]:
-    """[Pr(L <= l) for l = 0..lmax] through the model's matrix-average formula, exactly.
-
-    The counterpart of symfunc.exact_table: one sweep per determinant form.
-    johansson and bernoulli take U(l), doublysymmetric U(l // 2), antidiagonal
-    Sp(2 (l // 2)) with one symbol per bound parity, and diagonal the mean of
-    O+(l) and O-(l), each component at both parities.  The point-reflection
-    law factors into square-lattice laws instead; this reads exact_table.
-    """
-    if lmax < 0:
-        raise ValueError("l must be nonnegative")
-    v = spec.variant
-    if v == "pointreflection":
-        return exact_table(spec, lmax)
-    pref = model_prefactor(spec)
-    if v in ("johansson", "bernoulli"):
-        # Bernoulli row parameters enter as geometric inverses: the transposed
-        # assignment reproduces the length-bounded sum, not the width-bounded law.
-        row = PolyPlus if v == "johansson" else GeomInv
-        symbol = SymbolSpec(tuple(row(x, -1) for x in spec.a)
-                            + tuple(PolyPlus(y, 1) for y in spec.b))
-        return [pref * x for x in _averages("U", symbol, range(lmax + 1))]
-    if v == "antidiagonal":
-        odd_pref = antidiagonal_odd_prefactors(spec.q)["standard"]
-        poly = tuple(PolyPlus(x, 1) for x in spec.q)
-        odd = _averages("Sp", SymbolSpec(poly), range((lmax + 1) // 2))
-        even = _averages("Sp", SymbolSpec((GeomInv(spec.beta, -1),) + poly),
-                         range(lmax // 2 + 1))
-        return [odd_pref * odd[l // 2] if l % 2 else pref * even[l // 2]
-                for l in range(lmax + 1)]
-    if v == "diagonal":
-        # the last factor is det(1 + alpha U)
-        symbol = SymbolSpec(tuple(PolyPlus(x, 1) for x in spec.q) + (PolyPlus(spec.alpha, 1),))
-        return [pref * x for x in _averages("O", symbol, range(lmax + 1))]
-    # doublysymmetric
-    factors = (PolyPlus(spec.alpha, 1),)
-    for x in spec.q:
-        factors += (PolyPlus(x, 1), PolyPlus(x, -1))
-    half = _averages("U", SymbolSpec(factors), range(lmax // 2 + 1))
-    return [pref * half[l // 2] for l in range(lmax + 1)]
-
-
 def model_rmt_distribution(spec: ModelSpec, l: int) -> Fraction:
-    """Pr(L <= l) through the model's matrix-average formula: model_rmt_table(spec, l)[l]."""
+    """Pr(L <= l) through the matrix-average formula: variants.model_rmt_table(spec, l)[l]."""
+    from .variants import model_rmt_table
+
     return model_rmt_table(spec, l)[l]

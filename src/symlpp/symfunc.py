@@ -1,4 +1,4 @@
-"""Schur polynomials, bounded pairing sums, 2-quotients, and exact cumulative laws.
+"""Schur polynomials, bounded pairing sums, 2-quotients, and the self-dual law.
 
 Everything here is exact: parameters come in as Fractions and probabilities go
 out as Fractions.  The same Schur evaluator also accepts complex, numpy and
@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 
 from .core import (
     BudgetError,
     ModelSpec,
     Partition,
-    alternating_sum,
-    conjugate,
     box_parts,
+    check_table_bound,
+    conjugate,
     count_partitions_in_box,
     partitions_in_box,
 )
@@ -129,6 +130,7 @@ def _bounded_table(lmax: int, max_length: int, term, scale: int,
 
 
 def _cauchy_table(a, b, lmax: int) -> list[Fraction]:
+    """[sum of s_mu(a) s_mu(b) over mu_1 <= l, for l = 0..lmax]."""
     (da, xa), (db, xb) = scaled(a), scaled(b)
     length = min(len(xa), len(xb))
     sa = _schur_values(xa, lmax, length)
@@ -137,7 +139,11 @@ def _cauchy_table(a, b, lmax: int) -> list[Fraction]:
 
 
 def _dual_cauchy_table(a, b, lmax: int) -> list[Fraction]:
-    """Saturates at lmax >= len(a): s_{mu'}(a) vanishes once mu_1 > len(a)."""
+    """[sum of s_{mu'}(a) s_mu(b) over mu_1 <= l, for l = 0..lmax].
+
+    Saturates at lmax >= len(a): s_{mu'}(a) vanishes once mu_1 > len(a).
+    """
+    check_table_bound(lmax)
     (da, xa), (db, xb) = scaled(a), scaled(b)
     width = min(lmax, len(xa))
     sa = _schur_values(xa, len(xb), width)
@@ -148,40 +154,17 @@ def _dual_cauchy_table(a, b, lmax: int) -> list[Fraction]:
 
 
 def _weighted_table(q, weight, exponent, lmax: int) -> list[Fraction]:
+    """[sum of weight ** exponent(mu) s_mu(q) over mu_1 <= l, for l = 0..lmax]."""
     d, xq = scaled(q)
     sq = _schur_values(xq, lmax, len(xq))
     return _bounded_table(lmax, len(xq), lambda mu: (exponent(mu), sq[mu.parts]), d,
                           Fraction(weight))
 
 
-def bounded_cauchy_sum(a, b, l: int) -> Fraction:
-    """Sum of s_mu(a) s_mu(b) over partitions with mu_1 <= l."""
-    return _cauchy_table(a, b, l)[l]
-
-
-def bounded_dual_cauchy_sum(a, b, l: int) -> Fraction:
-    """Sum of s_{mu'}(a) s_mu(b) over mu_1 <= l; mu_1 <= len(a) holds automatically."""
-    return _dual_cauchy_table(a, b, l)[l]
-
-
 def odd_part_count(mu: Partition) -> int:
+    """#odd parts of mu, the alternating sum of mu' (alternating_sum(mu) counts
+    the odd columns)."""
     return sum(p % 2 for p in mu.parts)
-
-
-def beta_weighted_sum(q, beta: Fraction, l: int) -> Fraction:
-    """Bounded Schur sum with each mu weighted by beta ** (#odd parts of mu).
-
-    The exponent equals the alternating sum of mu', the count of odd parts.
-    """
-    return _weighted_table(q, beta, odd_part_count, l)[l]
-
-
-def alpha_weighted_sum(q, alpha: Fraction, l: int) -> Fraction:
-    """Bounded Schur sum weighted by alpha ** (#columns of odd length of mu).
-
-    #odd columns of mu = #odd parts of mu' = alternating sum of mu.
-    """
-    return _weighted_table(q, alpha, alternating_sum, l)[l]
 
 
 # ---------------------------------------------------------------------------
@@ -306,93 +289,23 @@ def selfdual_schur_oracle(mu: Partition, n: int, q) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact cumulative laws
+# Pair products and the self-dual point-reflection law
 # ---------------------------------------------------------------------------
 
 
 def _pair_product(a, b) -> Fraction:
-    out = Fraction(1)
-    for x in a:
-        for y in b:
-            out *= 1 - x * y
-    return out
+    return prod((1 - x * y for x in a for y in b), start=Fraction(1))
 
 
 def _upper_pair_product(q) -> Fraction:
-    out = Fraction(1)
-    for i in range(len(q)):
-        for j in range(i + 1, len(q)):
-            out *= 1 - q[i] * q[j]
-    return out
-
-
-def model_prefactor(spec: ModelSpec) -> Fraction:
-    """The normalisation in front of a model's bounded sums and matrix averages.
-
-    johansson         prod(1 - a_i b_j)
-    bernoulli         prod(1 + a_i b_j)^-1
-    antidiagonal      prod_{i<j}(1 - q_i q_j) prod(1 - q_i^2) / (1 + beta q_i)
-    diagonal          prod_{i<j}(1 - q_i q_j) prod(1 - alpha q_i)
-    doublysymmetric   prod_{i,j}(1 - q_i q_j) prod(1 - alpha q_i)
-
-    The anti-diagonal matrix average uses it at even bounds only.
-    """
-    v = spec.variant
-    if v == "johansson":
-        return _pair_product(spec.a, spec.b)
-    if v == "bernoulli":
-        return 1 / _pair_product(spec.a, tuple(-y for y in spec.b))
-    q = spec.q
-    if v == "antidiagonal":
-        pref = _upper_pair_product(q)
-        for x in q:
-            pref *= (1 - x * x) / (1 + spec.beta * x)
-        return pref
-    if v in ("diagonal", "doublysymmetric"):
-        pref = _upper_pair_product(q) if v == "diagonal" else _pair_product(q, q)
-        for x in q:
-            pref *= 1 - spec.alpha * x
-        return pref
-    raise ValueError(f"no prefactor for model variant {v!r}")
-
-
-def exact_table(spec: ModelSpec, lmax: int) -> list[Fraction]:
-    """[Pr(L <= l) for l = 0..lmax] for the class statistic of the model, exactly.
-
-    Each table is one sweep of its largest partition box (see _bounded_table),
-    times model_prefactor(spec).
-
-    johansson         bounded Cauchy sums
-    bernoulli         bounded dual Cauchy sums
-    antidiagonal      beta-weighted sums
-    diagonal          alpha-weighted sums
-    doublysymmetric   the statistic is even, so Pr(<=2l) = Pr(<=2l+1); the sum
-                      pairs s_lam(q) with s_lam(q, alpha) over lam_1 <= floor(l/2)
-    pointreflection   products of two square-case laws at the halved bound
-    """
-    if lmax < 0:
-        raise ValueError("l must be nonnegative")
-    v = spec.variant
-    if v == "pointreflection":
-        square = exact_table(ModelSpec("johansson", a=spec.q, b=spec.q), lmax // 2 + 1)
-        return [square[l // 2] * square[(l + 1) // 2] for l in range(lmax + 1)]
-    pref = model_prefactor(spec)
-    if v == "johansson":
-        table = _cauchy_table(spec.a, spec.b, lmax)
-    elif v == "bernoulli":
-        table = _dual_cauchy_table(spec.a, spec.b, lmax)
-    elif v == "antidiagonal":
-        table = _weighted_table(spec.q, spec.beta, odd_part_count, lmax)
-    elif v == "diagonal":
-        table = _weighted_table(spec.q, spec.alpha, alternating_sum, lmax)
-    else:  # doublysymmetric
-        halves = _cauchy_table(spec.q, spec.q + (spec.alpha,), lmax // 2)
-        table = [halves[l // 2] for l in range(lmax + 1)]
-    return [pref * x for x in table]
+    return prod((1 - q[i] * q[j] for i in range(len(q)) for j in range(i + 1, len(q))),
+                start=Fraction(1))
 
 
 def exact_distribution(spec: ModelSpec, l: int) -> Fraction:
-    """Pr(L <= l) for the class statistic of the given model, exactly."""
+    """Pr(L <= l) for the class statistic of the given model: variants.exact_table(spec, l)[l]."""
+    from .variants import exact_table
+
     return exact_table(spec, l)[l]
 
 

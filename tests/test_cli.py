@@ -319,6 +319,63 @@ def test_internal_error_exits_three_with_json(model_file, capsys, monkeypatch):
                      "field": None, "internal": True}
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--model", "MODEL", "--lmax", "2", "--zmax", "nan"],
+    ["verify", "--model", "MODEL", "--lmax", "2", "--zmax", "-1"],
+    ["hammersley", "--lam", "4", "--lmax", "3", "--zmax", "0"],
+    ["hammersley", "--lam", "nan", "--lmax", "3"],
+    ["hammersley", "--lam", "inf", "--lmax", "3"],
+    ["hammersley", "--lam", "-2", "--lmax", "3"],
+])
+def test_nonpositive_or_nonfinite_float_is_config_error(argv, model_file, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the argument check")
+
+    monkeypatch.setattr(harness, "mc_distribution", no_sampling)
+    monkeypatch.setattr(harness, "_poisson_chain_counts", no_sampling)
+    path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
+    code, out = run_cli(capsys, [path if a == "MODEL" else a for a in argv])
+    assert code == 2
+    error = json.loads(out)["error"]
+    field = "zmax" if "--zmax" in argv else "lam"
+    assert error["field"] == field and f"--{field} must be positive and finite" in error["message"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["mc", "--model", "MODEL", "--lmax", "100000000", "--samples", "10"], "lmax"),
+    (["exact", "--model", "BERNOULLI", "--lmax", "100000000"], "lmax"),
+    (["hammersley", "--lam", "1e9", "--lmax", "3"], "lam"),
+    (["hammersley", "--lam", "4", "--lmax", "20000"], "lmax"),
+])
+def test_oversized_tables_and_chunks_are_budget_errors(argv, field, model_file, capsys):
+    paths = {"MODEL": model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]}),
+             "BERNOULLI": model_file("b.json", {"variant": "bernoulli", "a": ["1/2"],
+                                                "b": ["1/3"]})}
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        code, out = run_cli(capsys, [paths.get(a, a) for a in argv])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 5
+    assert peak < 1 << 20
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "budget" in error["message"] and error["field"] == field
+
+
+def test_budget_edges_admit_the_benchmark_sizes(capsys):
+    # hammersley at lam = 128 (the largest the point budget admits) and at
+    # order 256 (the largest Toeplitz-Bessel order) still runs
+    code, _ = run_cli(capsys, ["hammersley", "--lam", "128", "--lmax", "3", "--samples", "10",
+                               "--seed", "1"])
+    assert code in (0, 1)
+    code, _ = run_cli(capsys, ["hammersley", "--lam", "1", "--lmax", "256", "--samples", "10",
+                               "--seed", "1"])
+    assert code in (0, 1)
+
+
 def test_threads_default_to_one():
     parser = build_parser()
     for command in ("mc", "verify"):
@@ -368,6 +425,54 @@ def test_exact_output_is_pinned(variant, model_file, capsys):
     assert code == 0
     assert [row["p"] for row in json.loads(out)["distribution"]] == probs
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `verify --lmax 6 --samples 9000 --seed 5` and of `rmt --l 5` on
+# the models above, recorded before each variant's facts moved into one
+# record; the `rmt` output holds each variant's method label.
+PINNED_VERIFY = {
+    "johansson": "49113449659edbc6e4742c3e94f4ef64d4a645361f423a07f4f104b755304c5a",
+    "bernoulli": "09f221d929f304a26178472abfac74967713df3329123a67a2bb15b71aa6501c",
+    "antidiagonal": "61e5357c1d3b550fa9862bcbb122a8fc0e14b133e9e3f81d2af947247b3fe51b",
+    "diagonal": "4b75910b6f75662fdd944300361ac54f8a10bb4306b1f314f2f09696709f2bcd",
+    "doublysymmetric": "cebddcc2c063d1df9f9c81085b16a29d4be7fc2c4cd049cbfa1bb984a47b7780",
+    "pointreflection": "42e6e208e3e66e6fef336620e07359d82f12652363b003cb9fb70422e5bc08e2",
+}
+PINNED_RMT = {
+    "johansson": "28cf94c677ffb9d5bfa87728366f6d6dd796802c82a9c8caedcbad4c613d5821",
+    "bernoulli": "50c149422035c1ae0924d91aa8a910d8a9613f5c1b2f56f0e91621278fa5ff21",
+    "antidiagonal": "5dfa8017036d6040e701623d6cd4ea10f27e233b6fdf601784428dda8c5bae9d",
+    "diagonal": "86c1ce7a0e235b406e1dcc97fd4b6f026d3cd31293293e890f0a51a70563502c",
+    "doublysymmetric": "a6b61aa267fe84b1658ac4c68a577dc140fb33990de49baee51ae582d0c1cdc1",
+    "pointreflection": "8f0c0fa5f13b8bb280a9caebe14501f1060b305651f0ecf93ffd78d7f8d8ab4c",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_EXACT))
+def test_verify_output_is_pinned(variant, model_file, capsys):
+    path = model_file(f"{variant}.json", PINNED_EXACT[variant][0])
+    code, out = run_cli(capsys, ["verify", "--model", path, "--lmax", "6", "--samples", "9000",
+                                 "--seed", "5"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_EXACT))
+def test_rmt_output_is_pinned(variant, model_file, capsys):
+    path = model_file(f"{variant}.json", PINNED_EXACT[variant][0])
+    code, out = run_cli(capsys, ["rmt", "--model", path, "--l", "5"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_RMT[variant]
+
+
+def test_antidiagonal_verify_at_bound_zero_resolves_the_odd_prefactor(model_file, capsys):
+    # the columns reach bound 1 even for --lmax 0, so the odd-bound note has a row to read
+    path = model_file("anti.json", PINNED_EXACT["antidiagonal"][0])
+    code, out = run_cli(capsys, ["verify", "--model", path, "--lmax", "0", "--samples", "2000",
+                                 "--seed", "5"])
+    report = json.loads(out)
+    assert code == 0 and len(report["rows"]) == 1
+    assert report["notes"]["odd_bound_prefactor"]["resolved"] == "standard"
 
 
 def _ratios(n, start):

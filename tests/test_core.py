@@ -126,6 +126,44 @@ def test_model_spec_validation():
     assert ModelSpec("bernoulli", a=(F(1, 2),), b=(F(1, 3), F(0))).matrix_shape == (1, 2)
 
 
+# Every rejection message of ModelSpec, word for word.
+HALF = (F(1, 2),)
+REJECTIONS = [
+    ({"variant": "gamma", "q": HALF},
+     "unknown variant 'gamma'; expected one of ('johansson', 'bernoulli', 'antidiagonal', "
+     "'diagonal', 'doublysymmetric', 'pointreflection')"),
+    ({"variant": "bernoulli", "a": HALF}, "bernoulli needs nonempty parameter lists 'a' and 'b'"),
+    ({"variant": "johansson", "a": HALF, "b": HALF, "q": HALF},
+     "johansson permits only 'a' and 'b'"),
+    ({"variant": "bernoulli", "a": HALF, "b": HALF, "alpha": F(0)},
+     "bernoulli permits only 'a' and 'b'"),
+    ({"variant": "johansson", "a": HALF, "b": HALF * 2},
+     "johansson is square: len(a) must equal len(b)"),
+    ({"variant": "diagonal", "alpha": F(0)}, "diagonal needs a nonempty parameter list 'q'"),
+    ({"variant": "pointreflection", "q": HALF, "a": HALF},
+     "pointreflection permits only 'q' plus its weight parameter"),
+    ({"variant": "doublysymmetric", "q": HALF}, "doublysymmetric needs 'alpha'"),
+    ({"variant": "antidiagonal", "q": HALF, "alpha": F(0)}, "antidiagonal needs 'beta'"),
+    ({"variant": "antidiagonal", "q": HALF, "alpha": F(0), "beta": F(0)},
+     "'alpha' not permitted for antidiagonal"),
+    ({"variant": "pointreflection", "q": HALF, "alpha": F(0), "beta": F(0)},
+     "'alpha' not permitted for pointreflection"),
+    ({"variant": "diagonal", "q": HALF, "alpha": F(0), "beta": F(0)},
+     "'beta' not permitted for diagonal"),
+    ({"variant": "johansson", "a": (F(1, 2), F(3, 2)), "b": HALF * 2},
+     "a[1] = 3/2 outside [0, 1)"),
+    ({"variant": "doublysymmetric", "q": HALF, "alpha": F(3, 2)}, "alpha = 3/2 outside [0, 1)"),
+    ({"variant": "antidiagonal", "q": HALF, "beta": F(1)}, "beta = 1 outside [0, 1)"),
+]
+
+
+def test_model_spec_rejection_messages():
+    for kwargs, message in REJECTIONS:
+        with pytest.raises(ValueError) as exc:
+            ModelSpec(**kwargs)
+        assert str(exc.value) == message
+
+
 def test_model_spec_json_round_trip():
     specs = [
         ModelSpec("johansson", a=(F(1, 2), F(0)), b=(F(1, 3), F(2, 5))),

@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 from symlpp.core import ModelSpec, Partition, box_parts
 from symlpp import rmt
 from symlpp.numerics import det_exact
-from symlpp.rmt import model_rmt_distribution, model_rmt_table
-from symlpp.symfunc import (
-    _schur_values,
-    exact_table,
-    pointreflection_selfdual_table,
-    schur_bialternant,
-)
+from symlpp.rmt import model_rmt_distribution
+from symlpp.symfunc import _schur_values, pointreflection_selfdual_table, schur_bialternant
+from symlpp.variants import exact_table, model_rmt_table
 
 # Fixed example stream, so a failure reproduces from run to run.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

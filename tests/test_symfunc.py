@@ -3,16 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from symlpp.core import ModelSpec, Partition, partitions_in_box
+from symlpp.core import ModelSpec, Partition, alternating_sum, partitions_in_box
 from symlpp.symfunc import (
-    alpha_weighted_sum,
-    beta_weighted_sum,
-    bounded_cauchy_sum,
-    bounded_dual_cauchy_sum,
+    _cauchy_table,
+    _dual_cauchy_table,
+    _weighted_table,
     domino_tilable,
     even_partition_halves,
     exact_distribution,
     iter_ssyt,
+    odd_part_count,
     pointreflection_selfdual_sum,
     schur,
     schur_bialternant,
@@ -20,6 +20,23 @@ from symlpp.symfunc import (
     selfdual_schur_oracle,
     two_quotient,
 )
+
+
+# Each bounded sum at one bound l, read from its kernel table.
+def bounded_cauchy_sum(a, b, l):
+    return _cauchy_table(a, b, l)[l]
+
+
+def bounded_dual_cauchy_sum(a, b, l):
+    return _dual_cauchy_table(a, b, l)[l]
+
+
+def beta_weighted_sum(q, beta, l):
+    return _weighted_table(q, beta, odd_part_count, l)[l]
+
+
+def alpha_weighted_sum(q, alpha, l):
+    return _weighted_table(q, alpha, alternating_sum, l)[l]
 
 
 def schur_by_tableaux(mu, xs):
