@@ -195,16 +195,15 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        rows = tuple(tuple(map(int, r)) for r in self.rows)
         if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
         width = len(rows[0])
         for r in rows:
             if len(r) != width:
                 raise ValueError("ragged rows")
-            for x in r:
-                if x < 0:
-                    raise ValueError("entries must be nonnegative")
+            if min(r) < 0:
+                raise ValueError("entries must be nonnegative")
         object.__setattr__(self, "rows", rows)
 
     @property

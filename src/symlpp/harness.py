@@ -2,7 +2,8 @@
 
 Exact-vs-average comparisons are equalities of rationals; Monte Carlo enters
 only through z-scores against the exact value.  The two error models are never
-mixed in one verdict.
+mixed in one verdict.  numpy is imported inside the Poisson-chain and
+Toeplitz-Bessel functions, the only ones that make arrays.
 """
 
 from __future__ import annotations
@@ -10,13 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import BudgetError, ModelSpec, format_rational
 from .lpp import MC_CHUNK, chunk_streams, mc_distribution
 from .numerics import ExpCos, SymbolSpec, fourier_coefficients
 from .variants import exact_table, model_rmt_table, variant_of
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -119,6 +122,7 @@ def _chain_lengths(ns: np.ndarray, points: np.ndarray) -> np.ndarray:
     which is where bisect_left would put it.  A sample with k points or fewer
     inserts inf at its first inf tail, which changes nothing.
     """
+    import numpy as np
     size = len(ns)
     # one row per sample, padded with inf; complex order is by x, then by -y
     mask = np.arange(int(ns.max(initial=0))) < ns[:, None]
@@ -137,6 +141,7 @@ def _chain_lengths(ns: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def longest_increasing_chain(points) -> int:
     """Longest chain strictly increasing in both coordinates, by patience sorting."""
+    import numpy as np
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     return int(_chain_lengths(np.array([len(pts)]), pts)[0])
 
@@ -160,6 +165,7 @@ BESSEL_ORDER_BUDGET = 256
 
 def _poisson_chain_counts(lam: float, l_max: int, n_samples: int, seed: int) -> np.ndarray:
     """Chain-length counts; each chunk draws its point counts, then all its points."""
+    import numpy as np
     counts = np.zeros(l_max + 2, dtype=np.int64)
     for size, rng in chunk_streams(seed, n_samples, MC_CHUNK):
         ns = rng.poisson(lam, size)
@@ -181,6 +187,7 @@ def toeplitz_bessel_minors(cos_coefficient: float, l_max: int) -> list[float]:
                           f"budget of order {BESSEL_ORDER_BUDGET}")
     if l_max == 0:
         return [1.0]
+    import numpy as np
     coeffs, _ = fourier_coefficients(SymbolSpec((ExpCos(cos_coefficient),)),
                                      -(l_max - 1), l_max - 1)
     matrix = np.array([[coeffs[j - k] for k in range(l_max)] for j in range(l_max)],
@@ -213,7 +220,7 @@ def hammersley_check(lam: float, l_max: int, mc_samples: int, seed: int,
     root = math.sqrt(lam)
     minors = {c: toeplitz_bessel_minors(c, l_max) for c in (2 * root, root)}
     counts = _poisson_chain_counts(lam, l_max, mc_samples, seed)
-    cumulative = np.cumsum(counts)[: l_max + 1]
+    cumulative = counts.cumsum()[: l_max + 1]
     mc = {l: float(cumulative[l] / mc_samples) for l in range(l_max + 1)}
     stderr = {l: math.sqrt(mc[l] * (1 - mc[l]) / mc_samples) for l in mc}
 

@@ -5,26 +5,34 @@ laws are exact and a fixed seed reproduces the run bit for bit.  Monte Carlo
 fans out over fixed-size chunks whose generator streams derive from
 (seed, chunk_index); the per-chunk counts add commutatively, so the result is
 independent of worker count and scheduling.
+
+numpy is imported inside the functions that make or read arrays, so a
+process that never samples (`exact`, `rmt`, `rsk`) never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import DistributionTable, IntMatrix, ModelSpec, check_table_bound
+from .core import BudgetError, DistributionTable, IntMatrix, ModelSpec, check_table_bound
 from .rsk import rsk_shape
 from .variants import variant_of
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Samples per Monte Carlo chunk (`mc`, `verify`, Poisson chains) and matrices
 # per `sample` chunk.  Both are part of the pinned output streams: each chunk
 # has its own generator, so another size gives other draws.
 MC_CHUNK = 4096
 SAMPLE_CHUNK = 1024
+# Most matrix cells one `sample` batch holds, count x rows x cols.  A held cell
+# and its share of the JSON output take about 120 bytes, so the budget is
+# about 0.5 GiB; the 8 x 8 benchmark batch of 2000 matrices is 1/32 of it.
+SAMPLE_CELL_BUDGET = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +85,7 @@ def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None,
     Only `out` is written, unless `scratch` is set: then `u` holds w and its
     logarithm along the way and is overwritten.
     """
+    import numpy as np
     if out is None:
         out = np.empty(u.shape, dtype=np.int64)
     if site.law == "bernoulli":
@@ -105,6 +114,7 @@ def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None,
 def _sample_matrices(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random.Generator,
                      count: int) -> list[IntMatrix]:
     """`count` matrices; each takes one uniform per site, in plan order."""
+    import numpy as np
     u = rng.random((count, len(plan)))
     grid = np.empty((count, *shape), dtype=np.int64)
     for site, column in zip(plan, u.T):
@@ -126,6 +136,7 @@ def chunk_streams(seed: int, total: int, size: int):
     Chunk k draws from SeedSequence(seed, spawn_key=(k,)), so the draws do not
     depend on how the chunks are spread over workers.
     """
+    import numpy as np
     for index, start in enumerate(range(0, total, size)):
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
         yield min(size, total - start), np.random.default_rng(seq)
@@ -139,7 +150,14 @@ class SampleBatch:
 
 
 def sample_batch(spec: ModelSpec, count: int, seed: int) -> SampleBatch:
-    """Deterministic batch: chunks of SAMPLE_CHUNK matrices, one stream each."""
+    """Deterministic batch: chunks of SAMPLE_CHUNK matrices, one stream each.
+
+    The batch's cells are checked against SAMPLE_CELL_BUDGET before any draw."""
+    n_rows, n_cols = spec.matrix_shape
+    cells = count * n_rows * n_cols
+    if cells > SAMPLE_CELL_BUDGET:
+        raise BudgetError(f"{count} matrices of {n_rows} x {n_cols} hold {cells} cells, "
+                          f"over the budget of {SAMPLE_CELL_BUDGET} cells", field="count")
     plan = _site_plan(spec)
     matrices: list[IntMatrix] = []
     for size, rng in chunk_streams(seed, count, SAMPLE_CHUNK):
@@ -220,6 +238,7 @@ def _antichain_width(points: list[tuple[int, int]]) -> int:
 @lru_cache(maxsize=8)
 def _site_subset_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All 2^(n*n) site subsets of the n x n grid with their antichain widths."""
+    import numpy as np
     sites = [(i, j) for i in range(n) for j in range(n)]
     count = 1 << len(sites)
     masks = np.zeros((count, len(sites)), dtype=np.int64)
@@ -239,6 +258,7 @@ def greene_oracle(X: IntMatrix, l: int) -> int:
     By Dilworth such sets are exactly the unions of at most l vertex-disjoint
     monotone chains.  Enumeration-guarded to square matrices with n <= 4.
     """
+    import numpy as np
     if X.n_rows != X.n_cols or X.n_rows > 4:
         raise ValueError("oracle guard: square matrices with n <= 4 only")
     if l < 1:
@@ -261,6 +281,7 @@ def _entry_rows(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random.
     row below it.  Uniforms are drawn site-major: `count` per site, in plan
     order, into one buffer that each site's draw then uses as scratch.
     """
+    import numpy as np
     n_rows, n_cols = shape
     last_site = {i: s for s, site in enumerate(plan) for i, _ in site.positions}
     rows: dict[int, np.ndarray] = {}
@@ -283,6 +304,7 @@ def _entry_rows(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random.
 
 
 def _batch_last_passage(rows, n_cols: int, count: int) -> np.ndarray:
+    import numpy as np
     scores = np.zeros((n_cols, count), dtype=np.int64)
     for row in rows:
         scores[0] += row[0]
@@ -293,6 +315,7 @@ def _batch_last_passage(rows, n_cols: int, count: int) -> np.ndarray:
 
 
 def _batch_bernoulli_passage(rows) -> np.ndarray:
+    import numpy as np
     scores = next(rows)
     for row in rows:
         for j in range(1, len(scores)):  # prefix max over columns, in place
@@ -309,6 +332,7 @@ def class_statistic(spec: ModelSpec, X: IntMatrix) -> int:
 
 def _chunk_counts(spec: ModelSpec, plan: tuple[_Site, ...], l_max: int, count: int,
                   rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
     rows = _entry_rows(plan, spec.matrix_shape, rng, count)
     if variant_of(spec).binary:
         stat = _batch_bernoulli_passage(rows)
@@ -336,12 +360,13 @@ def mc_distribution(spec: ModelSpec, l_max: int, n_samples: int, seed: int,
     # the number of chunks times l_max
     chunks = chunk_streams(seed, n_samples, MC_CHUNK)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = sum(pool.map(run, chunks))
     else:
         counts = sum(map(run, chunks))
 
-    cumulative = np.cumsum(counts)[: l_max + 1]
+    cumulative = counts.cumsum()[: l_max + 1]
     probs: dict[int, float] = {}
     stderr: dict[int, float] = {}
     for l in range(l_max + 1):

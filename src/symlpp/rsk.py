@@ -10,6 +10,7 @@ the insertion side the b-content.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -24,22 +25,20 @@ class Tableau:
     content_bound: int
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows if len(r) > 0)
+        rows = tuple(tuple(map(int, r)) for r in self.rows if len(r) > 0)
         object.__setattr__(self, "rows", rows)
         if self.content_bound < 0:
             raise ValueError("content bound must be nonnegative")
         for r in rows:
-            for x, y in zip(r, r[1:]):
-                if y < x:
-                    raise ValueError(f"row not weakly increasing: {r}")
-            if r and (r[0] < 1 or r[-1] > self.content_bound):
+            if any(map(operator.gt, r, r[1:])):
+                raise ValueError(f"row not weakly increasing: {r}")
+            if r[0] < 1 or r[-1] > self.content_bound:
                 raise ValueError(f"entries of {r} outside 1..{self.content_bound}")
         for upper, lower in zip(rows, rows[1:]):
             if len(lower) > len(upper):
                 raise ValueError("row lengths must weakly decrease")
-            for x, y in zip(upper, lower):
-                if y <= x:
-                    raise ValueError("columns must strictly increase")
+            if any(map(operator.ge, upper, lower)):
+                raise ValueError("columns must strictly increase")
 
     @property
     def shape(self) -> Partition:
@@ -111,9 +110,9 @@ def rsk(X: IntMatrix) -> TableauPair:
     """Row-insertion correspondence; shapes of P and Q agree and |shape| = sum of entries."""
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
-    for i in range(1, X.n_rows + 1):
-        for j in range(1, X.n_cols + 1):
-            for _ in range(X.entry(i, j)):
+    for i, row in enumerate(X.rows, 1):
+        for j, x in enumerate(row, 1):
+            for _ in range(x):
                 r = _insert_rsk(p_rows, j)
                 if r == len(q_rows):
                     q_rows.append([i])
@@ -137,9 +136,8 @@ def dual_rsk(X: IntMatrix) -> TableauPair:
     """
     rows_strict: list[list[int]] = []
     record: list[list[int]] = []
-    for i in range(1, X.n_rows + 1):
-        for j in range(1, X.n_cols + 1):
-            x = X.entry(i, j)
+    for i, row in enumerate(X.rows, 1):
+        for j, x in enumerate(row, 1):
             if x not in (0, 1):
                 raise ValueError(f"dual correspondence needs 0/1 entries, got {x} at ({i},{j})")
             if x == 0:

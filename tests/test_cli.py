@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from symlpp import cli, harness
+import symlpp
+from symlpp import cli, harness, lpp
 from symlpp.cli import build_parser, dump_json, main, rows_to_csv
 
 
@@ -537,3 +541,93 @@ def test_hammersley_output_is_pinned(capsys):
                                  "--samples", "9000", "--seed", "5"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HAMMERSLEY
+
+
+def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """`script` in a fresh interpreter that imports symlpp from this checkout."""
+    src = os.path.dirname(os.path.dirname(symlpp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+# Runs the CLI commands that draw nothing, then one `mc`, in one interpreter;
+# prints which of the lazily imported modules and the test oracles each step
+# left loaded, the exit codes, and the `mc` stdout.
+COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+import symlpp.cli as cli
+
+def loaded():
+    return [m for m in ("numpy", "concurrent.futures", "symlpp.oracles") if m in sys.modules]
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, buf.getvalue()
+
+model, matrix, missing = sys.argv[1:4]
+report = {"after_import": loaded(),
+          "modules": [m in sys.modules for m in ("symlpp.lpp", "symlpp.harness")]}
+codes = [run(argv)[0] for argv in (
+    ["exact", "--model", model, "--lmax", "5"],
+    ["rmt", "--model", model, "--l", "5"],
+    ["rsk", "--matrix", matrix],
+    ["exact", "--model", missing, "--lmax", "5"],
+    ["--help"],
+)]
+report.update(codes=codes, after_exact_rmt_rsk=loaded())
+code, out = run(["mc", "--model", model, "--lmax", "60", "--samples", "9000", "--seed", "5"])
+report.update(mc_code=code, mc_out=out, after_mc=loaded())
+print(json.dumps(report))
+"""
+
+
+def test_cold_start_loads_numpy_only_where_samples_are_drawn(tmp_path):
+    model = tmp_path / "j.json"
+    model.write_text(json.dumps(STREAM_MODELS["johansson"]))
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"rows_top_to_bottom": [[0, 1], [1, 0]]}))
+    proc = _run_fresh(COLD_START_SCRIPT, str(model), str(matrix), str(tmp_path / "none.json"))
+    report = json.loads(proc.stdout)
+    assert report["after_import"] == []
+    # perfbench's tracer wraps functions of these two modules after importing the CLI
+    assert report["modules"] == [True, True]
+    assert report["codes"] == [0, 0, 0, 2, 0]
+    assert report["after_exact_rmt_rsk"] == []
+    assert report["mc_code"] == 0
+    assert hashlib.sha256(report["mc_out"].encode()).hexdigest() == PINNED_MC["johansson"]
+    assert report["after_mc"] == ["numpy"]
+
+
+def test_oversized_sample_is_a_budget_error_under_an_address_space_cap(tmp_path):
+    # 10^8 matrices of 8 x 8 would be ~70 GiB of held cells; under a 1 GiB cap
+    # an unchecked batch dies with MemoryError (exit 3) instead of exit 2
+    model = tmp_path / "d.json"
+    model.write_text(json.dumps({"variant": "diagonal", "q": _ratios(8, 1), "alpha": "1/3"}))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from symlpp.cli import main\n"
+              "print(main(['sample', '--model', sys.argv[1], '--count', '100000000']))\n")
+    out = _run_fresh(script, str(model)).stdout
+    error, code = out.rsplit("\n", 2)[:2]
+    assert code == "2"
+    error = json.loads(error)["error"]
+    assert "budget" in error["message"] and error["field"] == "count"
+
+
+def test_sample_budget_edge_admits_far_more_than_the_benchmark(model_file, capsys, monkeypatch):
+    # the benchmark samples 2000 matrices of 8 x 8; the budget holds 32 times that
+    assert 32 * 2000 * 64 <= lpp.SAMPLE_CELL_BUDGET
+    path = model_file("d.json", {"variant": "diagonal", "q": _ratios(8, 1), "alpha": "1/3"})
+    monkeypatch.setattr(lpp, "chunk_streams", lambda seed, total, size: iter(()))
+    edge = lpp.SAMPLE_CELL_BUDGET // 64
+    code, _ = run_cli(capsys, ["sample", "--model", path, "--count", str(edge)])
+    assert code == 0
+    code, out = run_cli(capsys, ["sample", "--model", path, "--count", str(edge + 1)])
+    assert code == 2 and json.loads(out)["error"]["field"] == "count"
