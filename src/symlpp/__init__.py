@@ -22,7 +22,6 @@ from .lpp import (
     sample_matrix,
 )
 from .numerics import (
-    ExpCos,
     GeomInv,
     PolyPlus,
     SymbolSpec,

@@ -123,15 +123,17 @@ def _check_arguments(args):
 
 
 def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("LPP_SEED")
-    if env is not None:
+    """--seed, else LPP_SEED, else 0; numpy's seed sequences take no negative seed."""
+    source, seed = "--seed", args.seed
+    if seed is None:
+        source, env = "LPP_SEED", os.environ.get("LPP_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"LPP_SEED is not an integer: {env!r}", field="seed")
-    return 0
+    if seed < 0:
+        raise ConfigError(f"{source} must be nonnegative, got {seed}", field="seed")
+    return seed
 
 
 def _emit(text: str, out_path: str | None):

@@ -1,8 +1,8 @@
 """Foundation types: exact rationals, partitions, bottom-indexed matrices, model specs.
 
 Exact probabilities and model parameters are `fractions.Fraction` throughout;
-floats only ever enter through Monte Carlo estimates and the Bessel series of
-the continuum (`hammersley`) determinants, and containers tag them as
+floats only ever enter through Monte Carlo estimates and the fixed-point
+continuum (`hammersley`) determinants, and containers tag them as
 approximate.
 """
 

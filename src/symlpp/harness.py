@@ -2,8 +2,8 @@
 
 Exact-vs-average comparisons are equalities of rationals; Monte Carlo enters
 only through z-scores against the exact value.  The two error models are never
-mixed in one verdict.  numpy is imported inside the Poisson-chain and
-Toeplitz-Bessel functions, the only ones that make arrays.
+mixed in one verdict.  numpy is imported inside the Poisson-chain functions,
+the only ones that make arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 from .core import BudgetError, ModelSpec, format_rational
 from .lpp import MC_CHUNK, chunk_streams, mc_distribution
-from .numerics import ExpCos, SymbolSpec, fourier_coefficients
 from .variants import exact_table, model_rmt_table, variant_of
 
 if TYPE_CHECKING:
@@ -156,10 +155,10 @@ EIGHT_POINT_CONFIGURATION = (
 
 
 # Most Poisson points per Monte Carlo chunk, lam * MC_CHUNK on average (the
-# chain kernel takes about 25 MiB at the budget).  It admits lam <= 128, and the
-# Bessel series of exp(2 sqrt(lam) cos theta) leaves float range from lam = 195.
+# chain kernel takes about 25 MiB at the budget).  It admits lam <= 128.
 POINT_BUDGET = 1 << 19
-# Largest order of the float Toeplitz-Bessel minors, O(l^4) flops: 0.5 s at 256.
+# Largest order of the Toeplitz-Bessel minors, an elimination of l^3 / 6 products
+# of up to 153-bit integers (at lam = 128): 0.4 to 0.7 s at 256 on a 2-CPU host.
 BESSEL_ORDER_BUDGET = 256
 
 
@@ -174,25 +173,60 @@ def _poisson_chain_counts(lam: float, l_max: int, n_samples: int, seed: int) -> 
     return counts
 
 
-def toeplitz_bessel_minors(cos_coefficient: float, l_max: int) -> list[float]:
-    """[D_0, ..., D_lmax]: the l x l Toeplitz determinants of exp(c cos theta).
+def _fixed_point_bits(c: float, l_max: int) -> int:
+    """Fraction bits of the minors of exp(c cos theta), c >= 0: 53 past cond(T_l) <=
+    e^(2c) (the symbol lies in [e^-c, e^c]), past the rounding of the elimination."""
+    return 53 + math.ceil(2 * c * math.log2(math.e)) + 2 * l_max.bit_length() + 16
 
-    The Bessel coefficients are computed once, for the largest order; each
-    D_l is then the float determinant of its own l x l matrix.
-    """
+
+def _bessel_fixed(c: float, count: int, bits: int) -> list[int]:
+    """[I_0(c), ..., I_{count-1}(c)] times 2^bits for c >= 0, by the ascending series
+    sum_m (c/2)^(2m+k) / (m! (m+k)!) on the exact value of c/2 = p/q: every term
+    is rounded down, and the series stops at the first one that rounds to zero."""
+    p, q = (Fraction(c) / 2).as_integer_ratio()
+    out, power, denominator = [], 1, 1  # p^k and q^k k!
+    for k in range(count):
+        term = total = (power << bits) // denominator
+        m = 0
+        while term:
+            m += 1
+            term = term * p * p // (q * q * m * (m + k))
+            total += term
+        out.append(total)
+        power, denominator = power * p, denominator * q * (k + 1)
+    return out
+
+
+def _fixed_point_minors(c: float, l_max: int, bits: int) -> list[float]:
+    """[D_0, ..., D_lmax] of exp(c cos theta), c >= 0: Gaussian elimination without
+    pivoting on the upper triangle of the positive-definite Toeplitz matrix
+    (I_{|j-k|}(c)) with `bits` fraction bits; D_l is the product of l pivots."""
+    coeffs = _bessel_fixed(c, l_max, bits)
+    rows = [coeffs[j::-1] + coeffs[1:l_max - j] for j in range(l_max)]
+    det, minors = 1 << bits, [1.0]
+    for k, row_k in enumerate(rows):
+        pivot = row_k[k]
+        if pivot <= 0:
+            raise ArithmeticError(f"Toeplitz-Bessel pivot of order {k + 1} is not positive")
+        det = det * pivot >> bits
+        minors.append(det / (1 << bits))
+        for i in range(k + 1, l_max):
+            ratio = (row_k[i] << bits) // pivot
+            row = rows[i]
+            row[i:] = [x - (ratio * y >> bits) for x, y in zip(row[i:], row_k[i:])]
+    return minors
+
+
+def toeplitz_bessel_minors(cos_coefficient: float, l_max: int) -> list[float]:
+    """[D_0, ..., D_lmax]: the l x l Toeplitz determinants of exp(c cos theta), each
+    rounded once to a float from fixed point.  theta -> theta + pi takes c to -c."""
     if l_max < 0:
         raise ValueError("l must be nonnegative")
     if l_max > BESSEL_ORDER_BUDGET:
         raise BudgetError(f"Toeplitz-Bessel determinants of order {l_max} are over the "
                           f"budget of order {BESSEL_ORDER_BUDGET}")
-    if l_max == 0:
-        return [1.0]
-    import numpy as np
-    coeffs, _ = fourier_coefficients(SymbolSpec((ExpCos(cos_coefficient),)),
-                                     -(l_max - 1), l_max - 1)
-    matrix = np.array([[coeffs[j - k] for k in range(l_max)] for j in range(l_max)],
-                      dtype=float)
-    return [1.0] + [float(np.linalg.det(matrix[:l, :l])) for l in range(1, l_max + 1)]
+    c = abs(cos_coefficient)
+    return _fixed_point_minors(c, l_max, _fixed_point_bits(c, l_max))
 
 
 def toeplitz_bessel(cos_coefficient: float, l: int) -> float:

@@ -1,19 +1,17 @@
 """Exact linear algebra, circle symbols, and their Fourier coefficients.
 
 Symbols are multiplicative descriptions of scalar functions on the unit circle,
-built from three factor kinds: (1 + c z^s), (1 - c z^s)^-1 with |c| < 1, and
-exp(c (z + 1/z) / 2).  Polynomial and geometric factors keep exact rational
-Fourier data (the geometric ones divide exactly when they share one exponent
-sign); only the exponential factor goes through a truncated series, and its
-results are tagged approximate.  leading_minors gives every leading minor of
-a rational matrix from one integer elimination.
+built from two factor kinds: (1 + c z^s) and (1 - c z^s)^-1 with |c| < 1.  Both
+keep exact rational Fourier data (the geometric ones divide exactly when they
+share one exponent sign).  leading_minors gives every leading minor of a
+rational matrix from one integer elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial, lcm, prod
+from math import lcm
 
 from .core import BudgetError, Rational
 
@@ -51,14 +49,7 @@ class GeomInv:
             raise ValueError(f"geometric factor needs |c| < 1, got {self.c}")
 
 
-@dataclass(frozen=True)
-class ExpCos:
-    """Factor exp(c * (z + 1/z) / 2), whose k-th Fourier coefficient is I_k(c)."""
-
-    c: float
-
-
-Factor = PolyPlus | GeomInv | ExpCos
+Factor = PolyPlus | GeomInv
 
 
 @dataclass(frozen=True)
@@ -66,14 +57,7 @@ class SymbolSpec:
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
-        kept = []
-        for f in self.factors:
-            if isinstance(f, (PolyPlus, GeomInv)) and f.c == 0:
-                continue
-            if isinstance(f, ExpCos) and f.c == 0.0:
-                continue
-            kept.append(f)
-        object.__setattr__(self, "factors", tuple(kept))
+        object.__setattr__(self, "factors", tuple(f for f in self.factors if f.c != 0))
 
     def is_polynomial(self) -> bool:
         return all(isinstance(f, PolyPlus) for f in self.factors)
@@ -87,73 +71,26 @@ class SymbolSpec:
 # ---------------------------------------------------------------------------
 
 
-def bessel_i(k: int, c: float, tol: float = 1e-15) -> float:
-    """Modified Bessel I_k(c) by its ascending power series."""
-    k = abs(int(k))
-    term = (c / 2) ** k / factorial(k)
-    total = term
-    m = 1
-    while abs(term) > tol * max(1.0, abs(total)) or m < 4:
-        term *= (c / 2) ** 2 / (m * (m + k))
-        total += term
-        m += 1
-        if m > 10_000:
-            raise ArithmeticError("Bessel series failed to converge")
-    return total
-
-
-# Tail bound of the Bessel expansion of an exponential factor, the one
-# truncated series left (the Toeplitz-Bessel determinants of hammersley).
-BESSEL_TOL = 1e-12
-
-
-def _bessel_order(c: float, tol: float, norm_product: float) -> int:
-    """Last Bessel order kept for exp(c cos theta), the tail below tol."""
-    c = abs(c)
-    n = 0
-    bound = 2 * exp(c * c / 4) * norm_product
-    while bound * (c / 2) ** (n + 1) / factorial(min(n + 1, 170)) >= tol:
-        n += 1
-        if n > 500:
-            break
-    return n
-
-
-def fourier_coefficients(s: SymbolSpec, k_min: int,
-                         k_max: int) -> tuple[dict[int, Rational | float], bool]:
-    """Coefficients of z^k, k_min <= k <= k_max, and whether they are exact.
+def fourier_coefficients(s: SymbolSpec, k_min: int, k_max: int) -> dict[int, Rational]:
+    """Exact coefficients of z^k, k_min <= k <= k_max.
 
     Polynomial factors convolve exactly.  Geometric factors (1 - c z^s)^-1 of
     one exponent sign s divide exactly, out_k = acc_k + c out_{k-s} from the
     far end of the polynomial part to the window: the coefficient of z^k in
     prod(1 + b_j z) / prod(1 - a_i / z) is the finite sum sum_s e_s(b) h_{s-k}(a).
-    An exponential factor (never beside a geometric one) expands in Bessel
-    coefficients with the tail below BESSEL_TOL, and the result is approximate.
     """
     if k_min > k_max:
         raise ValueError("empty coefficient range")
     geometric = [f for f in s.factors if isinstance(f, GeomInv)]
-    exact = not any(isinstance(f, ExpCos) for f in s.factors)
-    if len({f.exponent_sign for f in geometric}) > 1 or (geometric and not exact):
-        raise ValueError("no finite expansion: geometric factors of both exponent signs, "
-                         "or beside an exponential factor")
-    acc: dict[int, Fraction | float] = {0: Fraction(1)}
+    if len({f.exponent_sign for f in geometric}) > 1:
+        raise ValueError("no finite expansion: geometric factors of both exponent signs")
+    acc: dict[int, Fraction] = {0: Fraction(1)}
     for f in s.factors:
         if isinstance(f, PolyPlus):
-            table = {0: Fraction(1), f.exponent_sign: f.c}
-        elif isinstance(f, ExpCos):
-            # the sup norm of the other factors, none of them geometric here
-            norm = prod(1 + abs(float(g.c)) if isinstance(g, PolyPlus) else exp(abs(g.c))
-                        for g in s.factors)
-            n = _bessel_order(f.c, BESSEL_TOL, norm)
-            table = {k: bessel_i(k, f.c) for k in range(-n, n + 1)}
-        else:
-            continue
-        out: dict = {}
-        for k1, c1 in acc.items():
-            for k2, c2 in table.items():
-                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-        acc = out
+            out = dict(acc)
+            for k, v in acc.items():
+                out[k + f.exponent_sign] = out.get(k + f.exponent_sign, 0) + f.c * v
+            acc = out
     for f in geometric:
         # powers only move away from the far end, so nothing past the window returns
         end = (max(acc), k_min - 1) if f.exponent_sign == -1 else (min(acc), k_max + 1)
@@ -162,11 +99,7 @@ def fourier_coefficients(s: SymbolSpec, k_min: int,
             prev = acc.get(k, 0) + f.c * prev
             out[k] = prev
         acc = out or {0: Fraction(0)}
-
-    window = {k: acc.get(k, Fraction(0) if exact else 0.0) for k in range(k_min, k_max + 1)}
-    if not exact:
-        window = {k: float(v) for k, v in window.items()}
-    return window, exact
+    return {k: acc.get(k, Fraction(0)) for k in range(k_min, k_max + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,14 @@ does not import this module.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import exp
+from math import exp, factorial
 
 import numpy as np
 
 from .core import BudgetError, Partition, alternating_sum
-from .numerics import ExpCos, GeomInv, PolyPlus, SymbolSpec, _bessel_order
+from .numerics import GeomInv, PolyPlus, SymbolSpec
 from .rmt import UNIT, ClassFunctionSpec, GroupSpec, _Structure, _structure, _value_at_point
 from .symfunc import odd_part_count, schur
 
@@ -42,6 +43,25 @@ MAX_EXACT_ANGLES = 3
 _QUAD_POINT_BUDGET = 1 << 22
 
 _SINGLE_DEGREE = {"sin2": 2, "one_minus": 1, "one_plus": 1, None: 0}
+
+
+@dataclass(frozen=True)
+class ExpCos:
+    """Symbol factor exp(c * (z + 1/z) / 2), which only quadrature integrates."""
+
+    c: float
+
+
+def _bessel_order(c: float, tol: float, norm_product: float) -> int:
+    """Last Bessel order kept for exp(c cos theta), the tail below tol."""
+    c = abs(c)
+    n = 0
+    bound = 2 * exp(c * c / 4) * norm_product
+    while bound * (c / 2) ** (n + 1) / factorial(min(n + 1, 170)) >= tol:
+        n += 1
+        if n > 500:
+            break
+    return n
 
 
 def _mean_of_components(engine, group: GroupSpec, cf: ClassFunctionSpec, *args):

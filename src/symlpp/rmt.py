@@ -174,7 +174,7 @@ def _sweep(hankel: tuple[int, int] | None, symbol: SymbolSpec, order: int) -> li
     """
     check_minor_budget(order)
     if hankel is None:
-        f, _ = fourier_coefficients(symbol, -order, order)
+        f = fourier_coefficients(symbol, -order, order)
         check_minor_budget(order, list(f.values()))
         rows = [[f[j - k] for k in range(order)] for j in range(order)]
     else:

@@ -162,6 +162,33 @@ def test_seed_env_fallback(model_file, capsys, monkeypatch):
     assert code == 2
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the seed was checked")
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--count", "1"],
+    ["mc", "--lmax", "3", "--samples", "100"],
+    ["verify", "--lmax", "3", "--samples", "100"],
+    ["hammersley", "--lam", "4", "--lmax", "3", "--samples", "100"],
+])
+def test_negative_seed_is_config_error_before_any_work(command, model_file, capsys,
+                                                       monkeypatch):
+    for name in ("sample_batch", "mc_distribution", "verify_model", "hammersley_check"):
+        monkeypatch.setattr(cli, name, _no_work)
+    if command[0] != "hammersley":
+        path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
+        command = command + ["--model", path]
+    code, out = run_cli(capsys, command + ["--seed", "-1"])
+    assert code == 2
+    assert json.loads(out)["error"]["field"] == "seed"
+    monkeypatch.setenv("LPP_SEED", "-3")
+    code, out = run_cli(capsys, command)
+    assert code == 2
+    assert json.loads(out)["error"] == {"message": "LPP_SEED must be nonnegative, got -3",
+                                        "field": "seed"}
+
+
 def test_out_file_writing(model_file, tmp_path, capsys):
     path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
     target = tmp_path / "out.json"
@@ -513,8 +540,11 @@ PINNED_SAMPLE = {
     "doublysymmetric": "c66ab1a76b761073eab53a585872bd991190261e475a8d9c1138f607e8247ef3",
     "pointreflection": "fbd0277c4685011c630a19c878928e098a428a396058622eafe33d330b2b0130",
 }
-# `hammersley --lam 4 --lmax 14 --samples 9000 --seed 5`, recorded likewise.
-PINNED_HAMMERSLEY = "91a7a30d5010ef0965c45bdd4e1edf84ecb7145676fe13a5770031bd08b823de"
+# `hammersley --lam 4 --lmax 14 --samples 9000 --seed 5`, recorded with the
+# fixed-point Toeplitz-Bessel minors; its Monte Carlo column, as JSON
+# [[l, mc_estimate, mc_stderr], ...], is the one recorded with the sampling kernels.
+PINNED_HAMMERSLEY = "cbe8edc132f612eb620a3334a13f4782d0bf51f0fa5eb135540f3ec8e6ad96b5"
+PINNED_HAMMERSLEY_MC = "6c7959ee340f37bc2d5e0be57b8d813728b09c7a9a19d9ab8a0553ee725a37eb"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -541,6 +571,8 @@ def test_hammersley_output_is_pinned(capsys):
                                  "--samples", "9000", "--seed", "5"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HAMMERSLEY
+    mc = [[r["l"], r["mc_estimate"], r["mc_stderr"]] for r in json.loads(out)["rows"]]
+    assert hashlib.sha256(json.dumps(mc).encode()).hexdigest() == PINNED_HAMMERSLEY_MC
 
 
 def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:

@@ -9,6 +9,8 @@ from symlpp.core import ModelSpec
 from symlpp.harness import (
     EIGHT_POINT_CONFIGURATION,
     _chain_lengths,
+    _fixed_point_bits,
+    _fixed_point_minors,
     _poisson_chain_counts,
     hammersley_check,
     longest_increasing_chain,
@@ -16,7 +18,6 @@ from symlpp.harness import (
     toeplitz_bessel_minors,
     verify_model,
 )
-from symlpp.numerics import ExpCos, SymbolSpec, fourier_coefficients
 
 
 def test_verify_johansson_geometric_column():
@@ -136,27 +137,35 @@ def test_toeplitz_bessel_small_intensity():
     assert 0 < value < 1
 
 
-def _bessel_determinant(c, l):
-    """Float determinant of the l x l Toeplitz matrix of exp(c cos theta), built alone."""
-    if l == 0:
-        return 1.0
-    coeffs, _ = fourier_coefficients(SymbolSpec((ExpCos(c),)), -(l - 1), l - 1)
-    rows = [[coeffs[j - k] for k in range(l)] for j in range(l)]
-    return float(np.linalg.det(np.array(rows, dtype=float)))
+# mpmath at 110 digits: (l, c, e^{-c^2/4} D_l) for the l x l Toeplitz matrix of
+# exp(c cos theta); the float c = 2 sqrt(128) has c^2 / 4 within 3e-14 of 128.
+MPMATH_MINORS = (
+    (10, 20.0, 4.8798400711552117e-5),
+    (20, 20.0, 0.97205948011446078),
+    (30, 20.0, 0.99999999737468931),
+    (30, 2 * math.sqrt(128), 0.9999991635715906),
+)
 
 
-def test_toeplitz_bessel_minors_match_one_determinant_per_order():
-    # every leading minor is bit for bit the float determinant of that order's
-    # matrix taken alone
-    for c in (0.5, 4.0, 20.0):
+def test_toeplitz_bessel_minors_match_mpmath():
+    for l, c, value in MPMATH_MINORS:
         minors = toeplitz_bessel_minors(c, 30)
         assert len(minors) == 31
-        for l, minor in enumerate(minors):
-            assert minor == _bessel_determinant(c, l), (c, l)
-            assert toeplitz_bessel(c, l) == minor
+        assert math.exp(-round(c * c / 4)) * minors[l] == pytest.approx(value, rel=1e-13)
+        assert toeplitz_bessel(c, l) == minors[l]
+        assert toeplitz_bessel_minors(-c, 30) == minors
     assert toeplitz_bessel_minors(3.0, 0) == [1.0]
     with pytest.raises(ValueError):
         toeplitz_bessel_minors(3.0, -1)
+
+
+def test_toeplitz_bessel_minors_keep_their_value_at_twice_the_bits():
+    for c in (0.5, 4.0, 10.0, 20.0, 2 * math.sqrt(128)):
+        bits = _fixed_point_bits(c, 64)
+        minors = _fixed_point_minors(c, 64, bits)
+        assert minors == toeplitz_bessel_minors(c, 64)
+        for l, (d, twice) in enumerate(zip(minors, _fixed_point_minors(c, 64, 2 * bits))):
+            assert d == pytest.approx(twice, rel=1e-15), (c, l)
 
 
 def test_hammersley_check_resolves_normalization():
@@ -169,6 +178,15 @@ def test_hammersley_check_resolves_normalization():
     assert report.rows[0].exact_value == pytest.approx(math.exp(-2.0), rel=1e-9)
     with pytest.raises(ValueError):
         hammersley_check(0.0, 4, 100, seed=1)
+
+
+def test_hammersley_check_passes_at_lam_100():
+    # e^{-100} D_20 is 0.972; a float determinant of that order reads -0.83
+    report = hammersley_check(100.0, 30, 10_000, seed=0, z_max=6)
+    assert report.verdict == "PASS"
+    assert report.notes["resolved_normalization"] == \
+        "prefactor=exp(-lam), coefficient=2*sqrt(lam)"
+    assert report.rows[20].exact_value == pytest.approx(0.97205948011446078, rel=1e-13)
 
 
 def test_report_serialization_shape():

@@ -1,15 +1,15 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 import scipy.special
 
+from symlpp.harness import _bessel_fixed
 from symlpp.numerics import (
-    ExpCos,
     GeomInv,
     PolyPlus,
     SymbolSpec,
-    bessel_i,
     det_exact,
     fourier_coefficients,
     leading_minors,
@@ -34,22 +34,20 @@ def test_symbol_validation():
         GeomInv(F(3, 2), -1)
     with pytest.raises(ValueError):
         PolyPlus(F(1, 2), 2)
-    s = SymbolSpec((PolyPlus(F(0), 1), GeomInv(F(0), -1), ExpCos(0.0)))
+    s = SymbolSpec((PolyPlus(F(0), 1), GeomInv(F(0), -1)))
     assert s.factors == ()
     assert s.is_polynomial()
 
 
 def test_fourier_constant_symbol():
-    coeffs, exact = fourier_coefficients(SymbolSpec(()), -2, 2)
-    assert exact
+    coeffs = fourier_coefficients(SymbolSpec(()), -2, 2)
     assert coeffs == {-2: 0, -1: 0, 0: 1, 1: 0, 2: 0}
 
 
 def test_fourier_polynomial_product():
     a, b = F(1, 3), F(1, 5)
     s = SymbolSpec((PolyPlus(a, -1), PolyPlus(b, 1)))
-    coeffs, exact = fourier_coefficients(s, -1, 1)
-    assert exact
+    coeffs = fourier_coefficients(s, -1, 1)
     assert coeffs[0] == 1 + a * b
     assert coeffs[1] == b
     assert coeffs[-1] == a
@@ -63,9 +61,9 @@ def test_fourier_polynomial_convolution_property():
         f2 = SymbolSpec(tuple(PolyPlus(F(rnd.randint(0, 4), 5), rnd.choice((1, -1)))
                               for _ in range(2)))
         both = SymbolSpec(f1.factors + f2.factors)
-        c1, _ = fourier_coefficients(f1, -4, 4)
-        c2, _ = fourier_coefficients(f2, -4, 4)
-        c, _ = fourier_coefficients(both, -2, 2)
+        c1 = fourier_coefficients(f1, -4, 4)
+        c2 = fourier_coefficients(f2, -4, 4)
+        c = fourier_coefficients(both, -2, 2)
         for k in range(-2, 3):
             conv = sum(c1[r] * c2[k - r] for r in range(-2, 3) if -4 <= k - r <= 4)
             assert c[k] == conv
@@ -73,26 +71,24 @@ def test_fourier_polynomial_convolution_property():
 
 def test_fourier_geometric_series():
     b = F(1, 4)
-    coeffs, exact = fourier_coefficients(SymbolSpec((GeomInv(b, -1),)), -3, 1)
-    assert exact
+    coeffs = fourier_coefficients(SymbolSpec((GeomInv(b, -1),)), -3, 1)
     assert coeffs == {-3: b**3, -2: b**2, -1: b, 0: 1, 1: 0}
 
 
 def test_bessel_series_against_scipy():
-    for c in (0.5, 1.0, 4.0, 7.5):
-        for k in range(0, 9):
-            assert bessel_i(k, c) == pytest.approx(scipy.special.iv(k, c), rel=1e-12)
-    coeffs, exact = fourier_coefficients(SymbolSpec((ExpCos(4.0),)), -3, 3)
-    assert not exact
-    for k in range(-3, 4):
-        assert coeffs[k] == pytest.approx(scipy.special.iv(abs(k), 4.0), rel=1e-10)
+    # the fixed-point coefficients of the Toeplitz-Bessel minors, at enough
+    # bits for the smallest of them (I_60(0.5) is about 2^-392)
+    bits = 512
+    for c in (0.5, 1.0, 4.0, 7.5, 20.0, 2 * math.sqrt(128), 22.7):
+        coeffs = _bessel_fixed(c, 61, bits)
+        for k, value in enumerate(coeffs):
+            assert value / 2**bits == pytest.approx(scipy.special.iv(k, c), rel=1e-12), (c, k)
 
 
 def test_fourier_geometric_factors_divide_exactly():
     a, b = F(2, 3), F(3, 4)
     s = SymbolSpec((PolyPlus(b, 1), GeomInv(a, -1), GeomInv(a, -1)))
-    coeffs, exact = fourier_coefficients(s, -4, 2)
-    assert exact
+    coeffs = fourier_coefficients(s, -4, 2)
     # (1 + b z) / (1 - a/z)^2: z^-r carries (r + 1) a^r, z^1 carries b
     assert coeffs == {k: (1 - k) * a ** -k + b * (2 - k) * a ** (1 - k) if k <= 0 else
                       (b if k == 1 else 0) for k in range(-4, 3)}

@@ -11,7 +11,7 @@ import pytest
 import symlpp
 from symlpp.core import ModelSpec, Partition, partitions_in_box
 from symlpp.harness import toeplitz_bessel
-from symlpp.numerics import ExpCos, GeomInv, PolyPlus, SymbolSpec
+from symlpp.numerics import GeomInv, PolyPlus, SymbolSpec
 from symlpp.rmt import (
     ClassFunctionSpec,
     GroupSpec,
@@ -23,6 +23,7 @@ from symlpp.rmt import (
     u_average,
 )
 from symlpp.oracles import (
+    ExpCos,
     exact_average,
     o_component_reflection_gap,
     o_schur_identity,
