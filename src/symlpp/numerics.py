@@ -188,81 +188,30 @@ def _check_skew(matrix) -> list[list]:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("Pfaffian needs a square matrix")
-    for j in range(n):
-        if m[j][j] != 0:
-            raise ValueError("skew matrix needs a zero diagonal")
-        for k in range(j + 1, n):
-            if m[j][k] != -m[k][j]:
-                raise ValueError(f"not skew-symmetric at ({j},{k})")
+    if any(m[j][k] != -m[k][j] for j in range(n) for k in range(j, n)):
+        raise ValueError("Pfaffian needs a skew-symmetric matrix (zero diagonal)")
     return m
 
 
-def _pf_expand(m, indices, memo):
-    if not indices:
-        return 1
-    key = indices
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    first = indices[0]
-    rest = indices[1:]
-    total = 0
-    for pos, j in enumerate(rest):
-        sub = rest[:pos] + rest[pos + 1:]
-        term = m[first][j] * _pf_expand(m, sub, memo)
-        total = total + term if pos % 2 == 0 else total - term
-    memo[key] = total
-    return total
+def pfaffian(matrix) -> Fraction:
+    """Pfaffian of an even-dimensional skew-symmetric rational matrix; Pf(A)^2 = det(A).
 
-
-def _pf_eliminate(m):
-    n = len(m)
-    sign = 1
-    result = 1
-    while n:
-        row0 = m[0]
-        pivot = None
-        best = 0
-        for j in range(1, n):
-            x = row0[j]
-            if x != 0:
-                if isinstance(x, float):
-                    if abs(x) > best:
-                        best, pivot = abs(x), j
-                else:
-                    pivot = j
-                    break
-        if pivot is None:
-            return 0
-        if pivot != 1:
-            for row in m:
-                row[1], row[pivot] = row[pivot], row[1]
-            m[1], m[pivot] = m[pivot], m[1]
-            sign = -sign
-        a = m[0][1]
-        result = result * a
-        reduced = [[m[i][j] - (m[0][i] * m[1][j] - m[0][j] * m[1][i]) / a
-                    for j in range(2, n)] for i in range(2, n)]
-        m = reduced
-        n -= 2
-    return sign * result
-
-
-def pfaffian(matrix):
-    """Pfaffian of an even-dimensional skew-symmetric matrix; Pf(A)^2 = det(A)."""
-    m = _check_skew(matrix)
-    n = len(m)
-    if n % 2 == 1:
+    Exact elimination: row 0 pairs with its first nonzero partner k, and
+    Pf(A) = (-1)^(k-1) a_0k Pf(B), B the Schur complement
+    B_ij = a_ij - (a_0i a_kj - a_0j a_ki) / a_0k on the other rows, in order.
+    """
+    m = [[Fraction(x) for x in row] for row in _check_skew(matrix)]
+    if len(m) % 2 == 1:
         raise ValueError("Pfaffian needs even dimension")
-    if n == 0:
-        return Fraction(1)
-    if n <= 6:
-        return _pf_expand(m, tuple(range(n)), {})
-    return _pf_eliminate(m)
-
-
-def _pf_restricted(m, subset: tuple[int, ...]):
-    return _pf_expand(m, subset, {})
+    result = Fraction(1)
+    while m:
+        k = next((k for k in range(1, len(m)) if m[0][k]), None)
+        if k is None:
+            return Fraction(0)
+        a, rest = m[0][k], [i for i in range(1, len(m)) if i != k]
+        result *= a if k % 2 else -a
+        m = [[m[i][j] - (m[0][i] * m[k][j] - m[0][j] * m[k][i]) / a for j in rest] for i in rest]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +277,8 @@ def pfaffian_minor_sum_check(a, b) -> bool:
             continue
         complement = tuple(i for i in full if not mask >> i & 1)
         weight = sum(i + 1 for i in subset) - len(subset) // 2
-        term = _pf_restricted(ma, subset) * _pf_restricted(mb, complement)
+        term = pfaffian([[ma[i][j] for j in subset] for i in subset]) * pfaffian(
+            [[mb[i][j] for j in complement] for i in complement])
         total = total + term if weight % 2 == 0 else total - term
     lhs = pfaffian([[ma[i][j] + mb[i][j] for j in range(n)] for i in range(n)])
     return lhs == total

@@ -17,22 +17,29 @@ determinants, so tests can check them against each other:
   against _QUAD_POINT_BUDGET before anything is allocated.
 
 The Schur-average identities (sp_schur_identity, o_schur_identity,
-o_component_reflection_gap) evaluate through these engines.  Production code
-does not import this module.
+o_component_reflection_gap) evaluate through these engines.
+
+The bounded Schur sums that symlpp.symfunc takes as Gram determinants and
+Pfaffians are also summed here term by term over the partition box
+(box_cauchy_table, box_dual_cauchy_table, box_weighted_table), each box
+checked against symfunc.CELL_BUDGET.  Production code does not import this
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import exp, factorial
 
 import numpy as np
 
-from .core import BudgetError, Partition, alternating_sum
+from .core import (BudgetError, Partition, alternating_sum, check_table_bound, conjugate,
+                   partitions_in_box)
 from .numerics import GeomInv, PolyPlus, SymbolSpec
 from .rmt import UNIT, ClassFunctionSpec, GroupSpec, _Structure, _structure, _value_at_point
-from .symfunc import odd_part_count, schur
+from .symfunc import _check_box, _schur_values, schur
 
 # Most free angles the constant-term expander takes: at four, three linear
 # factors over Sp(8) already take over a minute.
@@ -366,6 +373,50 @@ def _quad_average(st: _Structure, cf: ClassFunctionSpec, tol: float) -> float:
 
     mean = (weight * values).mean()
     return float(np.real(mean)) * scalar / st.divisor
+
+
+# ---------------------------------------------------------------------------
+# Bounded Schur sums over the partition box
+# ---------------------------------------------------------------------------
+
+
+def odd_part_count(mu: Partition) -> int:
+    """#odd parts of mu, the alternating sum of mu' (alternating_sum(mu) counts
+    the odd columns)."""
+    return sum(p % 2 for p in mu.parts)
+
+
+def _box_table(lmax: int, max_length: int, term) -> list[Fraction]:
+    """Cumulative sums over mu_1 <= l, l = 0..lmax, of term(mu) over the
+    lmax x max_length box, enumerated once."""
+    _check_box(lmax, max_length)
+    rows = [Fraction(0)] * (lmax + 1)
+    for mu in partitions_in_box(lmax, max_length):
+        rows[mu.part(1)] += term(mu)
+    return list(accumulate(rows))
+
+
+def box_cauchy_table(a, b, lmax: int) -> list[Fraction]:
+    """[sum of s_mu(a) s_mu(b) over mu_1 <= l, for l = 0..lmax]."""
+    length = min(len(a), len(b))
+    sa, sb = _schur_values(tuple(a), lmax, length), _schur_values(tuple(b), lmax, length)
+    return _box_table(lmax, length, lambda mu: sa[mu.parts] * sb[mu.parts])
+
+
+def box_dual_cauchy_table(a, b, lmax: int) -> list[Fraction]:
+    """[sum of s_{mu'}(a) s_mu(b) over mu_1 <= l, for l = 0..lmax], saturating
+    at lmax >= len(a)."""
+    check_table_bound(lmax)
+    width = min(lmax, len(a))
+    sa, sb = _schur_values(tuple(a), len(b), width), _schur_values(tuple(b), width, len(b))
+    table = _box_table(width, len(b), lambda mu: sa[conjugate(mu).parts] * sb[mu.parts])
+    return table + table[-1:] * (lmax + 1 - len(table))
+
+
+def box_weighted_table(q, weight, exponent, lmax: int) -> list[Fraction]:
+    """[sum of weight ** exponent(mu) s_mu(q) over mu_1 <= l, for l = 0..lmax]."""
+    sq, weight = _schur_values(tuple(q), lmax, len(q)), Fraction(weight)
+    return _box_table(lmax, len(q), lambda mu: weight ** exponent(mu) * sq[mu.parts])
 
 
 # ---------------------------------------------------------------------------

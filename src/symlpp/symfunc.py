@@ -1,8 +1,13 @@
 """Schur polynomials, bounded pairing sums, 2-quotients, and the self-dual law.
 
 Everything here is exact: parameters come in as Fractions and probabilities go
-out as Fractions.  The same Schur evaluator also accepts complex, numpy and
-Laurent-polynomial values, which the oracle engines of symlpp.oracles reuse.
+out as Fractions.  The bounded sums read two small tables built from h_k and
+e_k of the parameters: Gram determinants by Cauchy-Binet on Jacobi-Trudi
+minors (cauchy_table, dual_cauchy_table) and Pfaffians by minor summation
+(odd_part_table, alternating_table), each of order n at every bound.  Only
+the self-dual point-reflection witness sweeps a partition box.  The Schur
+evaluator also accepts complex, numpy and Laurent-polynomial values, which
+the oracle engines of symlpp.oracles reuse.
 """
 
 from __future__ import annotations
@@ -17,11 +22,10 @@ from .core import (
     Partition,
     box_parts,
     check_table_bound,
-    conjugate,
     count_partitions_in_box,
     partitions_in_box,
 )
-from .numerics import det_exact, scaled
+from .numerics import det_exact, leading_minors, pfaffian, scaled
 from .rsk import Tableau, evacuate
 
 # ---------------------------------------------------------------------------
@@ -29,10 +33,12 @@ from .rsk import Tableau, evacuate
 # ---------------------------------------------------------------------------
 
 # Most cells one Schur table or box sweep may cover, checked before anything is
-# built.  A max_part x max_length box holds C(max_part + max_length, max_length)
-# partitions of mean weight max_part * max_length / 2, and exact Schur values
-# grow with the weight, so the box's total cell count bounds both the time and
-# the memory of an exact table (about 2 s and 100 MiB at the budget).
+# built.  It bounds schur() and the self-dual witness, the box sweeps left in
+# production, and the box-sweep oracles of symlpp.oracles.  A max_part x
+# max_length box holds C(max_part + max_length, max_length) partitions of mean
+# weight max_part * max_length / 2, and exact Schur values grow with the
+# weight, so the box's total cell count bounds both the time and the memory of
+# a sweep (about 2 s and 100 MiB at the budget).
 CELL_BUDGET = 1 << 22
 
 
@@ -102,69 +108,110 @@ def schur_bialternant(mu: Partition, xs) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Bounded sums: one sweep of the partition box per table
+# Bounded sums: Gram determinants and Pfaffians of Jacobi-Trudi minors
 # ---------------------------------------------------------------------------
 
+# Bound on a Gram or Pfaffian table, checked before any h_k is built.  Bound l
+# eliminates an order-n matrix of entries of about E = (lmax + n) b bits, b the
+# summed bit sizes of the scaled parameters' denominators, and a table to lmax
+# is charged n^4 (lmax + 1) E^2, a fit to measured times: at the budget a table
+# takes 0.4-2.3 s on a 2-CPU host, from n = 1 to n = 16.
+TABLE_BIT_BUDGET = 1 << 41
 
-def _bounded_table(lmax: int, max_length: int, term, scale: int,
-                   weight: Fraction = Fraction(1)) -> list[Fraction]:
-    """Cumulative sums over mu_1 <= l, l = 0..lmax, of term(mu) / scale**|mu| * weight**k.
 
-    term(mu) returns (k, integer value) for each mu in the lmax x max_length
-    box, which is enumerated once; values sharing (mu_1, |mu|, k) add up as
-    integers, and each such bucket becomes one Fraction at the end.  Every box
-    is checked against CELL_BUDGET before it is built, here and in
-    _schur_values.
+def _check_table_budget(order: int, lmax: int, *scales: int) -> None:
+    bits = (lmax + order) * sum(d.bit_length() for d in scales)
+    cost = order**4 * (lmax + 1) * bits**2
+    if cost > TABLE_BIT_BUDGET:
+        raise BudgetError(f"exact table of order {order} to bound {lmax} over {bits}-bit "
+                          f"entries costs about {cost}, over the budget of {TABLE_BIT_BUDGET}")
+
+
+def _columns(xs: tuple[int, ...], n: int, lmax: int, elementary: bool = False) -> list[int]:
+    """[0] * (n - 1) + [h_0(xs), ..., h_{lmax+n-1}(xs)] (e_k if elementary), one
+    variable at a time; column c of M[i][c] = h_{c-n+i}, i = 1..n, is [c:c + n]."""
+    h = [1] + [0] * (lmax + n - 1)
+    for x in xs:
+        for k in (range(len(h) - 1, 0, -1) if elementary else range(1, len(h))):
+            h[k] += x * h[k - 1]
+    return [0] * (n - 1) + h
+
+
+def _gram_table(a, b, n: int, lmax: int, elementary: bool = False) -> list[Fraction]:
+    """[det(M_a M_b^T) over the columns c < l + n, for l = 0..lmax]; M_a holds e_k(a)
+    if elementary.
+
+    Each mu with mu_1 <= l and at most n parts is the column set {mu_i + n - i},
+    and s_mu (s_{mu'} for e_k) is that minor of M (Jacobi-Trudi), so
+    Cauchy-Binet sums the products of minors to det G_l, G_l = M_a M_b^T.  At
+    the scaled points, row i scaled by da^(l-1+i) and column j by db^(l-1+j)
+    make G_l the integer K_l = t K_{l-1} + (column l + n - 1 term), t = da db,
+    and det G_l = det K_l / t^(n l + n(n-1)/2).  Every leading minor of G holds
+    a unit term and the h and e Toeplitz matrices of parameters in [0, 1) are
+    totally nonnegative, so no pivot is zero.
     """
-    _check_box(lmax, max_length)
-    buckets: dict[tuple[int, int, int], int] = {}
-    for mu in partitions_in_box(lmax, max_length):
-        k, value = term(mu)
-        if value:
-            key = (mu.part(1), mu.weight, k)
-            buckets[key] = buckets.get(key, 0) + value
-    rows = [Fraction(0)] * (lmax + 1)
-    for (first, w, k), value in buckets.items():
-        rows[first] += Fraction(value, scale**w) * weight**k
-    return list(accumulate(rows))
+    (da, xa), (db, xb) = scaled(a), scaled(b)
+    _check_table_budget(n, lmax, da, db)
+    ma, mb, t = _columns(xa, n, lmax, elementary), _columns(xb, n, lmax), da * db
+    k = [[0] * n for _ in range(n)]
+    table = []
+    for c in range(lmax + n):
+        u, v = ma[c:c + n], mb[c:c + n]
+        k = [[t * x + ui * vj for x, vj in zip(row, v)] for row, ui in zip(k, u)]
+        if c >= n - 1:
+            table.append(leading_minors(k)[-1] / t ** (n * (c + 1) - n * (n + 1) // 2))
+    return table
 
 
-def _cauchy_table(a, b, lmax: int) -> list[Fraction]:
+def cauchy_table(a, b, lmax: int) -> list[Fraction]:
     """[sum of s_mu(a) s_mu(b) over mu_1 <= l, for l = 0..lmax]."""
-    (da, xa), (db, xb) = scaled(a), scaled(b)
-    length = min(len(xa), len(xb))
-    sa = _schur_values(xa, lmax, length)
-    sb = sa if xb == xa else _schur_values(xb, lmax, length)
-    return _bounded_table(lmax, length, lambda mu: (0, sa[mu.parts] * sb[mu.parts]), da * db)
+    return _gram_table(a, b, min(len(a), len(b)), lmax)
 
 
-def _dual_cauchy_table(a, b, lmax: int) -> list[Fraction]:
-    """[sum of s_{mu'}(a) s_mu(b) over mu_1 <= l, for l = 0..lmax].
-
-    Saturates at lmax >= len(a): s_{mu'}(a) vanishes once mu_1 > len(a).
-    """
+def dual_cauchy_table(a, b, lmax: int) -> list[Fraction]:
+    """[sum of s_{mu'}(a) s_mu(b) over mu_1 <= l, for l = 0..lmax], saturating at
+    lmax >= len(a): s_{mu'}(a) vanishes once mu_1 > len(a)."""
     check_table_bound(lmax)
-    (da, xa), (db, xb) = scaled(a), scaled(b)
-    width = min(lmax, len(xa))
-    sa = _schur_values(xa, len(xb), width)
-    sb = _schur_values(xb, width, len(xb))
-    table = _bounded_table(width, len(xb), lambda mu: (0, sa[conjugate(mu).parts] * sb[mu.parts]),
-                           da * db)
+    table = _gram_table(a, b, len(b), min(lmax, len(a)), elementary=True)
     return table + table[-1:] * (lmax + 1 - len(table))
 
 
-def _weighted_table(q, weight, exponent, lmax: int) -> list[Fraction]:
-    """[sum of weight ** exponent(mu) s_mu(q) over mu_1 <= l, for l = 0..lmax]."""
+def _minor_sum_table(q, lmax: int, x: tuple, y: tuple, r) -> list[Fraction]:
+    """[sum of w(mu) s_mu(q) over mu_1 <= l, for l = 0..lmax] by minor summation.
+
+    For n even, Pf(M A M^T) sums det(M[:, C]) Pf(A[C, C]) over the n-subsets C
+    of the columns (Ishikawa & Wakayama 1995); an odd n gets one zero variable,
+    which changes no s_mu.  With A[d][c] = x[d % 2] y[c % 2] r^(c-d-1), d < c,
+    Pf(A[C, C]) pairs consecutive columns into w(mu), and the Jacobi-Trudi
+    order of C is the reverse, so the sum is (-1)^(n(n-1)/2) Pf(P), P = M A M^T.
+    Column c adds S M_c^T - M_c S^T to P, S = y_c sum_{d<c} x_d r^(c-d-1) M_d.
+    """
+    q = tuple(q) + (0,) * (len(q) % 2)
     d, xq = scaled(q)
-    sq = _schur_values(xq, lmax, len(xq))
-    return _bounded_table(lmax, len(xq), lambda mu: (exponent(mu), sq[mu.parts]), d,
-                          Fraction(weight))
+    n = len(xq)
+    _check_table_budget(n, lmax, d, d, scaled(x + y + (r,))[0])
+    m = [Fraction(v, d ** max(k - n + 1, 0)) for k, v in enumerate(_columns(xq, n, lmax))]
+    p = [[Fraction(0)] * n for _ in range(n)]
+    tail = [Fraction(0)] * n
+    table = []
+    for c in range(lmax + n):
+        col, s = m[c:c + n], [y[c % 2] * v for v in tail]
+        p = [[pij + si * cj - ci * sj for pij, cj, sj in zip(row, col, s)]
+             for row, si, ci in zip(p, s, col)]
+        tail = [r * u + x[c % 2] * v for u, v in zip(tail, col)]
+        if c >= n - 1:
+            table.append((-1) ** (n // 2) * pfaffian(p))
+    return table
 
 
-def odd_part_count(mu: Partition) -> int:
-    """#odd parts of mu, the alternating sum of mu' (alternating_sum(mu) counts
-    the odd columns)."""
-    return sum(p % 2 for p in mu.parts)
+def odd_part_table(q, beta, lmax: int) -> list[Fraction]:
+    """[sum of beta^(#odd parts of mu) s_mu(q) over mu_1 <= l, for l = 0..lmax]."""
+    return _minor_sum_table(q, lmax, (1, beta), (beta, 1), 1)
+
+
+def alternating_table(q, alpha, lmax: int) -> list[Fraction]:
+    """[sum of alpha^(mu_1 - mu_2 + mu_3 - ...) s_mu(q) over mu_1 <= l, for l = 0..lmax]."""
+    return _minor_sum_table(q, lmax, (1, 1), (1, 1), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +362,24 @@ def pointreflection_selfdual_table(q, lmax: int) -> list[Fraction]:
     Independent of the factored route in exact_table: enumerates displacements
     mu with mu_1 <= lmax directly, once, and squares their generating
     functions.  The square of s_{q0}(q) s_{q1}(q) at the scaled points carries
-    D ** (2 |q0| + 2 |q1|) = D ** |mu|, so it buckets like any other term.
+    D ** (2 |q0| + 2 |q1|) = D ** |mu|, so terms sharing (mu_1, |mu|) add up as
+    integers before one Fraction each.
     """
     d, xq = scaled(q)
     _check_box(lmax, 2 * len(xq))  # the sweep's box, before the smaller quotient box is built
     # mu_1 <= lmax bounds both quotients' first parts by (lmax + 1) // 2
     sq = _schur_values(xq, (lmax + 1) // 2, len(xq))
-
-    def term(mu):
-        if not domino_tilable(mu):
-            return 0, 0
-        q0, q1 = two_quotient(mu)
-        value = sq[q0.parts] * sq[q1.parts]
-        return 0, value * value
-
+    buckets: dict[tuple[int, int], int] = {}
+    for mu in partitions_in_box(lmax, 2 * len(xq)):
+        if domino_tilable(mu):
+            q0, q1 = two_quotient(mu)
+            key = (mu.part(1), mu.weight)
+            buckets[key] = buckets.get(key, 0) + (sq[q0.parts] * sq[q1.parts]) ** 2
+    rows = [Fraction(0)] * (lmax + 1)
+    for (first, w), value in buckets.items():
+        rows[first] += Fraction(value, d**w)
     pref = _pair_product(q, q) ** 2
-    return [pref * x for x in _bounded_table(lmax, 2 * len(xq), term, d)]
+    return [pref * x for x in accumulate(rows)]
 
 
 def pointreflection_selfdual_sum(q, l: int) -> Fraction:

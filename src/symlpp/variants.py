@@ -15,11 +15,11 @@ from fractions import Fraction
 from math import prod
 from typing import Callable
 
-from .core import ModelSpec, alternating_sum, format_rational
+from .core import ModelSpec, format_rational
 from .numerics import GeomInv, PolyPlus, SymbolSpec
 from .rmt import _averages, antidiagonal_odd_prefactors
-from .symfunc import (_cauchy_table, _dual_cauchy_table, _pair_product, _upper_pair_product,
-                      _weighted_table, odd_part_count, pointreflection_selfdual_table)
+from .symfunc import (_pair_product, _upper_pair_product, alternating_table, cauchy_table,
+                      dual_cauchy_table, odd_part_table, pointreflection_selfdual_table)
 
 Table = list[Fraction]
 
@@ -66,7 +66,7 @@ def _halved(table: Table, lmax: int) -> Table:
 
 def _squared_halves(s, lmax) -> Table:
     """Products of two square-case laws at the halved bound."""
-    square = _cauchy_table(s.q, s.q, lmax // 2 + 1)
+    square = cauchy_table(s.q, s.q, lmax // 2 + 1)
     return [square[l // 2] * square[(l + 1) // 2] for l in range(lmax + 1)]
 
 
@@ -123,13 +123,13 @@ VARIANTS: dict[str, Variant] = {
         orbit=lambda n, i, j: {(i, j)},
         site=lambda s, i, j: ("geom", (float(s.a[i - 1] * s.b[j - 1]),)),
         prefactor=lambda s: _pair_product(s.a, s.b),
-        exact=lambda s, lmax: _cauchy_table(s.a, s.b, lmax),
+        exact=lambda s, lmax: cauchy_table(s.a, s.b, lmax),
         average=_u_averages(PolyPlus), method="toeplitz-U"),
     "bernoulli": Variant(
         orbit=lambda n, i, j: {(i, j)},
         site=lambda s, i, j: ("bernoulli", (float(s.a[i - 1] * s.b[j - 1]),)),
         prefactor=lambda s: 1 / _pair_product(s.a, tuple(-y for y in s.b)),
-        exact=lambda s, lmax: _dual_cauchy_table(s.a, s.b, lmax),
+        exact=lambda s, lmax: dual_cauchy_table(s.a, s.b, lmax),
         average=_u_averages(GeomInv), method="toeplitz-U", binary=True),
     "antidiagonal": Variant(
         orbit=lambda n, i, j: {(i, j), (n + 1 - j, n + 1 - i)},
@@ -138,14 +138,14 @@ VARIANTS: dict[str, Variant] = {
                               else ("geom", (float(s.q[i - 1] * s.q[s.n - j]),))),
         prefactor=lambda s: _upper_pair_product(s.q) * prod(
             (1 - x * x) / (1 + s.beta * x) for x in s.q),
-        exact=lambda s, lmax: _weighted_table(s.q, s.beta, odd_part_count, lmax),
+        exact=lambda s, lmax: odd_part_table(s.q, s.beta, lmax),
         average=_antidiagonal_averages, method="sp-average",
         least_bound=1, notes=_antidiagonal_notes),
     "diagonal": Variant(
         orbit=lambda n, i, j: {(i, j), (j, i)},
         site=lambda s, i, j: ("geom", (float((s.alpha if i == j else s.q[j - 1]) * s.q[i - 1]),)),
         prefactor=lambda s: _upper_pair_product(s.q) * prod(1 - s.alpha * x for x in s.q),
-        exact=lambda s, lmax: _weighted_table(s.q, s.alpha, alternating_sum, lmax),
+        exact=lambda s, lmax: alternating_table(s.q, s.alpha, lmax),
         # the mean of O+(l) and O-(l); the last factor is det(1 + alpha U)
         average=lambda s, lmax: _averages("O", SymbolSpec(
             tuple(PolyPlus(x, 1) for x in s.q) + (PolyPlus(s.alpha, 1),)), range(lmax + 1)),
@@ -154,7 +154,7 @@ VARIANTS: dict[str, Variant] = {
         orbit=lambda n, i, j: {(i, j), (j, i), (n + 1 - j, n + 1 - i), (n + 1 - i, n + 1 - j)},
         site=_doubly_site,
         prefactor=lambda s: _pair_product(s.q, s.q) * prod(1 - s.alpha * x for x in s.q),
-        exact=lambda s, lmax: _halved(_cauchy_table(s.q, s.q + (s.alpha,), lmax // 2), lmax),
+        exact=lambda s, lmax: _halved(cauchy_table(s.q, s.q + (s.alpha,), lmax // 2), lmax),
         average=_doubly_averages, method="toeplitz-U"),
     # The point-reflection law factors into square-lattice laws and has no
     # separate matrix average; verify checks the factorization against
@@ -182,8 +182,8 @@ def _with_prefactor(spec: ModelSpec, route, lmax: int) -> Table:
 
 
 def exact_table(spec: ModelSpec, lmax: int) -> Table:
-    """[Pr(L <= l) for l = 0..lmax] from the bounded Schur sums, one partition-box
-    sweep per table (symfunc._bounded_table)."""
+    """[Pr(L <= l) for l = 0..lmax] from the bounded Schur sums: one Gram-determinant
+    or Pfaffian table of order n (symfunc.cauchy_table and its siblings)."""
     return _with_prefactor(spec, variant_of(spec).exact, lmax)
 
 

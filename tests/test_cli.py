@@ -12,6 +12,8 @@ import pytest
 import symlpp
 from symlpp import cli, harness, lpp
 from symlpp.cli import build_parser, dump_json, main, rows_to_csv
+from symlpp.core import ModelSpec, format_rational
+from symlpp.variants import model_rmt_table
 
 
 @pytest.fixture()
@@ -508,6 +510,21 @@ def test_antidiagonal_verify_at_bound_zero_resolves_the_odd_prefactor(model_file
 
 def _ratios(n, start):
     return [f"{k}/{k + 3}" for k in range(start, start + n)]
+
+
+@pytest.mark.parametrize("model, lmax", [
+    ({"variant": "johansson", "a": _ratios(5, 1), "b": _ratios(5, 2)}, 24),
+    ({"variant": "diagonal", "q": _ratios(8, 1), "alpha": "1/3"}, 40),
+], ids=["johansson-n5", "diagonal-n8"])
+def test_exact_reaches_bounds_the_box_sweep_refused(model, lmax, model_file, capsys):
+    # the partition box of both exceeds the cell budget; the Gram and Pfaffian
+    # tables are of order n and agree with the matrix-average column
+    path = model_file("m.json", model)
+    code, out = run_cli(capsys, ["exact", "--model", path, "--lmax", str(lmax)])
+    assert code == 0
+    average = model_rmt_table(ModelSpec.from_json_dict(model), lmax)
+    assert [row["p"] for row in json.loads(out)["distribution"]] == [
+        format_rational(p) for p in average]
 
 
 # One model per variant with 66-81 sampled sites, so a Monte Carlo chunk draws

@@ -1,4 +1,5 @@
-"""Properties of the one-sweep exact tables on random rational parameters."""
+"""Properties of the exact tables on random rational parameters, and their pin
+to the partition-box sweep of symlpp.oracles."""
 
 import tracemalloc
 from fractions import Fraction as F
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symlpp.core import ModelSpec, Partition, box_parts
-from symlpp import rmt
+from symlpp.core import ModelSpec, Partition, alternating_sum, box_parts
+from symlpp import core, rmt, symfunc
 from symlpp.numerics import det_exact
+from symlpp.oracles import (box_cauchy_table, box_dual_cauchy_table, box_weighted_table,
+                            odd_part_count)
 from symlpp.rmt import model_rmt_distribution
 from symlpp.symfunc import _schur_values, pointreflection_selfdual_table, schur_bialternant
-from symlpp.variants import exact_table, model_rmt_table
+from symlpp.variants import exact_table, model_rmt_table, variant_of
 
 # Fixed example stream, so a failure reproduces from run to run.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -136,3 +139,72 @@ def test_thin_box_is_budgeted_by_cells():
     with pytest.raises(ValueError, match="budget"):
         exact_table(spec, 100_000)
     assert exact_table(spec, 2) == [1 - F(1, 6) ** (l + 1) for l in range(3)]
+
+
+def box_sweep_table(spec, lmax):
+    """exact_table from the term-by-term box sweeps: each variant's bounded sum
+    read as in its Variant record, times its prefactor."""
+    s = spec
+    if s.variant == "johansson":
+        table = box_cauchy_table(s.a, s.b, lmax)
+    elif s.variant == "bernoulli":
+        table = box_dual_cauchy_table(s.a, s.b, lmax)
+    elif s.variant == "antidiagonal":
+        table = box_weighted_table(s.q, s.beta, odd_part_count, lmax)
+    elif s.variant == "diagonal":
+        table = box_weighted_table(s.q, s.alpha, alternating_sum, lmax)
+    elif s.variant == "doublysymmetric":
+        half = box_cauchy_table(s.q, s.q + (s.alpha,), lmax // 2)
+        table = [half[l // 2] for l in range(lmax + 1)]
+    else:
+        square = box_cauchy_table(s.q, s.q, lmax // 2 + 1)
+        table = [square[l // 2] * square[(l + 1) // 2] for l in range(lmax + 1)]
+    pref = variant_of(spec).prefactor(spec)
+    return [pref * x for x in table]
+
+
+@PROPERTY
+@given(models(), st.integers(0, 8))
+def test_exact_table_equals_the_box_sweep(spec, lmax):
+    assert exact_table(spec, lmax) == box_sweep_table(spec, lmax)
+
+
+# n = 5 and 6 with repeated and zero parameters, unequal Bernoulli sides, and
+# zero weights: an odd n pads the Pfaffian table with a zero variable.
+_Q5 = (F(1, 2), F(1, 2), F(0), F(1, 3), F(2, 5))
+_Q6 = (F(1, 3), F(1, 3), F(1, 3), F(0), F(1, 6), F(5, 9))
+FIXED_MODELS = [
+    ModelSpec("johansson", a=_Q5, b=(F(1, 4), F(0), F(1, 4), F(3, 7), F(1, 2))),
+    ModelSpec("johansson", a=_Q6, b=(F(2, 3), F(1, 4), F(1, 4), F(0), F(0), F(1, 2))),
+    ModelSpec("bernoulli", a=_Q5, b=_Q6),
+    ModelSpec("bernoulli", a=_Q6, b=(F(1, 3), F(1, 3), F(0))),
+    ModelSpec("antidiagonal", q=_Q5, beta=F(0)),
+    ModelSpec("antidiagonal", q=_Q6, beta=F(1, 2)),
+    ModelSpec("diagonal", q=_Q5, alpha=F(0)),
+    ModelSpec("diagonal", q=_Q6, alpha=F(2, 3)),
+    ModelSpec("doublysymmetric", q=_Q5, alpha=F(0)),
+    ModelSpec("doublysymmetric", q=_Q6, alpha=F(1, 2)),
+    ModelSpec("pointreflection", q=_Q5),
+    ModelSpec("pointreflection", q=_Q6),
+]
+
+
+@pytest.mark.parametrize("spec", FIXED_MODELS,
+                         ids=[f"{m.variant}-n{len(m.q or m.b)}" for m in FIXED_MODELS])
+def test_exact_table_equals_the_box_sweep_at_n5_and_n6(spec):
+    assert exact_table(spec, 7) == box_sweep_table(spec, 7)
+
+
+def test_exact_tables_never_enumerate_partitions(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a partition box was enumerated")
+
+    for module, name in ((core, "partitions_in_box"), (core, "box_parts"),
+                         (symfunc, "partitions_in_box"), (symfunc, "box_parts"),
+                         (symfunc, "_schur_values")):
+        monkeypatch.setattr(module, name, no_sweep)
+    for spec in FIXED_MODELS:
+        assert len(exact_table(spec, 7)) == 8
+    # the self-dual witness is the one route left that sweeps a box
+    with pytest.raises(AssertionError, match="partition box"):
+        pointreflection_selfdual_table(_Q5, 3)

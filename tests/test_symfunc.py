@@ -3,16 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from symlpp.core import ModelSpec, Partition, alternating_sum, partitions_in_box
+from symlpp.core import ModelSpec, Partition, partitions_in_box
 from symlpp.symfunc import (
-    _cauchy_table,
-    _dual_cauchy_table,
-    _weighted_table,
+    alternating_table,
+    cauchy_table,
     domino_tilable,
+    dual_cauchy_table,
     even_partition_halves,
     exact_distribution,
     iter_ssyt,
-    odd_part_count,
+    odd_part_table,
     pointreflection_selfdual_sum,
     schur,
     schur_bialternant,
@@ -24,19 +24,19 @@ from symlpp.symfunc import (
 
 # Each bounded sum at one bound l, read from its kernel table.
 def bounded_cauchy_sum(a, b, l):
-    return _cauchy_table(a, b, l)[l]
+    return cauchy_table(a, b, l)[l]
 
 
 def bounded_dual_cauchy_sum(a, b, l):
-    return _dual_cauchy_table(a, b, l)[l]
+    return dual_cauchy_table(a, b, l)[l]
 
 
 def beta_weighted_sum(q, beta, l):
-    return _weighted_table(q, beta, odd_part_count, l)[l]
+    return odd_part_table(q, beta, l)[l]
 
 
 def alpha_weighted_sum(q, alpha, l):
-    return _weighted_table(q, alpha, alternating_sum, l)[l]
+    return alternating_table(q, alpha, l)[l]
 
 
 def schur_by_tableaux(mu, xs):
