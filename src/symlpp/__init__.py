@@ -28,8 +28,6 @@ from .numerics import (
     det_exact,
     fourier_coefficients,
     pfaffian,
-    pfaffian_minor_sum_check,
-    pfaffian_sign_identity_check,
 )
 from .rmt import (
     ClassFunctionSpec,

@@ -4,7 +4,10 @@ Symbols are multiplicative descriptions of scalar functions on the unit circle,
 built from two factor kinds: (1 + c z^s) and (1 - c z^s)^-1 with |c| < 1.  Both
 keep exact rational Fourier data (the geometric ones divide exactly when they
 share one exponent sign).  leading_minors gives every leading minor of a
-rational matrix from one integer elimination.
+rational matrix, and pfaffian its Pfaffian, each from one fraction-free
+elimination over integers that divides exactly by the previous pivot.
+det_exact is the Fraction reference.  The Pfaffian identities that check
+pfaffian live in symlpp.oracles.
 """
 
 from __future__ import annotations
@@ -108,9 +111,9 @@ def fourier_coefficients(s: SymbolSpec, k_min: int, k_max: int) -> dict[int, Rat
 
 def scaled(xs) -> tuple[int, tuple[int, ...]]:
     """(D, D * xs) with D the lcm of the denominators, so D * xs are integers."""
-    xs = tuple(Fraction(x) for x in xs)
-    d = lcm(*(x.denominator for x in xs)) if xs else 1
-    return d, tuple(int(x * d) for x in xs)
+    xs = [Fraction(x) for x in xs]
+    d = lcm(*(x.denominator for x in xs))
+    return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
 # Bound on the elimination of leading_minors, checked before any matrix is
@@ -196,89 +199,23 @@ def _check_skew(matrix) -> list[list]:
 def pfaffian(matrix) -> Fraction:
     """Pfaffian of an even-dimensional skew-symmetric rational matrix; Pf(A)^2 = det(A).
 
-    Exact elimination: row 0 pairs with its first nonzero partner k, and
-    Pf(A) = (-1)^(k-1) a_0k Pf(B), B the Schur complement
-    B_ij = a_ij - (a_0i a_kj - a_0j a_ki) / a_0k on the other rows, in order.
+    Fraction-free elimination on d A, d the lcm of the denominators: row 0 pairs
+    with its first nonzero partner k, and every other entry becomes the sub-Pfaffian
+    (a m_ij - m_0i m_kj + m_0j m_ki) // prev, a = m_0k and prev the previous pivot,
+    so the division is exact (Knuth 1996) and the last pivot is d^(n/2) Pf(A) up to
+    the sign (-1)^(k-1) of each pairing.
     """
-    m = [[Fraction(x) for x in row] for row in _check_skew(matrix)]
-    if len(m) % 2 == 1:
+    m = _check_skew(matrix)
+    n = len(m)
+    if n % 2 == 1:
         raise ValueError("Pfaffian needs even dimension")
-    result = Fraction(1)
+    d, flat = scaled(x for row in m for x in row)
+    m, sign, prev = [list(flat[j * n:(j + 1) * n]) for j in range(n)], 1, 1
     while m:
         k = next((k for k in range(1, len(m)) if m[0][k]), None)
         if k is None:
             return Fraction(0)
-        a, rest = m[0][k], [i for i in range(1, len(m)) if i != k]
-        result *= a if k % 2 else -a
-        m = [[m[i][j] - (m[0][i] * m[k][j] - m[0][j] * m[k][i]) / a for j in rest] for i in rest]
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Pfaffian identities
-# ---------------------------------------------------------------------------
-
-
-def pfaffian_sign_identity_check(x, f_values) -> bool:
-    """Check the closed pairing evaluation of Pf[(f_j/f_k)^sgn(x_j-x_k) sgn(x_j-x_k)].
-
-    x is an even-length list of distinct integers, f_values the matching
-    positive rationals f(x_j).  The right-hand side pairs positions sorted by
-    decreasing x value and carries the sign of that sorting permutation.
-    """
-    x = [int(v) for v in x]
-    f = [Fraction(v) for v in f_values]
-    if len(x) != len(f):
-        raise ValueError("x and f_values must align")
-    if len(x) % 2 == 1:
-        raise ValueError("need an even number of points")
-    if len(set(x)) != len(x):
-        raise ValueError("duplicate x entries")
-    if any(v <= 0 for v in f):
-        raise ValueError("f values must be positive")
-    n = len(x)
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            sgn = 1 if x[j] > x[k] else -1
-            ratio = f[j] / f[k] if sgn == 1 else f[k] / f[j]
-            mat[j][k] = sgn * ratio
-    lhs = pfaffian(mat)
-
-    order = sorted(range(n), key=lambda j: -x[j])
-    inversions = sum(1 for a in range(n) for b in range(a + 1, n)
-                     if order[a] > order[b])
-    rhs = Fraction(1) if inversions % 2 == 0 else Fraction(-1)
-    for j in range(0, n, 2):
-        rhs *= f[order[j]] / f[order[j + 1]]
-    return lhs == rhs
-
-
-def pfaffian_minor_sum_check(a, b) -> bool:
-    """Check Pf(A+B) as a signed sum of complementary-minor Pfaffians.
-
-    Enumerates every even-size index subset S, with weights
-    (-1)^(sum of the 1-based indices in S minus |S|/2).
-    """
-    ma = _check_skew(a)
-    mb = _check_skew(b)
-    n = len(ma)
-    if n != len(mb):
-        raise ValueError("matrices must have equal dimension")
-    if n % 2 == 1 or n > 8:
-        raise ValueError("need even dimension at most 8")
-    total = 0
-    full = list(range(n))
-    for mask in range(1 << n):
-        subset = tuple(i for i in full if mask >> i & 1)
-        if len(subset) % 2:
-            continue
-        complement = tuple(i for i in full if not mask >> i & 1)
-        weight = sum(i + 1 for i in subset) - len(subset) // 2
-        term = pfaffian([[ma[i][j] for j in subset] for i in subset]) * pfaffian(
-            [[mb[i][j] for j in complement] for i in complement])
-        total = total + term if weight % 2 == 0 else total - term
-    lhs = pfaffian([[ma[i][j] + mb[i][j] for j in range(n)] for i in range(n)])
-    return lhs == total
+        a, rest, sign = m[0][k], [i for i in range(1, len(m)) if i != k], sign if k % 2 else -sign
+        m, prev = [[(a * m[i][j] - m[0][i] * m[k][j] + m[0][j] * m[k][i]) // prev for j in rest]
+                   for i in rest], a
+    return Fraction(sign * prev, d ** (n // 2))

@@ -22,8 +22,10 @@ o_component_reflection_gap) evaluate through these engines.
 The bounded Schur sums that symlpp.symfunc takes as Gram determinants and
 Pfaffians are also summed here term by term over the partition box
 (box_cauchy_table, box_dual_cauchy_table, box_weighted_table), each box
-checked against symfunc.CELL_BUDGET.  Production code does not import this
-module.
+checked against symfunc.CELL_BUDGET.  Two Pfaffian identities check
+numerics.pfaffian: the closed pairing evaluation of a sign-ratio matrix
+(pfaffian_sign_identity_check) and the minor-sum expansion of Pf(A + B)
+(pfaffian_minor_sum_check).  Production code does not import this module.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .core import (BudgetError, Partition, alternating_sum, check_table_bound, conjugate,
                    partitions_in_box)
-from .numerics import GeomInv, PolyPlus, SymbolSpec
+from .numerics import GeomInv, PolyPlus, SymbolSpec, _check_skew, pfaffian
 from .rmt import UNIT, ClassFunctionSpec, GroupSpec, _Structure, _structure, _value_at_point
 from .symfunc import _check_box, _schur_values, schur
 
@@ -503,3 +505,73 @@ def o_component_reflection_gap(rho: Partition, alpha: Fraction, l_odd: int,
     if isinstance(left, Fraction) and isinstance(right, Fraction):
         return left - sign * right
     return float(left) - sign * float(right)
+
+
+# ---------------------------------------------------------------------------
+# Pfaffian identities
+# ---------------------------------------------------------------------------
+
+
+def pfaffian_sign_identity_check(x, f_values) -> bool:
+    """Check the closed pairing evaluation of Pf[(f_j/f_k)^sgn(x_j-x_k) sgn(x_j-x_k)].
+
+    x is an even-length list of distinct integers, f_values the matching
+    positive rationals f(x_j).  The right-hand side pairs positions sorted by
+    decreasing x value and carries the sign of that sorting permutation.
+    """
+    x = [int(v) for v in x]
+    f = [Fraction(v) for v in f_values]
+    if len(x) != len(f):
+        raise ValueError("x and f_values must align")
+    if len(x) % 2 == 1:
+        raise ValueError("need an even number of points")
+    if len(set(x)) != len(x):
+        raise ValueError("duplicate x entries")
+    if any(v <= 0 for v in f):
+        raise ValueError("f values must be positive")
+    n = len(x)
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                continue
+            sgn = 1 if x[j] > x[k] else -1
+            ratio = f[j] / f[k] if sgn == 1 else f[k] / f[j]
+            mat[j][k] = sgn * ratio
+    lhs = pfaffian(mat)
+
+    order = sorted(range(n), key=lambda j: -x[j])
+    inversions = sum(1 for a in range(n) for b in range(a + 1, n)
+                     if order[a] > order[b])
+    rhs = Fraction(1) if inversions % 2 == 0 else Fraction(-1)
+    for j in range(0, n, 2):
+        rhs *= f[order[j]] / f[order[j + 1]]
+    return lhs == rhs
+
+
+def pfaffian_minor_sum_check(a, b) -> bool:
+    """Check Pf(A+B) as a signed sum of complementary-minor Pfaffians.
+
+    Enumerates every even-size index subset S, with weights
+    (-1)^(sum of the 1-based indices in S minus |S|/2).
+    """
+    ma = _check_skew(a)
+    mb = _check_skew(b)
+    n = len(ma)
+    if n != len(mb):
+        raise ValueError("matrices must have equal dimension")
+    if n % 2 == 1 or n > 8:
+        raise ValueError("need even dimension at most 8")
+    total = 0
+    full = list(range(n))
+    for mask in range(1 << n):
+        subset = tuple(i for i in full if mask >> i & 1)
+        if len(subset) % 2:
+            continue
+        complement = tuple(i for i in full if not mask >> i & 1)
+        weight = sum(i + 1 for i in subset) - len(subset) // 2
+        term = pfaffian([[ma[i][j] for j in subset] for i in subset]) * pfaffian(
+            [[mb[i][j] for j in complement] for i in complement])
+        total = total + term if weight % 2 == 0 else total - term
+    lhs = pfaffian([[ma[i][j] + mb[i][j] for j in range(n)] for i in range(n)])
+    return lhs == total

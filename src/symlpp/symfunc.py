@@ -4,10 +4,12 @@ Everything here is exact: parameters come in as Fractions and probabilities go
 out as Fractions.  The bounded sums read two small tables built from h_k and
 e_k of the parameters: Gram determinants by Cauchy-Binet on Jacobi-Trudi
 minors (cauchy_table, dual_cauchy_table) and Pfaffians by minor summation
-(odd_part_table, alternating_table), each of order n at every bound.  Only
-the self-dual point-reflection witness sweeps a partition box.  The Schur
-evaluator also accepts complex, numpy and Laurent-polynomial values, which
-the oracle engines of symlpp.oracles reuse.
+(odd_part_table, alternating_table), each of order n at every bound.  Both
+keep their running matrix as integers at the parameters scaled by the lcm of
+their denominators and make one Fraction per bound.  Only the self-dual
+point-reflection witness sweeps a partition box.  The Schur evaluator also
+accepts complex, numpy and Laurent-polynomial values, which the oracle
+engines of symlpp.oracles reuse.
 """
 
 from __future__ import annotations
@@ -114,8 +116,11 @@ def schur_bialternant(mu: Partition, xs) -> Fraction:
 # Bound on a Gram or Pfaffian table, checked before any h_k is built.  Bound l
 # eliminates an order-n matrix of entries of about E = (lmax + n) b bits, b the
 # summed bit sizes of the scaled parameters' denominators, and a table to lmax
-# is charged n^4 (lmax + 1) E^2, a fit to measured times: at the budget a table
-# takes 0.4-2.3 s on a 2-CPU host, from n = 1 to n = 16.
+# is charged n^4 (lmax + 1) E^2, a fit to times measured on the Gram table: at
+# the budget it takes 0.4-2.3 s on a 2-CPU host, from n = 1 to n = 16.  The
+# Pfaffian table is charged the same and runs well under the fit: at its last
+# admitted bound, over the primes 5..29 at n = 8 and over 2..17 at n = 16, it
+# takes 0.13-0.17 s where the Gram table takes 0.65-0.7 s.
 TABLE_BIT_BUDGET = 1 << 41
 
 
@@ -185,22 +190,23 @@ def _minor_sum_table(q, lmax: int, x: tuple, y: tuple, r) -> list[Fraction]:
     Pf(A[C, C]) pairs consecutive columns into w(mu), and the Jacobi-Trudi
     order of C is the reverse, so the sum is (-1)^(n(n-1)/2) Pf(P), P = M A M^T.
     Column c adds S M_c^T - M_c S^T to P, S = y_c sum_{d<c} x_d r^(c-d-1) M_d.
+    At the scaled points (q by d; x, y, r by e) the integer Q_c = t Q_{c-1} + (its
+    term), t = d^2 e, carries P_c: Pf(P_c) = Pf(Q_c) d^(n(n-1)/2) / (t^c e)^(n/2).
     """
     q = tuple(q) + (0,) * (len(q) % 2)
-    d, xq = scaled(q)
+    (d, xq), (e, (x0, x1, y0, y1, er)) = scaled(q), scaled(x + y + (r,))
     n = len(xq)
-    _check_table_budget(n, lmax, d, d, scaled(x + y + (r,))[0])
-    m = [Fraction(v, d ** max(k - n + 1, 0)) for k, v in enumerate(_columns(xq, n, lmax))]
-    p = [[Fraction(0)] * n for _ in range(n)]
-    tail = [Fraction(0)] * n
-    table = []
+    _check_table_budget(n, lmax, d, d, e)
+    m, t = _columns(xq, n, lmax), d * d * e
+    p, tail, table = [[0] * n for _ in range(n)], [0] * n, []
     for c in range(lmax + n):
-        col, s = m[c:c + n], [y[c % 2] * v for v in tail]
-        p = [[pij + si * cj - ci * sj for pij, cj, sj in zip(row, col, s)]
+        col, s, w = m[c:c + n], [(y0, y1)[c % 2] * v for v in tail], (x0, x1)[c % 2] * e**c
+        p = [[t * pij + si * cj - ci * sj for pij, cj, sj in zip(row, col, s)]
              for row, si, ci in zip(p, s, col)]
-        tail = [r * u + x[c % 2] * v for u, v in zip(tail, col)]
+        tail = [d * (er * u + w * v) for u, v in zip(tail, col)]
         if c >= n - 1:
-            table.append((-1) ** (n // 2) * pfaffian(p))
+            table.append((-1) ** (n // 2) * pfaffian(p) * d ** (n * (n - 1) // 2)
+                         / (t**c * e) ** (n // 2))
     return table
 
 

@@ -21,11 +21,14 @@ from symlpp.harness import (
     verify_model,
 )
 from symlpp.lpp import greene_oracle, mc_distribution, sample_matrix
-from symlpp.numerics import (
+from symlpp.oracles import (
+    exact_average,
+    o_schur_identity,
     pfaffian_minor_sum_check,
     pfaffian_sign_identity_check,
+    quadrature_average,
+    sp_schur_identity,
 )
-from symlpp.oracles import exact_average, o_schur_identity, quadrature_average, sp_schur_identity
 from symlpp.rmt import GroupSpec, antidiagonal_odd_prefactors, model_rmt_distribution
 from symlpp.rsk import check_symmetry_lemmas, dual_rsk, rsk
 from symlpp.symfunc import (

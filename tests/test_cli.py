@@ -515,9 +515,10 @@ def _ratios(n, start):
 @pytest.mark.parametrize("model, lmax", [
     ({"variant": "johansson", "a": _ratios(5, 1), "b": _ratios(5, 2)}, 24),
     ({"variant": "diagonal", "q": _ratios(8, 1), "alpha": "1/3"}, 40),
-], ids=["johansson-n5", "diagonal-n8"])
+    ({"variant": "antidiagonal", "q": _ratios(8, 1), "beta": "2/5"}, 40),
+], ids=["johansson-n5", "diagonal-n8", "antidiagonal-n8"])
 def test_exact_reaches_bounds_the_box_sweep_refused(model, lmax, model_file, capsys):
-    # the partition box of both exceeds the cell budget; the Gram and Pfaffian
+    # the partition box of each exceeds the cell budget; the Gram and Pfaffian
     # tables are of order n and agree with the matrix-average column
     path = model_file("m.json", model)
     code, out = run_cli(capsys, ["exact", "--model", path, "--lmax", str(lmax)])

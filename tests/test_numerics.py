@@ -14,9 +14,8 @@ from symlpp.numerics import (
     fourier_coefficients,
     leading_minors,
     pfaffian,
-    pfaffian_minor_sum_check,
-    pfaffian_sign_identity_check,
 )
+from symlpp.oracles import pfaffian_minor_sum_check, pfaffian_sign_identity_check
 
 
 def rand_skew(rnd, n):
@@ -27,6 +26,30 @@ def rand_skew(rnd, n):
             m[j][k] = v
             m[k][j] = -v
     return m
+
+
+def rand_sparse_skew(rnd, n, rational):
+    # 20-50 % of the entries above the diagonal are nonzero; integer entries
+    # stay Python ints
+    density = rnd.uniform(0.2, 0.5)
+    m = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            if rnd.random() < density:
+                v = rnd.choice((-1, 1)) * rnd.randint(1, 9)
+                v = F(v, rnd.randint(1, 7)) if rational else v
+                m[j][k], m[k][j] = v, -v
+    return m
+
+
+def pf_laplace(m):
+    """Pf(A) = sum over j of (-1)^(j-1) a_0j Pf(A without rows and columns 0 and j)."""
+    if not m:
+        return 1
+    rest = range(1, len(m))
+    return sum((-1) ** (j - 1) * m[0][j]
+               * pf_laplace([[m[a][b] for b in rest if b != j] for a in rest if a != j])
+               for j in rest if m[0][j])
 
 
 def test_symbol_validation():
@@ -144,6 +167,22 @@ def test_pfaffian_squares_to_determinant():
         for _ in range(10):
             m = rand_skew(rnd, n)
             assert pfaffian(m) ** 2 == det_exact(m)
+    # sparse inputs: row 0 skips zero partners, and many matrices are singular
+    singular = skipped = 0
+    for n in (2, 4, 6, 8):
+        for rational in (False, True):
+            for _ in range(25):
+                m = rand_sparse_skew(rnd, n, rational)
+                pf = pfaffian(m)
+                assert pf ** 2 == det_exact(m)
+                assert pf == pf_laplace(m)
+                singular += pf == 0
+                skipped += m[0][1] == 0
+    assert singular >= 20 and skipped >= 20
+    # rank two with no zero row: the elimination empties only after one step
+    u, v = [F(k, 3) for k in (1, 2, 0, 5, 4, 7)], [F(k, 5) for k in (2, 1, 3, 0, 6, 1)]
+    m = [[a * d - b * c for c, d in zip(u, v)] for a, b in zip(u, v)]
+    assert all(m[0][1:]) and pfaffian(m) == 0 == det_exact(m)
 
 
 def test_pfaffian_sign_identity_examples():
