@@ -10,11 +10,13 @@ reported as a JSON object on stdout).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .core import (
     BudgetError,
@@ -24,7 +26,7 @@ from .core import (
     matrix_from_rows_top_to_bottom,
 )
 from .harness import hammersley_check, verify_model
-from .lpp import mc_distribution, sample_batch
+from .lpp import mc_distribution, sample_chunks
 from .rsk import rsk
 from .variants import exact_table, model_rmt_table, variant_of
 
@@ -137,13 +139,20 @@ def _seed_from(args) -> int:
 
 
 def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    _emit_pieces((text,), out_path)
+
+
+def _emit_pieces(pieces, out_path: str | None):
+    """Writes each piece of the output as it comes; on stdout the output ends
+    with a newline."""
+    last = ""
+    with open(out_path, "w", encoding="utf-8") if out_path else \
+            contextlib.nullcontext(sys.stdout) as fh:
+        for piece in pieces:
+            fh.write(piece)
+            last = piece or last
+        if not out_path and not last.endswith("\n"):
+            fh.write("\n")
 
 
 def _emit_table(args, model: ModelSpec, table: DistributionTable, extra: dict) -> int:
@@ -165,13 +174,37 @@ def _emit_report(args, report) -> int:
     return 0 if report.passed() else 1
 
 
-def _matrix_payload(matrix) -> dict:
+def _matrix_payload(n_rows: int, n_cols: int, rows_top_to_bottom: list) -> dict:
     return {
-        "n_rows": matrix.n_rows,
-        "n_cols": matrix.n_cols,
-        "row_labels_top_to_bottom": [f"i={i}" for i in range(matrix.n_rows, 0, -1)],
-        "rows_top_to_bottom": matrix.rows_top_to_bottom(),
+        "n_rows": n_rows,
+        "n_cols": n_cols,
+        "row_labels_top_to_bottom": [f"i={i}" for i in range(n_rows, 0, -1)],
+        "rows_top_to_bottom": rows_top_to_bottom,
     }
+
+
+# A placeholder string that the `sample` writer cuts dump_json output at.
+_HOLE = "?"
+
+
+def _sample_pieces(model: ModelSpec, count: int, seed: int):
+    """The `sample` payload as dump_json prints it, one chunk of matrices at a
+    time.  Each matrix fills a %-template that dump_json printed with a hole
+    for every entry, so the chunks hold no JSON tree."""
+    n_rows, n_cols = model.matrix_shape
+    holes = [[_HOLE] * n_cols] * n_rows
+    template = dump_json(_matrix_payload(n_rows, n_cols, holes), 2).replace(
+        "%", "%%").replace(json.dumps(_HOLE), "%d")
+    payload = {"schema": SCHEMA_VERSION, "model": model.to_json_dict(), "seed": seed,
+               "count": count, "matrices": [_HOLE]}
+    head, _, tail = dump_json(payload).rpartition(json.dumps(_HOLE))
+    separator = ",\n    "  # between the items of a list at indent 1
+    yield head
+    for index, chunk in enumerate(sample_chunks(model, count, seed)):
+        text = separator.join([template] * len(chunk)) % tuple(
+            chain.from_iterable(chain.from_iterable(chunk)))
+        yield separator + text if index else text
+    yield tail
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +215,7 @@ def _matrix_payload(matrix) -> dict:
 def _cmd_sample(args) -> int:
     model = _load_model(args.model)
     seed = _seed_from(args)
-    batch = sample_batch(model, args.count, seed)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "model": model.to_json_dict(),
-        "seed": seed,
-        "count": args.count,
-        "matrices": [_matrix_payload(m) for m in batch.matrices],
-    }
-    _emit(dump_json(payload), args.out)
+    _emit_pieces(_sample_pieces(model, args.count, seed), args.out)
     return 0
 
 
@@ -240,7 +265,7 @@ def _cmd_rsk(args) -> int:
     pair = rsk(matrix)
     payload = {
         "schema": SCHEMA_VERSION,
-        "matrix": _matrix_payload(matrix),
+        "matrix": _matrix_payload(matrix.n_rows, matrix.n_cols, matrix.rows_top_to_bottom()),
         "shape": list(pair.p.shape.parts),
         "p_rows": [list(r) for r in pair.p.rows],
         "q_rows": [list(r) for r in pair.q.rows],

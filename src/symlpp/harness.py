@@ -123,17 +123,23 @@ def _chain_lengths(ns: np.ndarray, points: np.ndarray) -> np.ndarray:
     """
     import numpy as np
     size = len(ns)
-    # one row per sample, padded with inf; complex order is by x, then by -y
+    # one row per sample, padded with inf - inf j, which sorts last and whose
+    # -y is inf; complex order is by x, then by -y
     mask = np.arange(int(ns.max(initial=0))) < ns[:, None]
-    key = np.full(mask.shape, np.inf, dtype=complex)
-    key[mask] = points[:, 0] - 1j * points[:, 1]  # row-major mask order is sample order
+    key = np.full(mask.shape, complex(np.inf, -np.inf))
+    # row-major mask order is sample order; a row (x, y) read as x + y j
+    key[mask] = np.conjugate(np.ascontiguousarray(points).view(complex)[:, 0])
     key.sort(axis=1)
-    ys = np.where(mask, -key.imag, np.inf).T.copy()
+    ys = np.negative(key.imag.T, order="C")
     tails = np.full_like(ys, np.inf)
+    columns = np.arange(size)
+    # an insertion row is at most the largest sample's point count, so the
+    # smallest type that holds that count sums the comparisons
+    row_type = np.min_scalar_type(len(ys))
     width = 0  # the longest chain so far: tails from row `width` on are inf
     for y in ys:
-        idx = (tails[:width + 1] < y).sum(axis=0)
-        tails[idx, np.arange(size)] = y
+        idx = (tails[:width + 1] < y).sum(axis=0, dtype=row_type)
+        tails[idx, columns] = y
         width += bool(np.isfinite(tails[width]).any())
     return np.isfinite(tails).sum(axis=0)
 
@@ -154,22 +160,43 @@ EIGHT_POINT_CONFIGURATION = (
 )
 
 
-# Most Poisson points per Monte Carlo chunk, lam * MC_CHUNK on average (the
-# chain kernel takes about 25 MiB at the budget).  It admits lam <= 128.
+# Most Poisson points per Monte Carlo chunk, lam * MC_CHUNK on average (at the
+# budget a chunk's chain counts peak at 3.9 MiB of traced allocations).  It
+# admits lam <= 128.
 POINT_BUDGET = 1 << 19
+# Most points the chain kernel sorts at once, unless one sample holds more; a
+# run takes about 64 bytes a point.
+CHAIN_RUN_POINTS = 1 << 16
 # Largest order of the Toeplitz-Bessel minors, an elimination of l^3 / 6 products
 # of up to 153-bit integers (at lam = 128): 0.4 to 0.7 s at 256 on a 2-CPU host.
 BESSEL_ORDER_BUDGET = 256
 
 
+def _point_runs(ns: np.ndarray):
+    """Consecutive slices of the point counts `ns`, each of at most CHAIN_RUN_POINTS
+    points or else of one sample; a chunk whose points fit is one run."""
+    import numpy as np
+    if ns.sum() <= CHAIN_RUN_POINTS:
+        yield ns
+        return
+    ends = np.cumsum(ns)
+    start = 0
+    while start < len(ns):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + CHAIN_RUN_POINTS, "right")))
+        yield ns[start:stop]
+        start = stop
+
+
 def _poisson_chain_counts(lam: float, l_max: int, n_samples: int, seed: int) -> np.ndarray:
-    """Chain-length counts; each chunk draws its point counts, then all its points."""
+    """Chain-length counts; each chunk draws its point counts, then its points run
+    by run.  The generator fills in order, so the runs draw the same points."""
     import numpy as np
     counts = np.zeros(l_max + 2, dtype=np.int64)
     for size, rng in chunk_streams(seed, n_samples, MC_CHUNK):
-        ns = rng.poisson(lam, size)
-        chains = _chain_lengths(ns, rng.random((int(ns.sum()), 2)))
-        counts += np.bincount(np.minimum(chains, l_max + 1), minlength=l_max + 2)
+        for ns in _point_runs(rng.poisson(lam, size)):
+            chains = _chain_lengths(ns, rng.random((int(ns.sum()), 2)))
+            counts += np.bincount(np.minimum(chains, l_max + 1), minlength=l_max + 2)
     return counts
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .core import BudgetError, DistributionTable, IntMatrix, ModelSpec, check_table_bound
+from .core import (DistributionTable, IntMatrix, ModelSpec, check_table_bound,
+                   matrix_from_rows_top_to_bottom)
 from .rsk import rsk_shape
 from .variants import variant_of
 
@@ -29,10 +30,6 @@ if TYPE_CHECKING:
 # has its own generator, so another size gives other draws.
 MC_CHUNK = 4096
 SAMPLE_CHUNK = 1024
-# Most matrix cells one `sample` batch holds, count x rows x cols.  A held cell
-# and its share of the JSON output take about 120 bytes, so the budget is
-# about 0.5 GiB; the 8 x 8 benchmark batch of 2000 matrices is 1/32 of it.
-SAMPLE_CELL_BUDGET = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +108,10 @@ def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None,
     return out
 
 
-def _sample_matrices(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random.Generator,
-                     count: int) -> list[IntMatrix]:
-    """`count` matrices; each takes one uniform per site, in plan order."""
+def _sample_grid(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random.Generator,
+                 count: int) -> np.ndarray:
+    """`count` matrices as one (count, rows, cols) array, bottom row first; each
+    matrix takes one uniform per site, in plan order."""
     import numpy as np
     u = rng.random((count, len(plan)))
     grid = np.empty((count, *shape), dtype=np.int64)
@@ -122,12 +120,13 @@ def _sample_matrices(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.ra
         values = _draw_vector(site, column, grid[:, i - 1, j - 1])
         for (i, j) in images:
             grid[:, i - 1, j - 1] = values
-    return [IntMatrix(tuple(map(tuple, rows))) for rows in grid.tolist()]
+    return grid
 
 
 def sample_matrix(spec: ModelSpec, rng: np.random.Generator) -> IntMatrix:
     """One matrix from the ensemble; dependent entries filled by its symmetry."""
-    return _sample_matrices(_site_plan(spec), spec.matrix_shape, rng, 1)[0]
+    rows = _sample_grid(_site_plan(spec), spec.matrix_shape, rng, 1)[0].tolist()
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def chunk_streams(seed: int, total: int, size: int):
@@ -142,6 +141,14 @@ def chunk_streams(seed: int, total: int, size: int):
         yield min(size, total - start), np.random.default_rng(seq)
 
 
+def sample_chunks(spec: ModelSpec, count: int, seed: int):
+    """The `count` matrices of `seed`, one list per chunk of SAMPLE_CHUNK, drawn
+    as the caller asks for it; each matrix is a list of rows, top row first."""
+    plan = _site_plan(spec)
+    for size, rng in chunk_streams(seed, count, SAMPLE_CHUNK):
+        yield _sample_grid(plan, spec.matrix_shape, rng, size)[:, ::-1].tolist()
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     spec: ModelSpec
@@ -150,19 +157,10 @@ class SampleBatch:
 
 
 def sample_batch(spec: ModelSpec, count: int, seed: int) -> SampleBatch:
-    """Deterministic batch: chunks of SAMPLE_CHUNK matrices, one stream each.
-
-    The batch's cells are checked against SAMPLE_CELL_BUDGET before any draw."""
-    n_rows, n_cols = spec.matrix_shape
-    cells = count * n_rows * n_cols
-    if cells > SAMPLE_CELL_BUDGET:
-        raise BudgetError(f"{count} matrices of {n_rows} x {n_cols} hold {cells} cells, "
-                          f"over the budget of {SAMPLE_CELL_BUDGET} cells", field="count")
-    plan = _site_plan(spec)
-    matrices: list[IntMatrix] = []
-    for size, rng in chunk_streams(seed, count, SAMPLE_CHUNK):
-        matrices.extend(_sample_matrices(plan, spec.matrix_shape, rng, size))
-    return SampleBatch(spec, seed, tuple(matrices))
+    """Deterministic batch: the matrices of `sample_chunks`, held together."""
+    return SampleBatch(spec, seed, tuple(matrix_from_rows_top_to_bottom(rows)
+                                         for chunk in sample_chunks(spec, count, seed)
+                                         for rows in chunk))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import symlpp
-from symlpp import cli, harness, lpp
+from symlpp import cli, harness
 from symlpp.cli import build_parser, dump_json, main, rows_to_csv
 from symlpp.core import ModelSpec, format_rational
 from symlpp.variants import model_rmt_table
@@ -176,7 +176,7 @@ def _no_work(*args, **kwargs):
 ])
 def test_negative_seed_is_config_error_before_any_work(command, model_file, capsys,
                                                        monkeypatch):
-    for name in ("sample_batch", "mc_distribution", "verify_model", "hammersley_check"):
+    for name in ("sample_chunks", "mc_distribution", "verify_model", "hammersley_check"):
         monkeypatch.setattr(cli, name, _no_work)
     if command[0] != "hammersley":
         path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
@@ -655,29 +655,54 @@ def test_cold_start_loads_numpy_only_where_samples_are_drawn(tmp_path):
     assert report["after_mc"] == ["numpy"]
 
 
-def test_oversized_sample_is_a_budget_error_under_an_address_space_cap(tmp_path):
-    # 10^8 matrices of 8 x 8 would be ~70 GiB of held cells; under a 1 GiB cap
-    # an unchecked batch dies with MemoryError (exit 3) instead of exit 2
+# Runs `sample` into --out in a fresh interpreter; prints its exit code and the
+# interpreter's peak RSS (ru_maxrss, KiB on Linux).
+SAMPLE_RSS_SCRIPT = """
+import resource, sys
+from symlpp.cli import main
+code = main(["sample", "--model", sys.argv[1], "--count", sys.argv[2], "--out", sys.argv[3]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_sample_memory_does_not_grow_with_count(tmp_path):
+    # `sample` writes each chunk as it is drawn: 65536 matrices of 8 x 8 (about
+    # 70 MB of JSON) peak within 8 MiB of 2000
     model = tmp_path / "d.json"
     model.write_text(json.dumps({"variant": "diagonal", "q": _ratios(8, 1), "alpha": "1/3"}))
-    script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-              "from symlpp.cli import main\n"
-              "print(main(['sample', '--model', sys.argv[1], '--count', '100000000']))\n")
-    out = _run_fresh(script, str(model)).stdout
-    error, code = out.rsplit("\n", 2)[:2]
-    assert code == "2"
-    error = json.loads(error)["error"]
-    assert "budget" in error["message"] and error["field"] == "count"
+    peaks = []
+    for count in (2000, 65536):
+        code, peak = _run_fresh(SAMPLE_RSS_SCRIPT, str(model), str(count), os.devnull).stdout.split()
+        assert code == "0"
+        peaks.append(int(peak))
+    assert abs(peaks[1] - peaks[0]) <= 8 * 1024, peaks
 
 
-def test_sample_budget_edge_admits_far_more_than_the_benchmark(model_file, capsys, monkeypatch):
-    # the benchmark samples 2000 matrices of 8 x 8; the budget holds 32 times that
-    assert 32 * 2000 * 64 <= lpp.SAMPLE_CELL_BUDGET
-    path = model_file("d.json", {"variant": "diagonal", "q": _ratios(8, 1), "alpha": "1/3"})
-    monkeypatch.setattr(lpp, "chunk_streams", lambda seed, total, size: iter(()))
-    edge = lpp.SAMPLE_CELL_BUDGET // 64
-    code, _ = run_cli(capsys, ["sample", "--model", path, "--count", str(edge)])
-    assert code == 0
-    code, out = run_cli(capsys, ["sample", "--model", path, "--count", str(edge + 1)])
-    assert code == 2 and json.loads(out)["error"]["field"] == "count"
+def test_sample_out_file_is_stdout_without_the_final_newline(model_file, tmp_path, capsys):
+    path = model_file("d.json", STREAM_MODELS["diagonal"])
+    argv = ["sample", "--model", path, "--count", "1100", "--seed", "5"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and out.endswith("}\n")
+    target = tmp_path / "sample.json"
+    code, rest = run_cli(capsys, argv + ["--out", str(target)])
+    assert code == 0 and rest == ""
+    assert target.read_bytes() == out[:-1].encode()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--model", "MISSING", "--count", "3"], "model"),
+    (["--model", "MODEL", "--count", "0"], "count"),
+    (["--model", "MODEL", "--count", "3", "--seed", "-1"], "seed"),
+])
+def test_sample_config_error_comes_before_any_output(argv, field, model_file, tmp_path,
+                                                      capsys):
+    paths = {"MODEL": model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]}),
+             "MISSING": str(tmp_path / "none.json")}
+    argv = ["sample"] + [paths.get(a, a) for a in argv]
+    target = tmp_path / "sample.json"
+    for extra in ([], ["--out", str(target)]):
+        code, out = run_cli(capsys, argv + extra)
+        assert code == 2
+        # the whole of stdout is the one error object
+        assert json.loads(out)["error"]["field"] == field
+        assert not target.exists()

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from symlpp import harness
 from symlpp.core import ModelSpec
 from symlpp.harness import (
     EIGHT_POINT_CONFIGURATION,
     _chain_lengths,
     _fixed_point_bits,
     _fixed_point_minors,
+    _point_runs,
     _poisson_chain_counts,
     hammersley_check,
     longest_increasing_chain,
@@ -73,6 +75,8 @@ def test_longest_increasing_chain():
     assert longest_increasing_chain([(0.1, 0.9)]) == 1
     ascending = [(i / 10, i / 10) for i in range(1, 8)]
     assert longest_increasing_chain(ascending) == 7
+    # tails counted past 255, beyond an 8-bit insertion row
+    assert longest_increasing_chain([(i, i) for i in range(300)]) == 300
     # equal x cannot stack inside one chain
     assert longest_increasing_chain([(0.5, 0.1), (0.5, 0.2), (0.5, 0.3)]) == 1
     descending = [(i / 10, 1 - i / 10) for i in range(1, 8)]
@@ -114,6 +118,26 @@ def test_lam100_chain_counts_are_pinned():
     report = hammersley_check(100.0, 30, 9000, seed=0)
     assert [r.mc_estimate for r in report.rows] == \
         (np.cumsum(PINNED_LAM100_COUNTS)[:31] / 9000).tolist()
+
+
+def test_point_runs_cut_at_the_limit_or_at_one_sample(monkeypatch):
+    monkeypatch.setattr(harness, "CHAIN_RUN_POINTS", 5)
+    runs = [run.tolist() for run in _point_runs(np.array([3, 0, 5, 2, 9, 1, 1, 3, 0]))]
+    assert runs == [[3, 0], [5], [2], [9], [1, 1, 3, 0]]
+    ns = np.array([2, 1, 2])
+    assert [run is ns for run in _point_runs(ns)] == [True]
+
+
+@pytest.mark.parametrize("lam, n_samples", [(4.0, 5000), (100.0, 300)])
+def test_chain_runs_draw_the_same_points(lam, n_samples, monkeypatch):
+    # one sample per run (at lam = 100 each over the limit), a few samples per
+    # run, and one run per chunk give the same counts
+    counts = []
+    for run_points in (1, 1000, 1 << 40):
+        monkeypatch.setattr(harness, "CHAIN_RUN_POINTS", run_points)
+        counts.append(_poisson_chain_counts(lam, 30, n_samples, 3).tolist())
+    assert counts[0] == counts[1] == counts[2]
+    assert sum(counts[0]) == n_samples
 
 
 def test_eight_point_configuration_has_chain_three():
