@@ -13,8 +13,6 @@ from .core import (
 )
 from .lpp import (
     SampleBatch,
-    greene_multi,
-    greene_oracle,
     last_passage,
     last_passage_bernoulli,
     mc_distribution,
@@ -38,7 +36,7 @@ from .rmt import (
     sp_average,
     u_average,
 )
-from .rsk import Tableau, TableauPair, check_symmetry_lemmas, dual_rsk, evacuate, rsk
+from .rsk import Tableau, TableauPair, dual_rsk, evacuate, rsk
 from .symfunc import (
     domino_tilable,
     exact_distribution,
@@ -46,7 +44,6 @@ from .symfunc import (
     pointreflection_selfdual_table,
     schur,
     selfdual_schur,
-    selfdual_schur_oracle,
     two_quotient,
 )
 from .variants import exact_table, model_rmt_table

@@ -4,7 +4,9 @@ Model specs come in as JSON files; rationals travel as decimal-free "p/q"
 strings and floats print with 17 significant digits, so a fixed config and
 seed reproduce byte-identical output.  Exit status: 0 on success / PASS,
 1 on a FAIL verdict, 2 on configuration errors, 3 on internal errors (both
-reported as a JSON object on stdout).
+reported as a JSON object on stdout), and 141 (128 + SIGPIPE) when the reader
+of stdout goes away first, as in `symlpp sample ... | head -3`; then nothing
+more is written.
 """
 
 from __future__ import annotations
@@ -213,6 +215,8 @@ def _sample_pieces(model: ModelSpec, count: int, seed: int):
 
 
 def _cmd_sample(args) -> int:
+    if args.format != "json":
+        raise ConfigError(f"sample writes JSON only, not {args.format}", field="format")
     model = _load_model(args.model)
     seed = _seed_from(args)
     _emit_pieces(_sample_pieces(model, args.count, seed), args.out)
@@ -355,11 +359,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone: write nothing more, and point stdout
+        # at devnull so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
+
+
+def _run(args) -> int:
     try:
         _check_arguments(args)
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except (ConfigError, ValueError, TypeError) as exc:
         field = exc.field if isinstance(exc, ConfigError) else None
         if isinstance(exc, BudgetError):

@@ -8,14 +8,126 @@ approximate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Union
 
 Rational = Fraction
 
 Scalar = Union[Fraction, float]
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class FrozenRecordError(AttributeError):
+    """An assignment to, or deletion of, a field of a frozen record."""
+
+
+class _Factory:
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+def field(*, default_factory) -> _Factory:
+    """A field default made afresh for each record, e.g. field(default_factory=dict)."""
+    return _Factory(default_factory)
+
+
+def record(cls=None, *, frozen: bool = True):
+    """Class decorator with the semantics of dataclasses.dataclass, frozen by default.
+
+    The fields are the class annotations, in order; a class attribute is the
+    field's default.  It adds __init__ (which calls __post_init__, if the class
+    has one), __eq__ (the same class and equal fields, so records of two
+    classes never collide as cache keys), __repr__ (`Name(f=v, ...)`) and, for
+    a frozen record, __hash__ over the fields and a __setattr__ and __delattr__
+    that raise FrozenRecordError; a mutable record is unhashable.
+    A method the class defines itself is kept.  The methods are closures over
+    the field names, so nothing is generated as source or compiled, and
+    importing this module does not load dataclasses, inspect or ast.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    for name, value in defaults.items():
+        if isinstance(value, _Factory):
+            delattr(cls, name)
+    count = len(names)
+    post_init = cls.__dict__.get("__post_init__")
+    get = attrgetter(*names)  # one field's value, or the tuple of several
+    # Fields are set as dataclasses sets them, through object.__setattr__:
+    # writing to self.__dict__ would make each record build a dict of its own,
+    # 64 bytes more, with attribute loads twice as slow.  Records of one and
+    # two fields (Partition, IntMatrix, Tableau, TableauPair) are the ones
+    # built in bulk, and setting their fields without a loop saves 0.25 us.
+    set_field = object.__setattr__
+    first, second = (names + (None, None))[:2]
+
+    def bind(args, kwargs):
+        """The field values of a call that does not pass every field positionally."""
+        if len(args) > count or kwargs.keys() - set(names[len(args):]):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(args)} "
+                            f"positional and the keywords {sorted(kwargs)}")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs[name])
+            elif name in defaults:
+                value = defaults[name]
+                values.append(value.make() if isinstance(value, _Factory) else value)
+            else:
+                raise TypeError(f"{cls.__name__}() is missing the field {name!r}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if len(args) != count or kwargs:
+            args = bind(args, kwargs)
+        if count == 1:
+            set_field(self, first, args[0])
+        elif count == 2:
+            set_field(self, first, args[0])
+            set_field(self, second, args[1])
+        else:
+            for name, value in zip(names, args):
+                set_field(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __hash__(self):
+        return hash(get(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__}
+    if frozen:
+        methods.update(__setattr__=__setattr__, __delattr__=__delattr__)
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    # a class that defines __eq__ gets __hash__ = None from Python itself
+    if cls.__dict__.get("__hash__") is None:
+        cls.__hash__ = __hash__ if frozen else None
+    return cls
 
 
 class _Parameters(NamedTuple):
@@ -86,7 +198,7 @@ def format_rational(value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Partition:
     """Weakly decreasing positive parts; trailing zeros are never stored."""
 
@@ -184,7 +296,7 @@ def count_partitions_in_box(max_part: int, max_length: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Nonnegative integer matrix; row i counts from the BOTTOM, column j from the left.
 
@@ -265,7 +377,7 @@ def matrix_from_rows_top_to_bottom(rows) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ModelSpec:
     """One of the six site-weight ensembles together with its exact parameters.
 
@@ -375,7 +487,7 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DistributionTable:
     """Cumulative law l -> Pr(L <= l), exact or tagged approximate.
 

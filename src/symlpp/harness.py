@@ -9,11 +9,10 @@ the only ones that make arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core import BudgetError, ModelSpec, format_rational
+from .core import BudgetError, ModelSpec, field, format_rational, record
 from .lpp import MC_CHUNK, chunk_streams, mc_distribution
 from .variants import exact_table, model_rmt_table, variant_of
 
@@ -21,7 +20,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass
+@record(frozen=False)
 class ReportRow:
     l: int
     mc_estimate: float
@@ -48,7 +47,7 @@ class ReportRow:
         return out
 
 
-@dataclass
+@record(frozen=False)
 class VerificationReport:
     model: dict
     second_kind: str

@@ -13,13 +13,11 @@ process that never samples (`exact`, `rmt`, `rsk`) never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .core import (DistributionTable, IntMatrix, ModelSpec, check_table_bound,
-                   matrix_from_rows_top_to_bottom)
-from .rsk import rsk_shape
+                   matrix_from_rows_top_to_bottom, record)
 from .variants import variant_of
 
 if TYPE_CHECKING:
@@ -38,7 +36,7 @@ SAMPLE_CHUNK = 1024
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class _Site:
     law: str                      # geom | bernoulli | parity_geom
     params: tuple[float, ...]     # geom/bernoulli: (p,); parity_geom: (q, beta)
@@ -149,7 +147,7 @@ def sample_chunks(spec: ModelSpec, count: int, seed: int):
         yield _sample_grid(plan, spec.matrix_shape, rng, size)[:, ::-1].tolist()
 
 
-@dataclass(frozen=True)
+@record
 class SampleBatch:
     spec: ModelSpec
     seed: int
@@ -210,61 +208,6 @@ def last_passage_bernoulli(X: IntMatrix) -> int:
             carried.append(row[j] + best)
         scores = carried
     return max(scores)
-
-
-def greene_multi(X: IntMatrix, l: int) -> int:
-    """Sum of the first l parts of the insertion shape of X."""
-    if l < 1:
-        raise ValueError("l must be at least 1")
-    shape = rsk_shape(X)
-    return sum(shape.parts[:l])
-
-
-def _antichain_width(points: list[tuple[int, int]]) -> int:
-    """Largest antichain of lattice sites in the product order."""
-    pts = sorted(points)
-    best = [0] * len(pts)
-    for idx, (_, j) in enumerate(pts):
-        longest = 0
-        for prev in range(idx):
-            if pts[prev][1] > j and best[prev] > longest:
-                longest = best[prev]
-        best[idx] = longest + 1
-    return max(best, default=0)
-
-
-@lru_cache(maxsize=8)
-def _site_subset_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^(n*n) site subsets of the n x n grid with their antichain widths."""
-    import numpy as np
-    sites = [(i, j) for i in range(n) for j in range(n)]
-    count = 1 << len(sites)
-    masks = np.zeros((count, len(sites)), dtype=np.int64)
-    widths = np.zeros(count, dtype=np.int64)
-    for mask in range(count):
-        chosen = [sites[t] for t in range(len(sites)) if mask >> t & 1]
-        widths[mask] = _antichain_width(chosen)
-        for t in range(len(sites)):
-            if mask >> t & 1:
-                masks[mask, t] = 1
-    return masks, widths
-
-
-def greene_oracle(X: IntMatrix, l: int) -> int:
-    """Brute force: best total weight of a site set whose antichains have size <= l.
-
-    By Dilworth such sets are exactly the unions of at most l vertex-disjoint
-    monotone chains.  Enumeration-guarded to square matrices with n <= 4.
-    """
-    import numpy as np
-    if X.n_rows != X.n_cols or X.n_rows > 4:
-        raise ValueError("oracle guard: square matrices with n <= 4 only")
-    if l < 1:
-        raise ValueError("l must be at least 1")
-    masks, widths = _site_subset_tables(X.n_rows)
-    flat = np.array([x for row in X.rows for x in row], dtype=np.int64)
-    sums = masks @ flat
-    return int(sums[widths <= l].max())
 
 
 # ---------------------------------------------------------------------------

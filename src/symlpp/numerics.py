@@ -12,11 +12,10 @@ pfaffian live in symlpp.oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import BudgetError, Rational
+from .core import BudgetError, Rational, record
 
 
 # ---------------------------------------------------------------------------
@@ -24,7 +23,7 @@ from .core import BudgetError, Rational
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PolyPlus:
     """Factor (1 + c * z^sign)."""
 
@@ -37,7 +36,7 @@ class PolyPlus:
             raise ValueError("exponent sign must be +1 or -1")
 
 
-@dataclass(frozen=True)
+@record
 class GeomInv:
     """Factor (1 - c * z^sign)^(-1) with |c| < 1 so the series converges."""
 
@@ -55,7 +54,7 @@ class GeomInv:
 Factor = PolyPlus | GeomInv
 
 
-@dataclass(frozen=True)
+@record
 class SymbolSpec:
     factors: tuple[Factor, ...]
 

@@ -1,4 +1,4 @@
-"""Independent witnesses for the group averages of symlpp.rmt.
+"""Independent witnesses for the production engines, used only by tests.
 
 The production engine (symlpp.rmt) evaluates every Sp/O average as a
 Toeplitz +- Hankel determinant and every U average as a Toeplitz determinant.
@@ -25,22 +25,31 @@ Pfaffians are also summed here term by term over the partition box
 checked against symfunc.CELL_BUDGET.  Two Pfaffian identities check
 numerics.pfaffian: the closed pairing evaluation of a sign-ratio matrix
 (pfaffian_sign_identity_check) and the minor-sum expansion of Pf(A + B)
-(pfaffian_minor_sum_check).  Production code does not import this module.
+(pfaffian_minor_sum_check).
+
+The tableau witnesses check the combinatorics by other routes:
+check_symmetry_lemmas the tableau side of each matrix symmetry,
+greene_oracle Greene's theorem on the insertion shape by brute force over
+site subsets (greene_multi reads the shape), schur_bialternant the Schur
+evaluator as a ratio of alternants, and selfdual_schur_oracle the self-dual
+Schur functions by enumerating the evacuation-fixed fillings (iter_ssyt).
+Production code does not import this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import exp, factorial
 
 import numpy as np
 
-from .core import (BudgetError, Partition, alternating_sum, check_table_bound, conjugate,
-                   partitions_in_box)
-from .numerics import GeomInv, PolyPlus, SymbolSpec, _check_skew, pfaffian
+from .core import (BudgetError, IntMatrix, Partition, alternating_sum, check_table_bound,
+                   conjugate, partitions_in_box, record)
+from .numerics import GeomInv, PolyPlus, SymbolSpec, _check_skew, det_exact, pfaffian
 from .rmt import UNIT, ClassFunctionSpec, GroupSpec, _Structure, _structure, _value_at_point
+from .rsk import Tableau, evacuate, rsk, rsk_shape
 from .symfunc import _check_box, _schur_values, schur
 
 # Most free angles the constant-term expander takes: at four, three linear
@@ -54,7 +63,7 @@ _QUAD_POINT_BUDGET = 1 << 22
 _SINGLE_DEGREE = {"sin2": 2, "one_minus": 1, "one_plus": 1, None: 0}
 
 
-@dataclass(frozen=True)
+@record
 class ExpCos:
     """Symbol factor exp(c * (z + 1/z) / 2), which only quadrature integrates."""
 
@@ -575,3 +584,184 @@ def pfaffian_minor_sum_check(a, b) -> bool:
         total = total + term if weight % 2 == 0 else total - term
     lhs = pfaffian([[ma[i][j] + mb[i][j] for j in range(n)] for i in range(n)])
     return lhs == total
+
+
+# ---------------------------------------------------------------------------
+# Tableau witnesses: the symmetry lemmas, Greene's theorem, Schur evaluation
+# ---------------------------------------------------------------------------
+
+
+def _require(condition: bool, message: str):
+    if not condition:
+        raise ValueError(message)
+
+
+def check_symmetry_lemmas(X: IntMatrix, symmetry_class: str) -> dict[str, bool]:
+    """Verify the tableau-side consequences of a matrix symmetry.
+
+    symmetry_class is one of 'diagonal', 'antidiagonal', 'doublysymmetric',
+    'pointreflection'.  The matrix must actually have the claimed symmetry
+    (checked, error if not); the returned mapping gives one boolean per lemma:
+
+      p_equals_q          X = X^T forces P = Q
+      trace_alt_sum       X = X^T forces trace(X) = mu_1 - mu_2 + mu_3 - ...
+      odd_counts          X = X^R forces #odd anti-diagonal entries
+                          = #odd parts of mu = alternating_sum(mu')
+      q_is_evacuated_p    X = X^R forces Q = evacuate(P)
+      p_evacuation_fixed  X = X^T = X^R forces evacuate(P) = P
+      all_parts_even      even anti-diagonal entries force an even shape
+      q_evacuation_fixed  point reflection forces evacuate(Q) = Q
+    """
+    if symmetry_class not in ("diagonal", "antidiagonal", "doublysymmetric", "pointreflection"):
+        raise ValueError(f"no symmetry lemmas for class {symmetry_class!r}")
+    n = X.n_rows
+    _require(n == X.n_cols, "symmetry lemmas need a square matrix")
+    if symmetry_class in ("diagonal", "doublysymmetric"):
+        _require(X == X.transpose(), "matrix is not symmetric about the diagonal")
+    if symmetry_class in ("antidiagonal", "doublysymmetric"):
+        _require(X == X.anti_transpose(), "matrix is not symmetric about the anti-diagonal")
+    if symmetry_class == "doublysymmetric":
+        _require(all(X.entry(i, n + 1 - i) % 2 == 0 for i in range(1, n + 1)),
+                 "anti-diagonal entries must be even")
+    if symmetry_class == "pointreflection":
+        _require(X == X.rotate180(), "matrix is not point-reflection symmetric")
+
+    pair = rsk(X)
+    mu = pair.p.shape
+    report: dict[str, bool] = {}
+
+    if symmetry_class in ("diagonal", "doublysymmetric"):
+        report["p_equals_q"] = pair.p == pair.q
+        report["trace_alt_sum"] = X.trace() == alternating_sum(mu)
+    if symmetry_class in ("antidiagonal", "doublysymmetric"):
+        odd_anti = sum(X.entry(i, n + 1 - i) % 2 for i in range(1, n + 1))
+        odd_parts = sum(p % 2 for p in mu.parts)
+        report["odd_counts"] = odd_anti == odd_parts == alternating_sum(conjugate(mu))
+        report["q_is_evacuated_p"] = pair.q == evacuate(pair.p)
+    if symmetry_class == "doublysymmetric":
+        report["p_evacuation_fixed"] = evacuate(pair.p) == pair.p
+        report["all_parts_even"] = all(p % 2 == 0 for p in mu.parts)
+    if symmetry_class == "pointreflection":
+        report["p_evacuation_fixed"] = evacuate(pair.p) == pair.p
+        report["q_evacuation_fixed"] = evacuate(pair.q) == pair.q
+    return report
+
+
+def greene_multi(X: IntMatrix, l: int) -> int:
+    """Sum of the first l parts of the insertion shape of X."""
+    if l < 1:
+        raise ValueError("l must be at least 1")
+    shape = rsk_shape(X)
+    return sum(shape.parts[:l])
+
+
+def _antichain_width(points: list[tuple[int, int]]) -> int:
+    """Largest antichain of lattice sites in the product order."""
+    pts = sorted(points)
+    best = [0] * len(pts)
+    for idx, (_, j) in enumerate(pts):
+        longest = 0
+        for prev in range(idx):
+            if pts[prev][1] > j and best[prev] > longest:
+                longest = best[prev]
+        best[idx] = longest + 1
+    return max(best, default=0)
+
+
+@lru_cache(maxsize=8)
+def _site_subset_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^(n*n) site subsets of the n x n grid with their antichain widths."""
+    sites = [(i, j) for i in range(n) for j in range(n)]
+    count = 1 << len(sites)
+    masks = np.zeros((count, len(sites)), dtype=np.int64)
+    widths = np.zeros(count, dtype=np.int64)
+    for mask in range(count):
+        chosen = [sites[t] for t in range(len(sites)) if mask >> t & 1]
+        widths[mask] = _antichain_width(chosen)
+        for t in range(len(sites)):
+            if mask >> t & 1:
+                masks[mask, t] = 1
+    return masks, widths
+
+
+def greene_oracle(X: IntMatrix, l: int) -> int:
+    """Brute force: best total weight of a site set whose antichains have size <= l.
+
+    By Dilworth such sets are exactly the unions of at most l vertex-disjoint
+    monotone chains.  Enumeration-guarded to square matrices with n <= 4.
+    """
+    if X.n_rows != X.n_cols or X.n_rows > 4:
+        raise ValueError("oracle guard: square matrices with n <= 4 only")
+    if l < 1:
+        raise ValueError("l must be at least 1")
+    masks, widths = _site_subset_tables(X.n_rows)
+    flat = np.array([x for row in X.rows for x in row], dtype=np.int64)
+    sums = masks @ flat
+    return int(sums[widths <= l].max())
+
+
+def schur_bialternant(mu: Partition, xs) -> Fraction:
+    """Cross-check evaluator: ratio of alternants, valid for distinct rational xs."""
+    xs = tuple(Fraction(x) for x in xs)
+    n = len(xs)
+    if len(set(xs)) != n:
+        raise ValueError("bialternant needs distinct variables")
+    if mu.length > n:
+        return Fraction(0)
+    lam = mu.padded(n)
+    num = [[x ** (n - k + lam[k - 1]) for k in range(1, n + 1)] for x in xs]
+    den = [[x ** (n - k) for k in range(1, n + 1)] for x in xs]
+    return det_exact(num) / det_exact(den)
+
+
+def iter_ssyt(mu: Partition, bound: int):
+    """All semistandard fillings of shape mu with entries in 1..bound."""
+    shape = mu.parts
+    if not shape:
+        yield Tableau((), bound)
+        return
+    grid = [[0] * p for p in shape]
+    cells = [(r, c) for r, p in enumerate(shape) for c in range(p)]
+
+    def rec(idx: int):
+        if idx == len(cells):
+            yield Tableau(tuple(tuple(row) for row in grid), bound)
+            return
+        r, c = cells[idx]
+        lo = 1
+        if c > 0:
+            lo = max(lo, grid[r][c - 1])
+        if r > 0:
+            lo = max(lo, grid[r - 1][c] + 1)
+        for v in range(lo, bound + 1):
+            grid[r][c] = v
+            yield from rec(idx + 1)
+        grid[r][c] = 0
+
+    yield from rec(0)
+
+
+def selfdual_schur_oracle(mu: Partition, n: int, q) -> Fraction:
+    """Brute force: sum over evacuation-fixed fillings of shape mu, content 2n.
+
+    Under the identification of variable i with variable 2n+1-i a fixed filling
+    contributes the monomial prod_i q_i ** (#letters i), i = 1..n, because its
+    letter counts are complement-symmetric.
+    """
+    if mu.weight > 10 or n > 3:
+        raise ValueError("oracle guard: |mu| <= 10 and n <= 3")
+    q = tuple(q)
+    if len(q) != n:
+        raise ValueError("need one variable per reflected pair")
+    total = Fraction(0)
+    for t in iter_ssyt(mu, 2 * n):
+        if evacuate(t) != t:
+            continue
+        counts = t.content()
+        term = Fraction(1)
+        for i in range(1, n + 1):
+            if counts[i] != counts[2 * n + 1 - i]:
+                raise AssertionError("fixed filling with asymmetric content")
+            term *= q[i - 1] ** counts[i]
+        total += term
+    return total

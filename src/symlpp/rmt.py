@@ -26,11 +26,10 @@ weight parameter is 0 with a vanishing exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .core import ModelSpec, Partition
+from .core import ModelSpec, Partition, record
 from .numerics import (
     GeomInv,
     PolyPlus,
@@ -44,7 +43,7 @@ from .symfunc import _upper_pair_product
 GROUP_FAMILIES = ("U", "Sp", "O+", "O-", "O")
 
 
-@dataclass(frozen=True)
+@record
 class GroupSpec:
     """Family plus the size convention used in the formulas: Sp(2l) has l pairs,
     O+(l)/O-(l) split by the parity of l, and 'O' means the half-half mixture."""
@@ -59,7 +58,7 @@ class GroupSpec:
             raise ValueError("size parameter must be nonnegative")
 
 
-@dataclass(frozen=True)
+@record
 class ClassFunctionSpec:
     """Multiplicative class function: a per-eigenvalue symbol, an optional
     det(1 + alpha U) factor, and an optional Schur factor over all eigenvalues
@@ -88,7 +87,7 @@ UNIT = ClassFunctionSpec()
 _HANKEL = {"sin2": (2, -1), "one_minus": (1, -1), "one_plus": (1, 1), None: (0, 1)}
 
 
-@dataclass(frozen=True)
+@record
 class _Structure:
     pairs: int                    # number of free angles
     paired: bool                  # each free angle carries z and its conjugate

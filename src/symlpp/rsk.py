@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
-from .core import IntMatrix, Partition, alternating_sum, conjugate
+from .core import IntMatrix, Partition, record
 
 
-@dataclass(frozen=True)
+@record
 class Tableau:
     """Semistandard filling: rows weakly increase, columns strictly increase."""
 
@@ -58,7 +57,7 @@ class Tableau:
         return "\n".join(" ".join(f"{x:2d}" for x in r) for r in self.rows)
 
 
-@dataclass(frozen=True)
+@record
 class TableauPair:
     p: Tableau
     q: Tableau
@@ -205,64 +204,3 @@ def evacuate_by_word(t: Tableau) -> Tableau:
     """Independent route to evacuation: insert the reversed, complemented reading word."""
     n = t.content_bound
     return insertion_tableau([n + 1 - x for x in reversed(_word_of(t))], n)
-
-
-# ---------------------------------------------------------------------------
-# Symmetry lemmas
-# ---------------------------------------------------------------------------
-
-
-def _require(condition: bool, message: str):
-    if not condition:
-        raise ValueError(message)
-
-
-def check_symmetry_lemmas(X: IntMatrix, symmetry_class: str) -> dict[str, bool]:
-    """Verify the tableau-side consequences of a matrix symmetry.
-
-    symmetry_class is one of 'diagonal', 'antidiagonal', 'doublysymmetric',
-    'pointreflection'.  The matrix must actually have the claimed symmetry
-    (checked, error if not); the returned mapping gives one boolean per lemma:
-
-      p_equals_q          X = X^T forces P = Q
-      trace_alt_sum       X = X^T forces trace(X) = mu_1 - mu_2 + mu_3 - ...
-      odd_counts          X = X^R forces #odd anti-diagonal entries
-                          = #odd parts of mu = alternating_sum(mu')
-      q_is_evacuated_p    X = X^R forces Q = evacuate(P)
-      p_evacuation_fixed  X = X^T = X^R forces evacuate(P) = P
-      all_parts_even      even anti-diagonal entries force an even shape
-      q_evacuation_fixed  point reflection forces evacuate(Q) = Q
-    """
-    if symmetry_class not in ("diagonal", "antidiagonal", "doublysymmetric", "pointreflection"):
-        raise ValueError(f"no symmetry lemmas for class {symmetry_class!r}")
-    n = X.n_rows
-    _require(n == X.n_cols, "symmetry lemmas need a square matrix")
-    if symmetry_class in ("diagonal", "doublysymmetric"):
-        _require(X == X.transpose(), "matrix is not symmetric about the diagonal")
-    if symmetry_class in ("antidiagonal", "doublysymmetric"):
-        _require(X == X.anti_transpose(), "matrix is not symmetric about the anti-diagonal")
-    if symmetry_class == "doublysymmetric":
-        _require(all(X.entry(i, n + 1 - i) % 2 == 0 for i in range(1, n + 1)),
-                 "anti-diagonal entries must be even")
-    if symmetry_class == "pointreflection":
-        _require(X == X.rotate180(), "matrix is not point-reflection symmetric")
-
-    pair = rsk(X)
-    mu = pair.p.shape
-    report: dict[str, bool] = {}
-
-    if symmetry_class in ("diagonal", "doublysymmetric"):
-        report["p_equals_q"] = pair.p == pair.q
-        report["trace_alt_sum"] = X.trace() == alternating_sum(mu)
-    if symmetry_class in ("antidiagonal", "doublysymmetric"):
-        odd_anti = sum(X.entry(i, n + 1 - i) % 2 for i in range(1, n + 1))
-        odd_parts = sum(p % 2 for p in mu.parts)
-        report["odd_counts"] = odd_anti == odd_parts == alternating_sum(conjugate(mu))
-        report["q_is_evacuated_p"] = pair.q == evacuate(pair.p)
-    if symmetry_class == "doublysymmetric":
-        report["p_evacuation_fixed"] = evacuate(pair.p) == pair.p
-        report["all_parts_even"] = all(p % 2 == 0 for p in mu.parts)
-    if symmetry_class == "pointreflection":
-        report["p_evacuation_fixed"] = evacuate(pair.p) == pair.p
-        report["q_evacuation_fixed"] = evacuate(pair.q) == pair.q
-    return report

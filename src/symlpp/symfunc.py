@@ -27,8 +27,7 @@ from .core import (
     count_partitions_in_box,
     partitions_in_box,
 )
-from .numerics import det_exact, leading_minors, pfaffian, scaled
-from .rsk import Tableau, evacuate
+from .numerics import leading_minors, pfaffian, scaled
 
 # ---------------------------------------------------------------------------
 # Schur evaluation
@@ -93,20 +92,6 @@ def schur(mu: Partition, xs):
     if mu.length > len(xs):
         return 0
     return _schur_values(xs, mu.part(1), mu.length)[mu.parts]
-
-
-def schur_bialternant(mu: Partition, xs) -> Fraction:
-    """Cross-check evaluator: ratio of alternants, valid for distinct rational xs."""
-    xs = tuple(Fraction(x) for x in xs)
-    n = len(xs)
-    if len(set(xs)) != n:
-        raise ValueError("bialternant needs distinct variables")
-    if mu.length > n:
-        return Fraction(0)
-    lam = mu.padded(n)
-    num = [[x ** (n - k + lam[k - 1]) for k in range(1, n + 1)] for x in xs]
-    den = [[x ** (n - k) for k in range(1, n + 1)] for x in xs]
-    return det_exact(num) / det_exact(den)
 
 
 # ---------------------------------------------------------------------------
@@ -286,59 +271,6 @@ def selfdual_schur(mu: Partition, q) -> Fraction:
 def even_partition_halves(lam: Partition) -> tuple[Partition, Partition]:
     """(odd-indexed parts, even-indexed parts) of lam, the halves paired with 2*lam."""
     return Partition(lam.parts[0::2]), Partition(lam.parts[1::2])
-
-
-def iter_ssyt(mu: Partition, bound: int):
-    """All semistandard fillings of shape mu with entries in 1..bound."""
-    shape = mu.parts
-    if not shape:
-        yield Tableau((), bound)
-        return
-    grid = [[0] * p for p in shape]
-    cells = [(r, c) for r, p in enumerate(shape) for c in range(p)]
-
-    def rec(idx: int):
-        if idx == len(cells):
-            yield Tableau(tuple(tuple(row) for row in grid), bound)
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, bound + 1):
-            grid[r][c] = v
-            yield from rec(idx + 1)
-        grid[r][c] = 0
-
-    yield from rec(0)
-
-
-def selfdual_schur_oracle(mu: Partition, n: int, q) -> Fraction:
-    """Brute force: sum over evacuation-fixed fillings of shape mu, content 2n.
-
-    Under the identification of variable i with variable 2n+1-i a fixed filling
-    contributes the monomial prod_i q_i ** (#letters i), i = 1..n, because its
-    letter counts are complement-symmetric.
-    """
-    if mu.weight > 10 or n > 3:
-        raise ValueError("oracle guard: |mu| <= 10 and n <= 3")
-    q = tuple(q)
-    if len(q) != n:
-        raise ValueError("need one variable per reflected pair")
-    total = Fraction(0)
-    for t in iter_ssyt(mu, 2 * n):
-        if evacuate(t) != t:
-            continue
-        counts = t.content()
-        term = Fraction(1)
-        for i in range(1, n + 1):
-            if counts[i] != counts[2 * n + 1 - i]:
-                raise AssertionError("fixed filling with asymmetric content")
-            term *= q[i - 1] ** counts[i]
-        total += term
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ through variant_of and never branch on a variant name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Callable
 
-from .core import ModelSpec, format_rational
+from .core import ModelSpec, format_rational, record
 from .numerics import GeomInv, PolyPlus, SymbolSpec
 from .rmt import _averages, antidiagonal_odd_prefactors
 from .symfunc import (_pair_product, _upper_pair_product, alternating_table, cauchy_table,
@@ -24,7 +23,7 @@ from .symfunc import (_pair_product, _upper_pair_product, alternating_table, cau
 Table = list[Fraction]
 
 
-@dataclass(frozen=True)
+@record
 class Variant:
     """One ensemble.  `exact` and `average` give the tables at bounds 0..lmax
     before the prefactor: the bounded Schur sums and the matrix averages."""

@@ -20,22 +20,24 @@ from symlpp.harness import (
     longest_increasing_chain,
     verify_model,
 )
-from symlpp.lpp import greene_oracle, mc_distribution, sample_matrix
+from symlpp.lpp import mc_distribution, sample_matrix
 from symlpp.oracles import (
+    check_symmetry_lemmas,
     exact_average,
+    greene_oracle,
     o_schur_identity,
     pfaffian_minor_sum_check,
     pfaffian_sign_identity_check,
     quadrature_average,
+    selfdual_schur_oracle,
     sp_schur_identity,
 )
 from symlpp.rmt import GroupSpec, antidiagonal_odd_prefactors, model_rmt_distribution
-from symlpp.rsk import check_symmetry_lemmas, dual_rsk, rsk
+from symlpp.rsk import dual_rsk, rsk
 from symlpp.symfunc import (
     exact_distribution,
     pointreflection_selfdual_sum,
     selfdual_schur,
-    selfdual_schur_oracle,
     two_quotient,
 )
 

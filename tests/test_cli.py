@@ -593,24 +593,32 @@ def test_hammersley_output_is_pinned(capsys):
     assert hashlib.sha256(json.dumps(mc).encode()).hexdigest() == PINNED_HAMMERSLEY_MC
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports symlpp from this checkout."""
+    src = os.path.dirname(os.path.dirname(symlpp.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
     """`script` in a fresh interpreter that imports symlpp from this checkout."""
-    src = os.path.dirname(os.path.dirname(symlpp.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    return subprocess.run([sys.executable, "-c", script, *args], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
 
 
 # Runs the CLI commands that draw nothing, then one `mc`, in one interpreter;
 # prints which of the lazily imported modules and the test oracles each step
-# left loaded, the exit codes, and the `mc` stdout.
+# left loaded, whether dataclasses or inspect (which numpy itself imports) got
+# loaded before `mc`, the exit codes, and the `mc` stdout.
 COLD_START_SCRIPT = """
 import contextlib, io, json, sys
 import symlpp.cli as cli
 
 def loaded():
     return [m for m in ("numpy", "concurrent.futures", "symlpp.oracles") if m in sys.modules]
+
+def introspection():
+    return [m for m in ("dataclasses", "inspect") if m in sys.modules]
 
 def run(argv):
     buf = io.StringIO()
@@ -622,7 +630,7 @@ def run(argv):
     return code, buf.getvalue()
 
 model, matrix, missing = sys.argv[1:4]
-report = {"after_import": loaded(),
+report = {"after_import": loaded(), "introspection_after_import": introspection(),
           "modules": [m in sys.modules for m in ("symlpp.lpp", "symlpp.harness")]}
 codes = [run(argv)[0] for argv in (
     ["exact", "--model", model, "--lmax", "5"],
@@ -631,7 +639,8 @@ codes = [run(argv)[0] for argv in (
     ["exact", "--model", missing, "--lmax", "5"],
     ["--help"],
 )]
-report.update(codes=codes, after_exact_rmt_rsk=loaded())
+report.update(codes=codes, after_exact_rmt_rsk=loaded(),
+              introspection_after_exact_rmt_rsk=introspection())
 code, out = run(["mc", "--model", model, "--lmax", "60", "--samples", "9000", "--seed", "5"])
 report.update(mc_code=code, mc_out=out, after_mc=loaded())
 print(json.dumps(report))
@@ -646,10 +655,12 @@ def test_cold_start_loads_numpy_only_where_samples_are_drawn(tmp_path):
     proc = _run_fresh(COLD_START_SCRIPT, str(model), str(matrix), str(tmp_path / "none.json"))
     report = json.loads(proc.stdout)
     assert report["after_import"] == []
+    assert report["introspection_after_import"] == []
     # perfbench's tracer wraps functions of these two modules after importing the CLI
     assert report["modules"] == [True, True]
     assert report["codes"] == [0, 0, 0, 2, 0]
     assert report["after_exact_rmt_rsk"] == []
+    assert report["introspection_after_exact_rmt_rsk"] == []
     assert report["mc_code"] == 0
     assert hashlib.sha256(report["mc_out"].encode()).hexdigest() == PINNED_MC["johansson"]
     assert report["after_mc"] == ["numpy"]
@@ -693,6 +704,7 @@ def test_sample_out_file_is_stdout_without_the_final_newline(model_file, tmp_pat
     (["--model", "MISSING", "--count", "3"], "model"),
     (["--model", "MODEL", "--count", "0"], "count"),
     (["--model", "MODEL", "--count", "3", "--seed", "-1"], "seed"),
+    (["--model", "MODEL", "--count", "3", "--format", "csv"], "format"),
 ])
 def test_sample_config_error_comes_before_any_output(argv, field, model_file, tmp_path,
                                                       capsys):
@@ -706,3 +718,18 @@ def test_sample_config_error_comes_before_any_output(argv, field, model_file, tm
         # the whole of stdout is the one error object
         assert json.loads(out)["error"]["field"] == field
         assert not target.exists()
+
+
+def test_closed_stdout_exits_141_and_writes_nothing_more(tmp_path):
+    # `symlpp sample ... | head -3`: the reader takes three lines and goes away
+    # while the 2.5 MB of matrices are still being written
+    model = tmp_path / "d.json"
+    model.write_text(json.dumps({"variant": "diagonal", "q": _ratios(8, 1), "alpha": "1/3"}))
+    proc = subprocess.Popen([sys.executable, "-m", "symlpp.cli", "sample", "--model", str(model),
+                             "--count", "2000"], env=_fresh_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert head[0] == b"{\n" and err == b""

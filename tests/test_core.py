@@ -15,7 +15,11 @@ from symlpp.core import (
     matrix_from_rows_top_to_bottom,
     parse_rational,
     partitions_in_box,
+    record,
 )
+from symlpp.harness import VerificationReport
+from symlpp.lpp import _site_plan
+from symlpp.numerics import GeomInv, PolyPlus
 
 
 def test_partition_normalisation_and_validation():
@@ -192,3 +196,57 @@ def test_distribution_table_invariants():
         DistributionTable({0: 0.5}, exact=True)
     rows = DistributionTable({0: F(1, 2)}, exact=True).to_rows()
     assert rows == [{"l": 0, "p": "1/2", "approx": False}]
+
+
+def test_records_keep_the_dataclass_semantics():
+    c = F(1, 3)
+    # equality needs the same class, so records of two classes never collide
+    # as cache keys
+    assert PolyPlus(c) == PolyPlus(c, 1) and GeomInv(c) != PolyPlus(c)
+    spec = ModelSpec("johansson", a=(F(1, 2),), b=(c,))
+    twin = ModelSpec.from_json_dict({"variant": "johansson", "a": ["1/2"], "b": ["1/3"]})
+    assert spec == twin and spec is not twin and hash(spec) == hash(twin)
+    assert _site_plan(spec) is _site_plan(twin)  # one lru_cache entry
+    assert spec != ModelSpec("johansson", a=(F(1, 2),), b=(F(1, 4),))
+    with pytest.raises(AttributeError):
+        spec.variant = "diagonal"
+    with pytest.raises(AttributeError):
+        del spec.a
+    assert repr(spec) == ("ModelSpec(variant='johansson', a=(Fraction(1, 2),), "
+                          "b=(Fraction(1, 3),), q=(), alpha=None, beta=None)")
+    assert repr(Partition((2, 1))) == "Partition(parts=(2, 1))"
+    assert repr(PolyPlus(c, -1)) == "PolyPlus(c=Fraction(1, 3), exponent_sign=-1)"
+    # __post_init__ still validates and normalises
+    with pytest.raises(ValueError, match="weakly decrease"):
+        Partition((1, 2))
+    with pytest.raises(ValueError, match=r"\|c\| < 1"):
+        GeomInv(F(3, 2))
+    with pytest.raises(ValueError, match="outside"):
+        ModelSpec("diagonal", q=(F(1),), alpha=c)
+    assert Partition((2, 0)) == Partition((2,)) and PolyPlus(1).c == F(1)
+    # each mutable report gets its own notes, and is unhashable
+    first, second = (VerificationReport({}, "exact", [], "PASS") for _ in range(2))
+    first.notes["seed"] = 1
+    assert second.notes == {} and first != second
+    with pytest.raises(TypeError):
+        hash(first)
+    # calls that do not match the fields
+    with pytest.raises(TypeError):
+        Partition((1,), (2,))
+    with pytest.raises(TypeError):
+        ModelSpec(variant="johansson", colour="red")
+    with pytest.raises(TypeError):
+        ModelSpec(a=(c,))
+
+
+def test_record_keeps_methods_the_class_defines():
+    @record
+    class Pair:
+        left: int
+        right: int = 0
+
+        def __repr__(self):
+            return f"<{self.left}, {self.right}>"
+
+    assert repr(Pair(1)) == "<1, 0>" and Pair(1) == Pair(1, 0) and hash(Pair(1)) == hash(Pair(1, 0))
+

@@ -13,9 +13,9 @@ from symlpp.core import ModelSpec, Partition, alternating_sum, box_parts
 from symlpp import core, rmt, symfunc
 from symlpp.numerics import det_exact
 from symlpp.oracles import (box_cauchy_table, box_dual_cauchy_table, box_weighted_table,
-                            odd_part_count)
+                            odd_part_count, schur_bialternant)
 from symlpp.rmt import model_rmt_distribution
-from symlpp.symfunc import _schur_values, pointreflection_selfdual_table, schur_bialternant
+from symlpp.symfunc import _schur_values, pointreflection_selfdual_table
 from symlpp.variants import exact_table, model_rmt_table, variant_of
 
 # Fixed example stream, so a failure reproduces from run to run.

@@ -12,14 +12,13 @@ from symlpp.lpp import (
     _draw_vector,
     _Site,
     class_statistic,
-    greene_multi,
-    greene_oracle,
     last_passage,
     last_passage_bernoulli,
     mc_distribution,
     sample_batch,
     sample_matrix,
 )
+from symlpp.oracles import greene_multi, greene_oracle
 from symlpp.symfunc import exact_distribution
 
 

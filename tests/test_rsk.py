@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from symlpp.core import IntMatrix, ModelSpec, Partition, conjugate
-from symlpp.lpp import greene_oracle, sample_matrix
+from symlpp.lpp import sample_matrix
+from symlpp.oracles import check_symmetry_lemmas, greene_oracle
 from symlpp.rsk import (
     Tableau,
-    check_symmetry_lemmas,
     dual_rsk,
     evacuate,
     evacuate_by_word,

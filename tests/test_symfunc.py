@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from symlpp.core import ModelSpec, Partition, partitions_in_box
+from symlpp.oracles import iter_ssyt, schur_bialternant, selfdual_schur_oracle
 from symlpp.symfunc import (
     alternating_table,
     cauchy_table,
@@ -11,13 +12,10 @@ from symlpp.symfunc import (
     dual_cauchy_table,
     even_partition_halves,
     exact_distribution,
-    iter_ssyt,
     odd_part_table,
     pointreflection_selfdual_sum,
     schur,
-    schur_bialternant,
     selfdual_schur,
-    selfdual_schur_oracle,
     two_quotient,
 )
 
