@@ -24,51 +24,31 @@ Scalar = Union[Fraction, float]
 
 
 class FrozenRecordError(AttributeError):
-    """An assignment to, or deletion of, a field of a frozen record."""
+    """An assignment to, or deletion of, a field of a record."""
 
 
-class _Factory:
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
-def field(*, default_factory) -> _Factory:
-    """A field default made afresh for each record, e.g. field(default_factory=dict)."""
-    return _Factory(default_factory)
-
-
-def record(cls=None, *, frozen: bool = True):
-    """Class decorator with the semantics of dataclasses.dataclass, frozen by default.
+def record(cls):
+    """Class decorator with the semantics of a frozen dataclasses.dataclass.
 
     The fields are the class annotations, in order; a class attribute is the
     field's default.  It adds __init__ (which calls __post_init__, if the class
     has one), __eq__ (the same class and equal fields, so records of two
-    classes never collide as cache keys), __repr__ (`Name(f=v, ...)`) and, for
-    a frozen record, __hash__ over the fields and a __setattr__ and __delattr__
-    that raise FrozenRecordError; a mutable record is unhashable.
-    A method the class defines itself is kept.  The methods are closures over
-    the field names, so nothing is generated as source or compiled, and
-    importing this module does not load dataclasses, inspect or ast.
+    classes never collide as cache keys), __repr__ (`Name(f=v, ...)`),
+    __hash__ over the fields, and a __setattr__ and __delattr__ that raise
+    FrozenRecordError.  A method the class defines itself is kept.  The
+    methods are closures over the field names, so nothing is generated as
+    source or compiled, and importing this module does not load dataclasses,
+    inspect or ast.
     """
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
-    names = tuple(cls.__dict__.get("__annotations__", {}))
+    names = tuple(cls.__annotations__)  # the class's own, on Python 3.10 and later
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    for name, value in defaults.items():
-        if isinstance(value, _Factory):
-            delattr(cls, name)
     count = len(names)
     post_init = cls.__dict__.get("__post_init__")
     get = attrgetter(*names)  # one field's value, or the tuple of several
     # Fields are set as dataclasses sets them, through object.__setattr__:
     # writing to self.__dict__ would make each record build a dict of its own,
-    # 64 bytes more, with attribute loads twice as slow.  Records of one and
-    # two fields (Partition, IntMatrix, Tableau, TableauPair) are the ones
-    # built in bulk, and setting their fields without a loop saves 0.25 us.
+    # 64 bytes more, with attribute loads twice as slow.
     set_field = object.__setattr__
-    first, second = (names + (None, None))[:2]
 
     def bind(args, kwargs):
         """The field values of a call that does not pass every field positionally."""
@@ -80,8 +60,7 @@ def record(cls=None, *, frozen: bool = True):
             if name in kwargs:
                 values.append(kwargs[name])
             elif name in defaults:
-                value = defaults[name]
-                values.append(value.make() if isinstance(value, _Factory) else value)
+                values.append(defaults[name])
             else:
                 raise TypeError(f"{cls.__name__}() is missing the field {name!r}")
         return values
@@ -89,14 +68,8 @@ def record(cls=None, *, frozen: bool = True):
     def __init__(self, *args, **kwargs):
         if len(args) != count or kwargs:
             args = bind(args, kwargs)
-        if count == 1:
-            set_field(self, first, args[0])
-        elif count == 2:
-            set_field(self, first, args[0])
-            set_field(self, second, args[1])
-        else:
-            for name, value in zip(names, args):
-                set_field(self, name, value)
+        for name, value in zip(names, args):
+            set_field(self, name, value)
         if post_init is not None:
             post_init(self)
 
@@ -118,15 +91,14 @@ def record(cls=None, *, frozen: bool = True):
     def __delattr__(self, name):
         raise FrozenRecordError(f"cannot delete field {name!r}")
 
-    methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__}
-    if frozen:
-        methods.update(__setattr__=__setattr__, __delattr__=__delattr__)
+    methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__,
+               "__setattr__": __setattr__, "__delattr__": __delattr__}
     for name, method in methods.items():
         if name not in cls.__dict__:
             setattr(cls, name, method)
     # a class that defines __eq__ gets __hash__ = None from Python itself
     if cls.__dict__.get("__hash__") is None:
-        cls.__hash__ = __hash__ if frozen else None
+        cls.__hash__ = __hash__
     return cls
 
 

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core import BudgetError, ModelSpec, field, format_rational, record
+from .core import BudgetError, ModelSpec, format_rational, record
 from .lpp import MC_CHUNK, chunk_streams, mc_distribution
 from .variants import exact_table, model_rmt_table, variant_of
 
@@ -20,7 +20,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@record(frozen=False)
+@record
 class ReportRow:
     l: int
     mc_estimate: float
@@ -47,13 +47,13 @@ class ReportRow:
         return out
 
 
-@record(frozen=False)
+@record
 class VerificationReport:
     model: dict
     second_kind: str
     rows: list[ReportRow]
     verdict: str
-    notes: dict = field(default_factory=dict)
+    notes: dict
 
     def passed(self) -> bool:
         return self.verdict == "PASS"

@@ -224,12 +224,15 @@ def test_records_keep_the_dataclass_semantics():
     with pytest.raises(ValueError, match="outside"):
         ModelSpec("diagonal", q=(F(1),), alpha=c)
     assert Partition((2, 0)) == Partition((2,)) and PolyPlus(1).c == F(1)
-    # each mutable report gets its own notes, and is unhashable
-    first, second = (VerificationReport({}, "exact", [], "PASS") for _ in range(2))
+    # each report holds the notes dict it is given; a record holding a dict
+    # is unhashable, as a frozen dataclass holding one is
+    first, second = (VerificationReport({}, "exact", [], "PASS", {}) for _ in range(2))
     first.notes["seed"] = 1
     assert second.notes == {} and first != second
     with pytest.raises(TypeError):
         hash(first)
+    with pytest.raises(AttributeError):
+        first.verdict = "FAIL"
     # calls that do not match the fields
     with pytest.raises(TypeError):
         Partition((1,), (2,))
