@@ -3,10 +3,10 @@
 Model specs come in as JSON files; rationals travel as decimal-free "p/q"
 strings and floats print with 17 significant digits, so a fixed config and
 seed reproduce byte-identical output.  Exit status: 0 on success / PASS,
-1 on a FAIL verdict, 2 on configuration errors, 3 on internal errors (both
-reported as a JSON object on stdout), and 141 (128 + SIGPIPE) when the reader
-of stdout goes away first, as in `symlpp sample ... | head -3`; then nothing
-more is written.
+1 on a FAIL verdict, 2 on configuration and usage errors, 3 on internal
+errors (each reported as a JSON object on stdout), and 141 (128 + SIGPIPE)
+when the reader of stdout goes away first, as in `symlpp sample ... | head -3`;
+then nothing more is written.
 """
 
 from __future__ import annotations
@@ -95,6 +95,22 @@ class ConfigError(Exception):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+def _write_error(message: str, field: str | None, **extra):
+    error = {"schema": SCHEMA_VERSION, "error": {"message": message, "field": field, **extra}}
+    sys.stdout.write(dump_json(error) + "\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print the JSON error on stdout too, its field the dest of the
+    one option the message names, else null."""
+
+    def error(self, message):
+        words = set(message.replace(",", " ").replace(":", " ").split())
+        named = {a.dest for a in self._actions if words & set(a.option_strings)}
+        _write_error(message, named.pop() if len(named) == 1 else None)
+        super().error(message)
 
 
 def _load_model(path: str) -> ModelSpec:
@@ -292,7 +308,7 @@ def _cmd_mc(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symlpp",
         description="Symmetrized last-passage percolation: exact laws, matrix "
                     "averages, and Monte Carlo cross-checks.")
@@ -385,15 +401,12 @@ def _run(args) -> int:
             # the argument that sets the size, by default the bound: --l of
             # rmt, --lmax of the others
             field = exc.field or ("l" if args.command == "rmt" else "lmax")
-        error = {"schema": SCHEMA_VERSION, "error": {"message": str(exc), "field": field}}
-        sys.stdout.write(dump_json(error) + "\n")
+        _write_error(str(exc), field)
         return 2
     except Exception as exc:
         # any other failure is a fault of symlpp, not of the input or the verdict
-        message = type(exc).__name__ + (f": {exc}" if str(exc) else "")
-        error = {"schema": SCHEMA_VERSION,
-                 "error": {"message": message, "field": None, "internal": True}}
-        sys.stdout.write(dump_json(error) + "\n")
+        _write_error(type(exc).__name__ + (f": {exc}" if str(exc) else ""), None,
+                     internal=True)
         return 3
 
 

@@ -12,8 +12,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core import BudgetError, ModelSpec, format_rational, record
-from .lpp import MC_CHUNK, chunk_streams, mc_distribution
+from .core import BudgetError, DistributionTable, ModelSpec, format_rational, record
+from .lpp import MC_CHUNK, chunk_streams, empirical_table, mc_distribution
 from .variants import exact_table, model_rmt_table, variant_of
 
 if TYPE_CHECKING:
@@ -69,11 +69,26 @@ class VerificationReport:
         }
 
 
-def _z_score(mc: float, exact: float, n_samples: int) -> float:
-    if exact <= 0.0 or exact >= 1.0:
-        return 0.0 if mc == exact else math.inf
-    se = math.sqrt(exact * (1.0 - exact) / n_samples)
-    return (mc - exact) / se
+def _report(model: dict, second_kind: str, mc: DistributionTable, n_samples: int,
+            z_max: float, first: list, second: list | None, notes: dict) -> VerificationReport:
+    """A row per bound of `mc`: it passes when |z| against `first` is at most z_max
+    and `first` equals `second`, if given; the report passes when every row does."""
+    rows: list[ReportRow] = []
+    for l, p in mc.probs.items():
+        exact = first[l]
+        value = float(exact)
+        if 0.0 < value < 1.0:
+            z = (p - value) / math.sqrt(value * (1.0 - value) / n_samples)
+        else:
+            z = 0.0 if p == value else math.inf
+        other = diff = None
+        if second is not None:
+            other, diff = second[l], abs(exact - second[l])
+        ok = abs(z) <= z_max and (second is None or exact == other)
+        rows.append(ReportRow(l, p, mc.stderr[l], exact, other, diff, z,
+                              "PASS" if ok else "FAIL"))
+    verdict = "PASS" if all(r.verdict == "PASS" for r in rows) else "FAIL"
+    return VerificationReport(model, second_kind, rows, verdict, notes)
 
 
 def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
@@ -93,16 +108,9 @@ def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
     exact_column = (variant.witness or exact_table)(spec, top)
     second_column = model_rmt_table(spec, top)
     mc = mc_distribution(spec, l_max, mc_samples, seed, threads)
-    rows: list[ReportRow] = []
-    for l in range(l_max + 1):
-        exact, second = exact_column[l], second_column[l]
-        z = _z_score(mc.probs[l], float(exact), mc_samples)
-        ok = exact == second and abs(z) <= z_max
-        rows.append(ReportRow(l, mc.probs[l], mc.stderr[l], exact, second,
-                              abs(exact - second), z, "PASS" if ok else "FAIL"))
-    verdict = "PASS" if all(r.verdict == "PASS" for r in rows) else "FAIL"
-    return VerificationReport(spec.to_json_dict(), variant.second_kind or variant.method, rows,
-                              verdict, variant.notes(spec, exact_column, second_column))
+    return _report(spec.to_json_dict(), variant.second_kind or variant.method, mc, mc_samples,
+                   z_max, exact_column, second_column,
+                   variant.notes(spec, exact_column, second_column))
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +270,13 @@ def toeplitz_bessel(cos_coefficient: float, l: int) -> float:
 
 def hammersley_check(lam: float, l_max: int, mc_samples: int, seed: int,
                      z_max: float = 4.0) -> VerificationReport:
-    """Poisson Monte Carlo against the Toeplitz evaluation of the chain law.
+    """Poisson Monte Carlo against the chain law exp(-lam) D_l(exp(2 sqrt(lam) cos theta)).
 
-    The normalization of the determinant formula is resolved empirically: the
-    four (prefactor, cosine coefficient) candidates built from {1, exp(-lam)}
-    and {sqrt(lam), 2 sqrt(lam)} are scored by their worst z-score and the
-    winner is reported; the displayed form of the formula (no prefactor,
-    coefficient sqrt(lam)) is flagged when it loses.  The point and order
-    budgets are checked, and the determinants taken, before any sampling.
+    Two exact identities fix that normalization, with no sampling: D_0 = 1 against
+    Pr(L <= 0) = exp(-lam) gives the prefactor, and D_1 = I_0(c) against
+    Pr(L <= 1) = exp(-lam) I_0(2 sqrt(lam)) gives c = 2 sqrt(lam), so the displayed
+    form (no prefactor, coefficient sqrt(lam)) does not match.  The budgets are
+    checked, and the determinants taken, before any sampling.
     """
     if not 0 < lam < math.inf:
         raise ValueError("intensity must be positive and finite")
@@ -277,35 +284,10 @@ def hammersley_check(lam: float, l_max: int, mc_samples: int, seed: int,
         raise BudgetError(f"intensity {lam} puts about {lam * MC_CHUNK:.6g} points in a chunk "
                           f"of {MC_CHUNK} samples, over the budget of {POINT_BUDGET} points",
                           field="lam")
-    root = math.sqrt(lam)
-    minors = {c: toeplitz_bessel_minors(c, l_max) for c in (2 * root, root)}
-    counts = _poisson_chain_counts(lam, l_max, mc_samples, seed)
-    cumulative = counts.cumsum()[: l_max + 1]
-    mc = {l: float(cumulative[l] / mc_samples) for l in range(l_max + 1)}
-    stderr = {l: math.sqrt(mc[l] * (1 - mc[l]) / mc_samples) for l in mc}
-
-    candidates = {
-        "prefactor=exp(-lam), coefficient=2*sqrt(lam)": (math.exp(-lam), 2 * root),
-        "prefactor=1, coefficient=2*sqrt(lam)": (1.0, 2 * root),
-        "prefactor=exp(-lam), coefficient=sqrt(lam)": (math.exp(-lam), root),
-        "prefactor=1, coefficient=sqrt(lam) (as displayed)": (1.0, root),
-    }
-    tables = {name: [min(pref * d, 1.0) for d in minors[coeff]]
-              for name, (pref, coeff) in candidates.items()}
-    scores = {name: max(abs(_z_score(mc[l], t, mc_samples)) for l, t in enumerate(table))
-              for name, table in tables.items()}
-    resolved = min(scores, key=lambda n: scores[n])
-    displayed = "prefactor=1, coefficient=sqrt(lam) (as displayed)"
-
-    rows: list[ReportRow] = []
-    for l, formula in enumerate(tables[resolved]):
-        z = _z_score(mc[l], formula, mc_samples)
-        rows.append(ReportRow(l, mc[l], stderr[l], formula, None, None, z,
-                              "PASS" if abs(z) <= z_max else "FAIL"))
-    notes = {
-        "resolved_normalization": resolved,
-        "candidate_worst_z": scores,
-        "displayed_form_matches": resolved == displayed,
-    }
-    verdict = "PASS" if all(r.verdict == "PASS" for r in rows) else "FAIL"
-    return VerificationReport({"lambda": lam}, "toeplitz-bessel", rows, verdict, notes)
+    formula = [min(math.exp(-lam) * d, 1.0)
+               for d in toeplitz_bessel_minors(2 * math.sqrt(lam), l_max)]
+    mc = empirical_table(_poisson_chain_counts(lam, l_max, mc_samples, seed), mc_samples)
+    notes = {"resolved_normalization": "prefactor=exp(-lam), coefficient=2*sqrt(lam)",
+             "displayed_form_matches": False}
+    return _report({"lambda": lam}, "toeplitz-bessel", mc, mc_samples, z_max, formula, None,
+                   notes)

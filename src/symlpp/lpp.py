@@ -306,12 +306,14 @@ def mc_distribution(spec: ModelSpec, l_max: int, n_samples: int, seed: int,
             counts = sum(pool.map(run, chunks))
     else:
         counts = sum(map(run, chunks))
+    return empirical_table(counts, n_samples)
 
-    cumulative = counts.cumsum()[: l_max + 1]
-    probs: dict[int, float] = {}
-    stderr: dict[int, float] = {}
-    for l in range(l_max + 1):
-        p = cumulative[l] / n_samples
-        probs[l] = float(p)
-        stderr[l] = float(math.sqrt(p * (1 - p) / n_samples))
-    return DistributionTable(probs, exact=False, stderr=stderr)
+
+def empirical_table(counts: np.ndarray, n_samples: int) -> DistributionTable:
+    """Pr(L <= l) with binomial standard errors from the counts of `n_samples` samples:
+    counts[l] at L = l, for l up to len(counts) - 2, and the last bin the rest."""
+    import numpy as np
+    probs = counts.cumsum()[:-1] / n_samples
+    stderr = np.sqrt(probs * (1 - probs) / n_samples)
+    return DistributionTable(dict(enumerate(probs.tolist())), exact=False,
+                             stderr=dict(enumerate(stderr.tolist())))

@@ -153,6 +153,31 @@ def test_missing_required_flag_exits_two(capsys):
     assert "--model" in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["mc", "--model", "MODEL", "--lmax", "3", "--zmax", "nan"], None),
+    (["rsk", "--model", "r.json"], "matrix"),
+    (["exact", "--model", "MODEL", "--lmax", "x"], "lmax"),
+    (["exact", "--lmax", "1"], "model"),
+    (["exact", "--lmax", "1", "--format", "xml"], "format"),
+    (["verify", "--samples", "5"], None),
+    (["hammersley", "--lam", "4", "--lmax"], "lmax"),
+    (["bogus"], None),
+    ([], None),
+], ids=["unrecognized", "missing-matrix", "invalid-int", "missing-model", "invalid-choice",
+        "missing-model-and-lmax", "missing-value", "unknown-command", "no-command"])
+def test_usage_error_is_a_json_error_naming_the_option(argv, field, model_file, capsys):
+    path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
+    with pytest.raises(SystemExit) as exc:
+        main([path if a == "MODEL" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["field"] == field
+    # the usage text still goes to stderr, and it ends with the same message
+    assert "usage: symlpp" in captured.err
+    assert captured.err.endswith(f"error: {error['message']}\n")
+
+
 def test_seed_env_fallback(model_file, capsys, monkeypatch):
     path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
     monkeypatch.setenv("LPP_SEED", "77")
@@ -561,7 +586,11 @@ PINNED_SAMPLE = {
 # `hammersley --lam 4 --lmax 14 --samples 9000 --seed 5`, recorded with the
 # fixed-point Toeplitz-Bessel minors; its Monte Carlo column, as JSON
 # [[l, mc_estimate, mc_stderr], ...], is the one recorded with the sampling kernels.
-PINNED_HAMMERSLEY = "cbe8edc132f612eb620a3334a13f4782d0bf51f0fa5eb135540f3ec8e6ad96b5"
+# Its rows, as JSON, were recorded while the normalization was still chosen
+# among four candidates by their worst z-score; the whole output was
+# re-recorded when the notes dropped that choice's `candidate_worst_z` scores.
+PINNED_HAMMERSLEY = "2aac7ea04dcfe0f321d0b9e89921a5b3960687b233e9f0c239ec40998e4208fa"
+PINNED_HAMMERSLEY_ROWS = "3b171cc9dadd253f8412ada1a4f23d7e27f9f6f93c71d0c2db7fe7c7a5c59964"
 PINNED_HAMMERSLEY_MC = "6c7959ee340f37bc2d5e0be57b8d813728b09c7a9a19d9ab8a0553ee725a37eb"
 
 
@@ -589,8 +618,21 @@ def test_hammersley_output_is_pinned(capsys):
                                  "--samples", "9000", "--seed", "5"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HAMMERSLEY
-    mc = [[r["l"], r["mc_estimate"], r["mc_stderr"]] for r in json.loads(out)["rows"]]
+    rows = json.loads(out)["rows"]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PINNED_HAMMERSLEY_ROWS
+    mc = [[r["l"], r["mc_estimate"], r["mc_stderr"]] for r in rows]
     assert hashlib.sha256(json.dumps(mc).encode()).hexdigest() == PINNED_HAMMERSLEY_MC
+
+
+def test_hammersley_normalization_is_fixed_below_the_bulk(capsys):
+    # every row counts 0 events at lam = 100, l <= 6, so no Monte Carlo score
+    # can tell the candidate normalizations apart
+    code, out = run_cli(capsys, ["hammersley", "--lam", "100", "--lmax", "6",
+                                 "--samples", "10000", "--seed", "1"])
+    assert code == 0
+    notes = json.loads(out)["notes"]
+    assert notes == {"resolved_normalization": "prefactor=exp(-lam), coefficient=2*sqrt(lam)",
+                     "displayed_form_matches": False}
 
 
 def _fresh_env() -> dict:

@@ -213,6 +213,26 @@ def test_hammersley_check_passes_at_lam_100():
     assert report.rows[20].exact_value == pytest.approx(0.97205948011446078, rel=1e-13)
 
 
+def _bessel_i0_of_twice_root(lam: float) -> float:
+    """I_0(2 sqrt(lam)) = sum_N lam^N / (N!)^2."""
+    terms, term, n = [], 1.0, 0
+    while term > 1e-18 * sum(terms, 1.0):
+        terms.append(term)
+        n += 1
+        term *= lam / (n * n)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("lam", [0.5, 4.0, 100.0])
+def test_hammersley_rows_zero_and_one_are_the_poisson_identities(lam):
+    # Pr(L <= 0) = e^-lam and Pr(L <= 1) = e^-lam I_0(2 sqrt(lam)): no point,
+    # or N points with no two increasing, weighted lam^N / (N!)^2
+    report = hammersley_check(lam, 3, 100, seed=2)
+    assert report.rows[0].exact_value == pytest.approx(math.exp(-lam), rel=1e-13)
+    assert report.rows[1].exact_value == pytest.approx(
+        math.exp(-lam) * _bessel_i0_of_twice_root(lam), rel=1e-13)
+
+
 def test_report_serialization_shape():
     spec = ModelSpec("johansson", a=(F(1, 2),), b=(F(1, 2),))
     report = verify_model(spec, l_max=1, mc_samples=1000, seed=1)
