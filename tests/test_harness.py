@@ -214,12 +214,10 @@ def test_hammersley_check_passes_at_lam_100():
 
 
 def _bessel_i0_of_twice_root(lam: float) -> float:
-    """I_0(2 sqrt(lam)) = sum_N lam^N / (N!)^2."""
-    terms, term, n = [], 1.0, 0
-    while term > 1e-18 * sum(terms, 1.0):
-        terms.append(term)
-        n += 1
-        term *= lam / (n * n)
+    """I_0(2 sqrt(lam)) = sum_N lam^N / (N!)^2; past N = 100 the terms vanish for lam <= 100."""
+    terms = [1.0]
+    for n in range(1, 100):
+        terms.append(terms[-1] * lam / (n * n))
     return math.fsum(terms)
 
 
