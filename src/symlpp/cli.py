@@ -29,7 +29,7 @@ from .core import (
 )
 from .harness import hammersley_check, verify_model
 from .lpp import mc_distribution, sample_chunks
-from .rsk import rsk
+from .rsk import check_rsk_budget, rsk
 from .variants import exact_table, model_rmt_table, variant_of
 
 SCHEMA_VERSION = 1
@@ -281,7 +281,14 @@ def _cmd_rsk(args) -> int:
     if "rows_top_to_bottom" not in data:
         raise ConfigError("matrix JSON is missing required field 'rows_top_to_bottom'",
                           field="rows_top_to_bottom")
-    matrix = matrix_from_rows_top_to_bottom(data["rows_top_to_bottom"])
+    rows = data["rows_top_to_bottom"]
+    # bool is a subclass of int, and int() would truncate a float or parse a string
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in rows)):
+        raise ConfigError("rows_top_to_bottom must be a list of rows of integers",
+                          field="rows_top_to_bottom")
+    matrix = matrix_from_rows_top_to_bottom(rows)
+    check_rsk_budget(matrix)
     pair = rsk(matrix)
     payload = {
         "schema": SCHEMA_VERSION,

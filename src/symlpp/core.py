@@ -215,22 +215,6 @@ class Partition:
         return "(" + ",".join(map(str, self.parts)) + ")" if self.parts else "()"
 
 
-def conjugate(mu: Partition) -> Partition:
-    """Transpose of the diagram: column j of mu has height #{k : mu_k >= j}."""
-    if not mu.parts:
-        return Partition()
-    cols = [0] * mu.parts[0]
-    for p in mu.parts:
-        for j in range(p):
-            cols[j] += 1
-    return Partition(tuple(cols))
-
-
-def alternating_sum(mu: Partition) -> int:
-    """Sum of parts with alternating signs, mu_1 - mu_2 + mu_3 - ..."""
-    return sum(p if j % 2 == 0 else -p for j, p in enumerate(mu.parts))
-
-
 def box_parts(max_part: int, max_length: int) -> Iterator[tuple[int, ...]]:
     """The parts of every partition in the box, in lexicographic order.
 
@@ -297,38 +281,6 @@ class IntMatrix:
     @property
     def n_cols(self) -> int:
         return len(self.rows[0])
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry x_{i,j}: i-th row from the bottom, j-th column, both 1-based."""
-        if not (1 <= i <= self.n_rows and 1 <= j <= self.n_cols):
-            raise IndexError(f"({i},{j}) outside {self.n_rows}x{self.n_cols}")
-        return self.rows[i - 1][j - 1]
-
-    def total(self) -> int:
-        return sum(sum(r) for r in self.rows)
-
-    def trace(self) -> int:
-        if self.n_rows != self.n_cols:
-            raise ValueError("trace needs a square matrix")
-        return sum(self.entry(i, i) for i in range(1, self.n_rows + 1))
-
-    def transpose(self) -> "IntMatrix":
-        """x_{i,j} -> x_{j,i}; reflection in the diagonal i = j."""
-        return IntMatrix(tuple(tuple(self.entry(j, i) for j in range(1, self.n_rows + 1))
-                               for i in range(1, self.n_cols + 1)))
-
-    def anti_transpose(self) -> "IntMatrix":
-        """x_{i,j} -> x_{n+1-j,n+1-i}; reflection in the anti-diagonal (square only)."""
-        n = self.n_rows
-        if n != self.n_cols:
-            raise ValueError("anti-transpose needs a square matrix")
-        return IntMatrix(tuple(tuple(self.entry(n + 1 - j, n + 1 - i)
-                                     for j in range(1, n + 1))
-                               for i in range(1, n + 1)))
-
-    def rotate180(self) -> "IntMatrix":
-        """x_{i,j} -> x_{n_rows+1-i,n_cols+1-j}; point reflection through the centre."""
-        return IntMatrix(tuple(tuple(reversed(r)) for r in reversed(self.rows)))
 
     def rows_top_to_bottom(self) -> list[list[int]]:
         return [list(r) for r in reversed(self.rows)]

@@ -158,15 +158,6 @@ def longest_increasing_chain(points) -> int:
     return int(_chain_lengths(np.array([len(pts)]), pts)[0])
 
 
-# Eight marked points whose longest strictly increasing chain has length 3,
-# matching the worked unit-square illustration (four segments once the path
-# is extended to the corners).
-EIGHT_POINT_CONFIGURATION = (
-    (0.10, 0.55), (0.20, 0.30), (0.30, 0.80), (0.40, 0.10),
-    (0.50, 0.60), (0.65, 0.40), (0.80, 0.90), (0.90, 0.20),
-)
-
-
 # Most Poisson points per Monte Carlo chunk, lam * MC_CHUNK on average (at the
 # budget a chunk's chain counts peak at 3.9 MiB of traced allocations).  It
 # admits lam <= 128.

@@ -13,6 +13,7 @@ process that never samples (`exact`, `rmt`, `rsk`) never loads it.
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -47,7 +48,8 @@ class _Site:
 def _site_plan(spec: ModelSpec) -> tuple[_Site, ...]:
     """One site per orbit of the model's symmetry, in row-major order of the
     cell that comes first in its orbit under (i + j, i); its law is the
-    record's law of that cell.  Cached: sample_matrix asks for it per matrix."""
+    record's law of that cell.  Cached: the one-matrix sampler of symlpp.oracles
+    asks for it per matrix."""
     variant = variant_of(spec)
     n_rows, n_cols = spec.matrix_shape
     sites: list[_Site] = []
@@ -119,12 +121,6 @@ def _sample_grid(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random
         for (i, j) in images:
             grid[:, i - 1, j - 1] = values
     return grid
-
-
-def sample_matrix(spec: ModelSpec, rng: np.random.Generator) -> IntMatrix:
-    """One matrix from the ensemble; dependent entries filled by its symmetry."""
-    rows = _sample_grid(_site_plan(spec), spec.matrix_shape, rng, 1)[0].tolist()
-    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def chunk_streams(seed: int, total: int, size: int):
@@ -266,11 +262,6 @@ def _batch_bernoulli_passage(rows) -> np.ndarray:
     return scores.max(axis=0)
 
 
-def class_statistic(spec: ModelSpec, X: IntMatrix) -> int:
-    """The last-passage statistic whose law the model's formulas describe."""
-    return (last_passage_bernoulli if variant_of(spec).binary else last_passage)(X)
-
-
 def _chunk_counts(spec: ModelSpec, plan: tuple[_Site, ...], l_max: int, count: int,
                   rng: np.random.Generator) -> np.ndarray:
     import numpy as np
@@ -297,12 +288,15 @@ def mc_distribution(spec: ModelSpec, l_max: int, n_samples: int, seed: int,
         count, rng = chunk
         return _chunk_counts(spec, plan, l_max, count, rng)
 
+    # no more workers than CPUs: map submits every chunk at once, and the pool
+    # starts a thread per submitted chunk up to max_workers
+    workers = min(threads, os.cpu_count() or 1)
     # chunk counts are added as they arrive, so memory does not grow with
     # the number of chunks times l_max
     chunks = chunk_streams(seed, n_samples, MC_CHUNK)
-    if threads > 1:
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = sum(pool.map(run, chunks))
     else:
         counts = sum(map(run, chunks))

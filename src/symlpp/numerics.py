@@ -61,9 +61,6 @@ class SymbolSpec:
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(f for f in self.factors if f.c != 0))
 
-    def is_polynomial(self) -> bool:
-        return all(isinstance(f, PolyPlus) for f in self.factors)
-
     def times(self, *extra: Factor) -> "SymbolSpec":
         return SymbolSpec(self.factors + tuple(extra))
 

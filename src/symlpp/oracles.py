@@ -5,11 +5,12 @@ Toeplitz +- Hankel determinant and every U average as a Toeplitz determinant.
 This module keeps two general engines that share no code with those
 determinants, so tests can check them against each other:
 
-* exact_average expands the Weyl density and a polynomial class function (a
-  Schur factor included) as exact Laurent polynomials in the free angles and
-  returns the constant term as a Fraction.  The expansion grows exponentially
-  with the number of free angles, so more than MAX_EXACT_ANGLES of them raise
-  ValueError before anything is built.
+* exact_average expands the Weyl density and a polynomial class function
+  (times a SchurFactor, which production class functions do not carry) as
+  exact Laurent polynomials in the free angles and returns the constant term
+  as a Fraction.  The expansion grows exponentially with the number of free
+  angles, so more than MAX_EXACT_ANGLES of them raise ValueError before
+  anything is built.
 * quadrature_average integrates any class function with the product
   trapezoidal rule on a uniform grid whose node count exceeds the integrand's
   trigonometric degree, so polynomial parts are integrated exactly and series
@@ -30,10 +31,16 @@ numerics.pfaffian: the closed pairing evaluation of a sign-ratio matrix
 The tableau witnesses check the combinatorics by other routes:
 check_symmetry_lemmas the tableau side of each matrix symmetry,
 greene_oracle Greene's theorem on the insertion shape by brute force over
-site subsets (greene_multi reads the shape), schur_bialternant the Schur
-evaluator as a ratio of alternants, and selfdual_schur_oracle the self-dual
-Schur functions by enumerating the evacuation-fixed fillings (iter_ssyt).
-Production code does not import this module.
+site subsets (greene_multi reads the shape), evacuate_by_word evacuation by
+inserting the reversed, complemented reading word (insertion_tableau),
+schur_bialternant the Schur evaluator as a ratio of alternants, and
+selfdual_schur_oracle the self-dual Schur functions by enumerating the
+evacuation-fixed fillings (iter_ssyt).  They read partitions and matrices
+through helpers that production does not need: conjugate, alternating_sum,
+the entry, total and trace of a matrix, its reflections transpose,
+anti_transpose and rotate180, and sample_matrix, which draws one matrix at a
+time from a generator as lpp.sample_chunks draws a chunk.  Production code
+does not import this module.
 """
 
 from __future__ import annotations
@@ -45,11 +52,12 @@ from math import exp, factorial
 
 import numpy as np
 
-from .core import (BudgetError, IntMatrix, Partition, alternating_sum, check_table_bound,
-                   conjugate, partitions_in_box, record)
+from .core import (BudgetError, IntMatrix, ModelSpec, Partition, check_table_bound,
+                   partitions_in_box, record)
+from .lpp import _sample_grid, _site_plan
 from .numerics import GeomInv, PolyPlus, SymbolSpec, _check_skew, det_exact, pfaffian
 from .rmt import UNIT, ClassFunctionSpec, GroupSpec, _Structure, _structure, _value_at_point
-from .rsk import Tableau, evacuate, rsk, rsk_shape
+from .rsk import Tableau, _insert_rsk, evacuate, rsk
 from .symfunc import _check_box, _schur_values, schur
 
 # Most free angles the constant-term expander takes: at four, three linear
@@ -70,6 +78,25 @@ class ExpCos:
     c: float
 
 
+@record
+class SchurFactor:
+    """Class-function factor s_rho over all eigenvalues (forced real eigenvalues
+    included), with `extra_vars` appended as further Schur variables; only the
+    engines here average it."""
+
+    rho: Partition
+    extra_vars: tuple[Fraction, ...] = ()
+
+
+def _divisor(st: _Structure) -> int:
+    """Normalisation of the Weyl density over the free angles."""
+    return (2**st.pairs if st.paired else 1) * factorial(st.pairs) // (1 + st.halved)
+
+
+def _is_polynomial(symbol: SymbolSpec) -> bool:
+    return all(isinstance(f, PolyPlus) for f in symbol.factors)
+
+
 def _bessel_order(c: float, tol: float, norm_product: float) -> int:
     """Last Bessel order kept for exp(c cos theta), the tail below tol."""
     c = abs(c)
@@ -82,34 +109,38 @@ def _bessel_order(c: float, tol: float, norm_product: float) -> int:
     return n
 
 
-def _mean_of_components(engine, group: GroupSpec, cf: ClassFunctionSpec, *args):
+def _mean_of_components(engine, group: GroupSpec, *args):
     """Family 'O' is the half-half mixture of O+ and O-; other families pass through."""
     if group.family != "O":
-        return engine(_structure(group.family, group.l), cf, *args)
-    plus = _mean_of_components(engine, GroupSpec("O+", group.l), cf, *args)
-    minus = _mean_of_components(engine, GroupSpec("O-", group.l), cf, *args)
+        return engine(_structure(group.family, group.l), *args)
+    plus = _mean_of_components(engine, GroupSpec("O+", group.l), *args)
+    minus = _mean_of_components(engine, GroupSpec("O-", group.l), *args)
     if isinstance(plus, Fraction) and isinstance(minus, Fraction):
         return (plus + minus) / 2
     return (float(plus) + float(minus)) / 2.0
 
 
-def exact_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT) -> Fraction:
-    """Average of a polynomial class function by constant-term extraction."""
-    return _mean_of_components(_exact_average, group, cf)
+def exact_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT,
+                  schur_factor: SchurFactor | None = None) -> Fraction:
+    """Average of a polynomial class function, times the Schur factor if given,
+    by constant-term extraction."""
+    return _mean_of_components(_exact_average, group, cf, schur_factor)
 
 
 def quadrature_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT,
-                       tol: float = 1e-12):
-    """Average of any class function by product trapezoidal quadrature (a float,
-    or a Fraction when there is no free angle and the class function is rational)."""
-    return _mean_of_components(_quad_average, group, cf, tol)
+                       tol: float = 1e-12, schur_factor: SchurFactor | None = None):
+    """Average of any class function, times the Schur factor if given, by product
+    trapezoidal quadrature (a float, or a Fraction when there is no free angle
+    and the class function is rational)."""
+    return _mean_of_components(_quad_average, group, cf, schur_factor, tol)
 
 
-def _average(group: GroupSpec, cf: ClassFunctionSpec, tol: float):
+def _average(group: GroupSpec, cf: ClassFunctionSpec, schur_factor: SchurFactor | None,
+             tol: float):
     """Constant terms for polynomial class functions, quadrature for the rest."""
-    if cf.effective_symbol().is_polynomial():
-        return exact_average(group, cf)
-    return quadrature_average(group, cf, tol)
+    if _is_polynomial(cf.effective_symbol()):
+        return exact_average(group, cf, schur_factor)
+    return quadrature_average(group, cf, tol, schur_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +248,13 @@ def _exps(p: int, assignments: dict[int, int]) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _exact_average(st: _Structure, cf: ClassFunctionSpec) -> Fraction:
+def _exact_average(st: _Structure, cf: ClassFunctionSpec, schur_factor: SchurFactor | None
+                   ) -> Fraction:
     if st.pairs > MAX_EXACT_ANGLES:
         raise ValueError(f"constant-term expansion over {st.pairs} free angles exceeds "
                          f"the limit of {MAX_EXACT_ANGLES}")
     symbol = cf.effective_symbol()
-    if not symbol.is_polynomial():
+    if not _is_polynomial(symbol):
         raise ValueError("exact engine needs a polynomial class function")
     p = st.pairs
     f = _density_zpoly(st)
@@ -237,17 +269,17 @@ def _exact_average(st: _Structure, cf: ClassFunctionSpec) -> Fraction:
     for eps in st.forced:
         for fac in symbol.factors:
             scalar *= 1 + fac.c * eps
-    if cf.schur_rho is not None:
+    if schur_factor is not None:
         eigs: list = []
         for j in range(p):
             eigs.append(_ZPoly.monomial(p, j, 1))
             if st.paired:
                 eigs.append(_ZPoly.monomial(p, j, -1))
         eigs.extend(Fraction(eps) for eps in st.forced)
-        eigs.extend(Fraction(x) for x in cf.schur_extra_vars)
-        value = schur(cf.schur_rho, eigs)
+        eigs.extend(Fraction(x) for x in schur_factor.extra_vars)
+        value = schur(schur_factor.rho, eigs)
         f = f * value if isinstance(value, _ZPoly) else f * Fraction(value)
-    return f.constant_term() * scalar / st.divisor
+    return f.constant_term() * scalar / _divisor(st)
 
 
 # ---------------------------------------------------------------------------
@@ -300,51 +332,54 @@ def _truncation_order(f, tol: float, norm_product: float) -> int:
     return n
 
 
-def _angle_degree(st: _Structure, cf: ClassFunctionSpec, tol: float) -> int:
+def _angle_degree(st: _Structure, cf: ClassFunctionSpec, schur_factor: SchurFactor | None,
+                  tol: float) -> int:
     symbol = cf.effective_symbol()
     norm = _norm_product(symbol)
     sym_deg = sum(_truncation_order(fac, tol, norm) for fac in symbol.factors)
     degree = _SINGLE_DEGREE[st.single] + (st.pairs - 1) * (2 if st.paired else 1)
     degree += sym_deg * (2 if st.paired else 1)
-    if cf.schur_rho is not None:
-        degree += cf.schur_rho.weight
+    if schur_factor is not None:
+        degree += schur_factor.rho.weight
     return max(degree, 1)
 
 
-def _forced_only_average(st: _Structure, cf: ClassFunctionSpec) -> Fraction:
+def _forced_only_average(st: _Structure, cf: ClassFunctionSpec,
+                         schur_factor: SchurFactor | None) -> Fraction:
     """No free angles: the average is a finite product over forced eigenvalues."""
     symbol = cf.effective_symbol()
     value = Fraction(1)
     for eps in st.forced:
         value *= _value_at_point(symbol, eps)
-    if cf.schur_rho is not None:
+    if schur_factor is not None:
         eigs = tuple(Fraction(eps) for eps in st.forced) + tuple(
-            Fraction(x) for x in cf.schur_extra_vars)
-        value *= schur(cf.schur_rho, eigs)
-    return value / st.divisor
+            Fraction(x) for x in schur_factor.extra_vars)
+        value *= schur(schur_factor.rho, eigs)
+    return value / _divisor(st)
 
 
-def _quad_average(st: _Structure, cf: ClassFunctionSpec, tol: float) -> float:
+def _quad_average(st: _Structure, cf: ClassFunctionSpec, schur_factor: SchurFactor | None,
+                  tol: float) -> float:
     symbol = cf.effective_symbol()
     p = st.pairs
     if p == 0:
         try:
-            return _forced_only_average(st, cf)
+            return _forced_only_average(st, cf, schur_factor)
         except ValueError:
             pass
         value = 1.0
         for eps in st.forced:
             value *= float(np.real(_evaluate(symbol, complex(eps))))
-        if cf.schur_rho is not None:
+        if schur_factor is not None:
             eigs = tuple(float(eps) for eps in st.forced) + tuple(
-                float(x) for x in cf.schur_extra_vars)
-            value *= float(schur(cf.schur_rho, eigs))
-        return value / st.divisor
+                float(x) for x in schur_factor.extra_vars)
+            value *= float(schur(schur_factor.rho, eigs))
+        return value / _divisor(st)
     scalar = 1.0
     for eps in st.forced:
         scalar *= float(np.real(_evaluate(symbol, complex(eps))))
 
-    nodes = 2 * _angle_degree(st, cf, tol) + 2
+    nodes = 2 * _angle_degree(st, cf, schur_factor, tol) + 2
     if nodes**p > _QUAD_POINT_BUDGET:
         raise BudgetError(f"quadrature grid of {nodes}^{p} points exceeds the budget of "
                          f"{_QUAD_POINT_BUDGET} points")
@@ -372,18 +407,82 @@ def _quad_average(st: _Structure, cf: ClassFunctionSpec, tol: float) -> float:
         values = values * _evaluate(symbol, zs[j])
         if st.paired:
             values = values * _evaluate(symbol, np.conj(zs[j]))
-    if cf.schur_rho is not None:
+    if schur_factor is not None:
         eigs: list = []
         for j in range(p):
             eigs.append(zs[j])
             if st.paired:
                 eigs.append(np.conj(zs[j]))
         eigs.extend(complex(eps) for eps in st.forced)
-        eigs.extend(complex(x) for x in cf.schur_extra_vars)
-        values = values * schur(cf.schur_rho, eigs)
+        eigs.extend(complex(x) for x in schur_factor.extra_vars)
+        values = values * schur(schur_factor.rho, eigs)
 
     mean = (weight * values).mean()
-    return float(np.real(mean)) * scalar / st.divisor
+    return float(np.real(mean)) * scalar / _divisor(st)
+
+
+# ---------------------------------------------------------------------------
+# Partitions and matrices: conjugates, reflections, one-matrix draws
+# ---------------------------------------------------------------------------
+
+
+def conjugate(mu: Partition) -> Partition:
+    """Transpose of the diagram: column j of mu has height #{k : mu_k >= j}."""
+    if not mu.parts:
+        return Partition()
+    cols = [0] * mu.parts[0]
+    for p in mu.parts:
+        for j in range(p):
+            cols[j] += 1
+    return Partition(tuple(cols))
+
+
+def alternating_sum(mu: Partition) -> int:
+    """Sum of parts with alternating signs, mu_1 - mu_2 + mu_3 - ..."""
+    return sum(p if j % 2 == 0 else -p for j, p in enumerate(mu.parts))
+
+
+def entry(X: IntMatrix, i: int, j: int) -> int:
+    """Entry x_{i,j}: i-th row from the bottom, j-th column, both 1-based."""
+    if not (1 <= i <= X.n_rows and 1 <= j <= X.n_cols):
+        raise IndexError(f"({i},{j}) outside {X.n_rows}x{X.n_cols}")
+    return X.rows[i - 1][j - 1]
+
+
+def total(X: IntMatrix) -> int:
+    return sum(sum(r) for r in X.rows)
+
+
+def trace(X: IntMatrix) -> int:
+    if X.n_rows != X.n_cols:
+        raise ValueError("trace needs a square matrix")
+    return sum(entry(X, i, i) for i in range(1, X.n_rows + 1))
+
+
+def transpose(X: IntMatrix) -> IntMatrix:
+    """x_{i,j} -> x_{j,i}; reflection in the diagonal i = j."""
+    return IntMatrix(tuple(tuple(entry(X, j, i) for j in range(1, X.n_rows + 1))
+                           for i in range(1, X.n_cols + 1)))
+
+
+def anti_transpose(X: IntMatrix) -> IntMatrix:
+    """x_{i,j} -> x_{n+1-j,n+1-i}; reflection in the anti-diagonal (square only)."""
+    n = X.n_rows
+    if n != X.n_cols:
+        raise ValueError("anti-transpose needs a square matrix")
+    return IntMatrix(tuple(tuple(entry(X, n + 1 - j, n + 1 - i) for j in range(1, n + 1))
+                           for i in range(1, n + 1)))
+
+
+def rotate180(X: IntMatrix) -> IntMatrix:
+    """x_{i,j} -> x_{n_rows+1-i,n_cols+1-j}; point reflection through the centre."""
+    return IntMatrix(tuple(tuple(reversed(r)) for r in reversed(X.rows)))
+
+
+def sample_matrix(spec: ModelSpec, rng: np.random.Generator) -> IntMatrix:
+    """One matrix from the ensemble; dependent entries filled by its symmetry."""
+    rows = _sample_grid(_site_plan(spec), spec.matrix_shape, rng, 1)[0].tolist()
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +554,10 @@ def sp_schur_identity(rho: Partition, beta: Fraction, l: int,
     if rho.length > limit:
         raise ValueError(f"rho has more than {limit} parts")
     if odd_case:
-        cf = ClassFunctionSpec(schur_rho=rho, schur_extra_vars=(beta,))
+        cf, factor = UNIT, SchurFactor(rho, (beta,))
     else:
-        cf = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(beta, -1),)), schur_rho=rho)
-    lhs = _average(GroupSpec("Sp", l), cf, tol)
+        cf, factor = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(beta, -1),))), SchurFactor(rho)
+    lhs = _average(GroupSpec("Sp", l), cf, factor, tol)
     rhs = beta ** alternating_sum(rho)
     exact = isinstance(lhs, Fraction)
     return {
@@ -480,8 +579,8 @@ def o_schur_identity(rho: Partition, alpha: Fraction, l: int,
     alpha = Fraction(alpha)
     if rho.length > l:
         raise ValueError("rho has more parts than eigenvalues")
-    cf = ClassFunctionSpec(det_alpha=alpha, schur_rho=rho)
-    actual = {key: _average(GroupSpec(family, l), cf, tol)
+    cf = ClassFunctionSpec(det_alpha=alpha)
+    actual = {key: _average(GroupSpec(family, l), cf, SchurFactor(rho), tol)
               for key, family in (("plus", "O+"), ("minus", "O-"), ("mean", "O"))}
     n_odd = odd_part_count(rho)
     expected = {
@@ -506,10 +605,10 @@ def o_component_reflection_gap(rho: Partition, alpha: Fraction, l_odd: int,
     if l_odd % 2 == 0:
         raise ValueError("relation is for odd sizes")
     alpha = Fraction(alpha)
-    left = _average(GroupSpec("O-", l_odd),
-                    ClassFunctionSpec(det_alpha=alpha, schur_rho=rho), tol)
-    right = _average(GroupSpec("O+", l_odd),
-                     ClassFunctionSpec(det_alpha=-alpha, schur_rho=rho), tol)
+    left = _average(GroupSpec("O-", l_odd), ClassFunctionSpec(det_alpha=alpha),
+                    SchurFactor(rho), tol)
+    right = _average(GroupSpec("O+", l_odd), ClassFunctionSpec(det_alpha=-alpha),
+                     SchurFactor(rho), tol)
     sign = -1 if rho.weight % 2 else 1
     if isinstance(left, Fraction) and isinstance(right, Fraction):
         return left - sign * right
@@ -617,14 +716,14 @@ def check_symmetry_lemmas(X: IntMatrix, symmetry_class: str) -> dict[str, bool]:
     n = X.n_rows
     _require(n == X.n_cols, "symmetry lemmas need a square matrix")
     if symmetry_class in ("diagonal", "doublysymmetric"):
-        _require(X == X.transpose(), "matrix is not symmetric about the diagonal")
+        _require(X == transpose(X), "matrix is not symmetric about the diagonal")
     if symmetry_class in ("antidiagonal", "doublysymmetric"):
-        _require(X == X.anti_transpose(), "matrix is not symmetric about the anti-diagonal")
+        _require(X == anti_transpose(X), "matrix is not symmetric about the anti-diagonal")
     if symmetry_class == "doublysymmetric":
-        _require(all(X.entry(i, n + 1 - i) % 2 == 0 for i in range(1, n + 1)),
+        _require(all(entry(X, i, n + 1 - i) % 2 == 0 for i in range(1, n + 1)),
                  "anti-diagonal entries must be even")
     if symmetry_class == "pointreflection":
-        _require(X == X.rotate180(), "matrix is not point-reflection symmetric")
+        _require(X == rotate180(X), "matrix is not point-reflection symmetric")
 
     pair = rsk(X)
     mu = pair.p.shape
@@ -632,9 +731,9 @@ def check_symmetry_lemmas(X: IntMatrix, symmetry_class: str) -> dict[str, bool]:
 
     if symmetry_class in ("diagonal", "doublysymmetric"):
         report["p_equals_q"] = pair.p == pair.q
-        report["trace_alt_sum"] = X.trace() == alternating_sum(mu)
+        report["trace_alt_sum"] = trace(X) == alternating_sum(mu)
     if symmetry_class in ("antidiagonal", "doublysymmetric"):
-        odd_anti = sum(X.entry(i, n + 1 - i) % 2 for i in range(1, n + 1))
+        odd_anti = sum(entry(X, i, n + 1 - i) % 2 for i in range(1, n + 1))
         odd_parts = sum(p % 2 for p in mu.parts)
         report["odd_counts"] = odd_anti == odd_parts == alternating_sum(conjugate(mu))
         report["q_is_evacuated_p"] = pair.q == evacuate(pair.p)
@@ -651,7 +750,7 @@ def greene_multi(X: IntMatrix, l: int) -> int:
     """Sum of the first l parts of the insertion shape of X."""
     if l < 1:
         raise ValueError("l must be at least 1")
-    shape = rsk_shape(X)
+    shape = rsk(X).p.shape
     return sum(shape.parts[:l])
 
 
@@ -698,6 +797,27 @@ def greene_oracle(X: IntMatrix, l: int) -> int:
     flat = np.array([x for row in X.rows for x in row], dtype=np.int64)
     sums = masks @ flat
     return int(sums[widths <= l].max())
+
+
+def _word_of(t: Tableau) -> list[int]:
+    """Row reading word, bottom row first, left to right."""
+    word = []
+    for r in reversed(t.rows):
+        word.extend(r)
+    return word
+
+
+def insertion_tableau(word, content_bound: int) -> Tableau:
+    rows: list[list[int]] = []
+    for x in word:
+        _insert_rsk(rows, x)
+    return Tableau(tuple(tuple(r) for r in rows), content_bound)
+
+
+def evacuate_by_word(t: Tableau) -> Tableau:
+    """Independent route to evacuation: insert the reversed, complemented reading word."""
+    n = t.content_bound
+    return insertion_tableau([n + 1 - x for x in reversed(_word_of(t))], n)
 
 
 def schur_bialternant(mu: Partition, xs) -> Fraction:

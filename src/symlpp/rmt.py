@@ -27,9 +27,9 @@ weight parameter is 0 with a vanishing exponent.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 
-from .core import ModelSpec, Partition, record
+from .core import ModelSpec, record
 from .numerics import (
     GeomInv,
     PolyPlus,
@@ -60,14 +60,11 @@ class GroupSpec:
 
 @record
 class ClassFunctionSpec:
-    """Multiplicative class function: a per-eigenvalue symbol, an optional
-    det(1 + alpha U) factor, and an optional Schur factor over all eigenvalues
-    (forced real eigenvalues included), possibly with extra appended variables."""
+    """Multiplicative class function: a per-eigenvalue symbol and an optional
+    det(1 + alpha U) factor."""
 
     symbol: SymbolSpec = SymbolSpec(())
     det_alpha: Fraction | None = None
-    schur_rho: Partition | None = None
-    schur_extra_vars: tuple[Fraction, ...] = ()
 
     def effective_symbol(self) -> SymbolSpec:
         if self.det_alpha is None:
@@ -100,11 +97,6 @@ class _Structure:
         return self.paired and self.single is None and self.pairs > 0
 
     @property
-    def divisor(self) -> int:
-        """Normalisation of the Weyl density over the free angles."""
-        return (2**self.pairs if self.paired else 1) * factorial(self.pairs) // (1 + self.halved)
-
-    @property
     def hankel(self) -> tuple[int, int] | None:
         """(shift, sign) of the Hankel part; None for U, whose form is Toeplitz only."""
         return _HANKEL[self.single] if self.paired else None
@@ -135,8 +127,7 @@ def _has_determinant_form(family: str, cf: ClassFunctionSpec) -> bool:
     factors = cf.effective_symbol().factors
     geometric = [f for f in factors if isinstance(f, GeomInv)]
     limited = {f.exponent_sign for f in geometric} if family == "U" else geometric
-    return (cf.schur_rho is None and len(limited) <= 1
-            and all(isinstance(f, (PolyPlus, GeomInv)) for f in factors))
+    return len(limited) <= 1 and all(isinstance(f, (PolyPlus, GeomInv)) for f in factors)
 
 
 def _pair_coefficients(symbol: SymbolSpec, k_max: int) -> list[Fraction]:
@@ -230,22 +221,13 @@ def _value_at_point(symbol: SymbolSpec, eps: int) -> Fraction:
 def group_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT) -> Fraction:
     """Average of the class function over the group's eigenvalue measure, a Fraction.
 
-    Any class function without a determinant form (a Schur factor, an
-    exponential factor, too many geometric factors) raises ValueError.
+    Any class function without a determinant form (an exponential factor, too
+    many geometric factors) raises ValueError.
     """
     if not _has_determinant_form(group.family, cf):
-        raise ValueError("class function has no determinant form: it has a Schur factor, "
-                         "an exponential factor or too many geometric factors")
+        raise ValueError("class function has no determinant form: it has an exponential "
+                         "factor or too many geometric factors")
     return _averages(group.family, cf.effective_symbol(), [group.l])[0]
-
-
-def sp_average(cf: ClassFunctionSpec, l: int):
-    return group_average(GroupSpec("Sp", l), cf)
-
-
-def o_average(cf: ClassFunctionSpec, l: int, component: str = "mean"):
-    family = {"plus": "O+", "minus": "O-", "mean": "O"}[component]
-    return group_average(GroupSpec(family, l), cf)
 
 
 def u_average(s: SymbolSpec, l: int) -> Fraction:

@@ -268,11 +268,6 @@ def selfdual_schur(mu: Partition, q) -> Fraction:
     return schur(q0, q) * schur(q1, q)
 
 
-def even_partition_halves(lam: Partition) -> tuple[Partition, Partition]:
-    """(odd-indexed parts, even-indexed parts) of lam, the halves paired with 2*lam."""
-    return Partition(lam.parts[0::2]), Partition(lam.parts[1::2])
-
-
 # ---------------------------------------------------------------------------
 # Pair products and the self-dual point-reflection law
 # ---------------------------------------------------------------------------

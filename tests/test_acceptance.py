@@ -13,24 +13,23 @@ from itertools import product
 
 import numpy as np
 
-from symlpp.core import IntMatrix, ModelSpec, Partition, conjugate, partitions_in_box
-from symlpp.harness import (
-    EIGHT_POINT_CONFIGURATION,
-    hammersley_check,
-    longest_increasing_chain,
-    verify_model,
-)
-from symlpp.lpp import mc_distribution, sample_matrix
+from symlpp.core import IntMatrix, ModelSpec, Partition, partitions_in_box
+from symlpp.harness import hammersley_check, longest_increasing_chain, verify_model
+from symlpp.lpp import mc_distribution
 from symlpp.oracles import (
     check_symmetry_lemmas,
+    conjugate,
     exact_average,
     greene_oracle,
     o_schur_identity,
     pfaffian_minor_sum_check,
     pfaffian_sign_identity_check,
     quadrature_average,
+    sample_matrix,
     selfdual_schur_oracle,
     sp_schur_identity,
+    total,
+    transpose,
 )
 from symlpp.rmt import GroupSpec, antidiagonal_odd_prefactors, model_rmt_distribution
 from symlpp.rsk import dual_rsk, rsk
@@ -39,6 +38,15 @@ from symlpp.symfunc import (
     pointreflection_selfdual_sum,
     selfdual_schur,
     two_quotient,
+)
+
+
+# Eight marked points whose longest strictly increasing chain has length 3,
+# matching the worked unit-square illustration (four segments once the path
+# is extended to the corners).
+EIGHT_POINT_CONFIGURATION = (
+    (0.10, 0.55), (0.20, 0.30), (0.30, 0.80), (0.40, 0.10),
+    (0.50, 0.60), (0.65, 0.40), (0.80, 0.90), (0.90, 0.20),
 )
 
 
@@ -187,14 +195,14 @@ def _sampled_class_checks(spec, symmetry_class, count, seed):
         if symmetry_class is None:
             pair = rsk(X)
             ok = (pair.p.shape == pair.q.shape
-                  and pair.p.shape.weight == X.total())
-            swapped = rsk(X.transpose())
+                  and pair.p.shape.weight == total(X))
+            swapped = rsk(transpose(X))
             ok = ok and swapped.p == pair.q and swapped.q == pair.p
         elif symmetry_class == "bernoulli":
             pair = dual_rsk(X)
             mu = pair.q.shape
             ok = (pair.p.shape == conjugate(mu)
-                  and mu.weight == X.total()
+                  and mu.weight == total(X)
                   and (mu.parts[0] if mu.parts else 0) <= X.n_rows)
         else:
             ok = all(check_symmetry_lemmas(X, symmetry_class).values())

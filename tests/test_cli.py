@@ -1,4 +1,6 @@
+import concurrent.futures
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ import symlpp
 from symlpp import cli, harness
 from symlpp.cli import build_parser, dump_json, main, rows_to_csv
 from symlpp.core import ModelSpec, format_rational
+from symlpp.lpp import MC_CHUNK
 from symlpp.variants import model_rmt_table
 
 
@@ -439,6 +442,79 @@ def test_threads_default_to_one():
     for command in ("mc", "verify"):
         args = parser.parse_args([command, "--model", "m.json", "--lmax", "1"])
         assert args.threads == 1
+
+
+def test_threads_are_capped_at_the_cpu_count(model_file, capsys, monkeypatch):
+    # a fake pool records its size and maps serially, so no thread starts
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = model_file("j.json", STREAM_MODELS["johansson"])
+    argv = ["mc", "--model", path, "--lmax", "60", "--samples", str(3 * MC_CHUNK), "--seed", "5"]
+    serial = run_cli(capsys, argv + ["--threads", "1"])
+    capped = run_cli(capsys, argv + ["--threads", str(10**6)])
+    assert workers == [os.cpu_count()]
+    assert capped == serial and serial[0] == 0
+
+
+HUGE = "99999999999999999999/100000000000000000000"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["hammersley", "--lam", "1e-300", "--lmax", "3", "--samples", "100"], None),
+    (["hammersley", "--lam", "nan", "--lmax", "3"], None),
+    (["mc", "--model", "MODEL", "--lmax", "70000", "--samples", "10"], None),
+    (["exact", "--model", "HUGE", "--lmax", "3"], None),
+    (["verify", "--model", "HUGE", "--lmax", "3", "--samples", "100"], None),
+    (["rmt", "--model", "HUGE", "--l", "3"], None),
+    (["mc", "--model", "MODEL", "--lmax", "3", "--samples", "10", "--seed", "9" * 30], None),
+    (["mc", "--model", "MODEL", "--lmax", "3", "--samples", "10", "--threads", "0"], None),
+    (["rsk", "--matrix", "FLOATS"], "rows_top_to_bottom"),
+    (["rsk", "--matrix", "STRINGS"], "rows_top_to_bottom"),
+    (["rsk", "--matrix", "HEAVY"], "matrix"),
+])
+def test_exit_code_contract(argv, field, model_file, capsys):
+    """Exit 0, 1 or 2 with JSON on stdout; a case with a field is an error of that field."""
+    paths = {
+        "MODEL": model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]}),
+        "HUGE": model_file("huge.json", {"variant": "johansson", "a": [HUGE], "b": [HUGE]}),
+        # int() used to truncate these to [[1, 0], [0, 2]] and [[3, 1]]
+        "FLOATS": model_file("floats.json", {"rows_top_to_bottom": [[1.5, 0], [0, 2.9]]}),
+        "STRINGS": model_file("strings.json", {"rows_top_to_bottom": [["3", True]]}),
+        # 2^20 letters: over the insertion budget, however few rows they bump through
+        "HEAVY": model_file("heavy.json", {"rows_top_to_bottom": [[1 << 20]]}),
+    }
+    code, out = run_cli(capsys, [paths.get(a, a) for a in argv])
+    assert code in (0, 1, 2)
+    payload = json.loads(out)
+    if field is not None:
+        assert code == 2 and payload["error"]["field"] == field
+
+
+def test_every_traced_name_resolves():
+    # perfbench's tracer and its tableaux operation look these up by name
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [*spans.TRACED, ("core", "partitions_in_box"),
+             ("core", "matrix_from_rows_top_to_bottom"), ("rsk", "rsk")]
+    for module, name in names:
+        assert callable(getattr(importlib.import_module(f"symlpp.{module}"), name)), (module, name)
 
 
 # `exact --lmax 5` stdout, recorded before exact laws became one-sweep tables:

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symlpp.core import ModelSpec, Partition, alternating_sum, box_parts
+from symlpp.core import ModelSpec, Partition, box_parts
 from symlpp import core, rmt, symfunc
 from symlpp.numerics import det_exact
-from symlpp.oracles import (box_cauchy_table, box_dual_cauchy_table, box_weighted_table,
-                            odd_part_count, schur_bialternant)
+from symlpp.oracles import (alternating_sum, box_cauchy_table, box_dual_cauchy_table,
+                            box_weighted_table, odd_part_count, schur_bialternant)
 from symlpp.rmt import model_rmt_distribution
 from symlpp.symfunc import _schur_values, pointreflection_selfdual_table
 from symlpp.variants import exact_table, model_rmt_table, variant_of

@@ -8,7 +8,6 @@ import pytest
 from symlpp import harness
 from symlpp.core import ModelSpec
 from symlpp.harness import (
-    EIGHT_POINT_CONFIGURATION,
     _chain_lengths,
     _fixed_point_bits,
     _fixed_point_minors,
@@ -138,6 +137,15 @@ def test_chain_runs_draw_the_same_points(lam, n_samples, monkeypatch):
         counts.append(_poisson_chain_counts(lam, 30, n_samples, 3).tolist())
     assert counts[0] == counts[1] == counts[2]
     assert sum(counts[0]) == n_samples
+
+
+# Eight marked points whose longest strictly increasing chain has length 3,
+# matching the worked unit-square illustration (four segments once the path
+# is extended to the corners).
+EIGHT_POINT_CONFIGURATION = (
+    (0.10, 0.55), (0.20, 0.30), (0.30, 0.80), (0.40, 0.10),
+    (0.50, 0.60), (0.65, 0.40), (0.80, 0.90), (0.90, 0.20),
+)
 
 
 def test_eight_point_configuration_has_chain_three():

@@ -18,12 +18,11 @@ from symlpp.rmt import (
     antidiagonal_odd_prefactors,
     group_average,
     model_rmt_distribution,
-    o_average,
-    sp_average,
     u_average,
 )
 from symlpp.oracles import (
     ExpCos,
+    SchurFactor,
     exact_average,
     o_component_reflection_gap,
     o_schur_identity,
@@ -61,16 +60,17 @@ def test_u_average_agrees_with_weyl_quadrature():
 
 
 def test_sp_average_examples():
-    assert sp_average(ClassFunctionSpec(), 2) == 1
-    assert exact_average(GroupSpec("Sp", 2), ClassFunctionSpec(schur_rho=Partition())) == 1
+    assert group_average(GroupSpec("Sp", 2), ClassFunctionSpec()) == 1
+    assert exact_average(GroupSpec("Sp", 2), schur_factor=SchurFactor(Partition())) == 1
     # pair products of a linear symbol expand through bounded dual pairing sums:
     # the average of prod |1+q e^{i theta}|^2 picks out the shapes whose
     # conjugate averages to 1, i.e. the even shapes
     q = F(1, 2)
-    lhs = sp_average(ClassFunctionSpec(symbol=SymbolSpec((PolyPlus(q, 1),))), 1)
+    lhs = group_average(GroupSpec("Sp", 1),
+                        ClassFunctionSpec(symbol=SymbolSpec((PolyPlus(q, 1),))))
     rhs = F(0)
     for mu in partitions_in_box(2, 1):
-        coeff = exact_average(GroupSpec("Sp", 1), ClassFunctionSpec(schur_rho=Partition(
+        coeff = exact_average(GroupSpec("Sp", 1), schur_factor=SchurFactor(Partition(
             tuple(sorted((p for p in _conj(mu)), reverse=True)))))
         rhs += schur(mu, (q,)) * coeff
     assert lhs == rhs
@@ -90,7 +90,7 @@ def test_sp_schur_average_vanishing_pattern():
     # with no weight, the Schur average over conjugate pairs is 1 exactly when
     # every column has even length, else 0
     for rho in partitions_in_box(3, 4):
-        value = exact_average(GroupSpec("Sp", 2), ClassFunctionSpec(schur_rho=rho))
+        value = exact_average(GroupSpec("Sp", 2), schur_factor=SchurFactor(rho))
         expect = 1 if all(c % 2 == 0 for c in _conj(rho)) else 0
         assert value == expect, rho.parts
 
@@ -98,12 +98,12 @@ def test_sp_schur_average_vanishing_pattern():
 def test_o_average_forced_eigenvalues():
     alpha = F(1, 3)
     cf = ClassFunctionSpec(det_alpha=alpha)
-    assert o_average(cf, 1, "minus") == 1 - alpha
-    assert o_average(cf, 1, "plus") == 1 + alpha
-    assert o_average(cf, 2, "plus") == 1 + alpha**2
-    assert o_average(cf, 2, "minus") == 1 - alpha**2
-    assert o_average(cf, 2, "mean") == 1
-    assert o_average(cf, 0, "mean") == 1
+    assert group_average(GroupSpec("O-", 1), cf) == 1 - alpha
+    assert group_average(GroupSpec("O+", 1), cf) == 1 + alpha
+    assert group_average(GroupSpec("O+", 2), cf) == 1 + alpha**2
+    assert group_average(GroupSpec("O-", 2), cf) == 1 - alpha**2
+    assert group_average(GroupSpec("O", 2), cf) == 1
+    assert group_average(GroupSpec("O", 0), cf) == 1
 
 
 def test_sp_schur_identity():
@@ -174,7 +174,7 @@ def test_antidiagonal_prefactor_candidates():
     spec = ModelSpec("antidiagonal", q=q2, beta=F(1, 3))
     symbol = SymbolSpec(tuple(PolyPlus(x, 1) for x in q2))
     for l in (1, 3, 5):
-        average = sp_average(ClassFunctionSpec(symbol=symbol), l // 2)
+        average = group_average(GroupSpec("Sp", l // 2), ClassFunctionSpec(symbol=symbol))
         exact = exact_distribution(spec, l)
         assert both["standard"] * average == exact
         assert both["printed"] * average != exact
@@ -183,10 +183,10 @@ def test_antidiagonal_prefactor_candidates():
 def test_geominv_average_exactness_tagging():
     # Sp(2): g_0 - g_2 = (1 - c^2) / (1 - c^2) = 1, as an exact rational
     cf = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(1, 2), -1),)))
-    value = sp_average(cf, 1)
+    value = group_average(GroupSpec("Sp", 1), cf)
     assert isinstance(value, F) and value == 1
     cf0 = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(0), -1),)))
-    assert sp_average(cf0, 1) == 1
+    assert group_average(GroupSpec("Sp", 1), cf0) == 1
 
 
 def test_expcos_quadrature_matches_toeplitz():
@@ -250,14 +250,14 @@ def test_constant_term_guard_raises_before_expanding():
 
 
 def test_production_average_rejects_non_determinant_forms():
-    schur_cf = ClassFunctionSpec(det_alpha=F(1, 3), schur_rho=Partition((1,)))
+    exponential = ClassFunctionSpec(symbol=SymbolSpec((ExpCos(1.5),)), det_alpha=F(1, 3))
     for family in ("U", "Sp", "O+", "O-", "O"):
         with pytest.raises(ValueError, match="no determinant form"):
-            group_average(GroupSpec(family, 2), schur_cf)
+            group_average(GroupSpec(family, 2), exponential)
     two_geometric = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(1, 2), 1),
                                                          GeomInv(F(1, 3), -1))))
     with pytest.raises(ValueError, match="no determinant form"):
-        sp_average(two_geometric, 2)
+        group_average(GroupSpec("Sp", 2), two_geometric)
 
 
 def test_cli_import_does_not_load_oracles():

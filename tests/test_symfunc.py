@@ -10,7 +10,6 @@ from symlpp.symfunc import (
     cauchy_table,
     domino_tilable,
     dual_cauchy_table,
-    even_partition_halves,
     exact_distribution,
     odd_part_table,
     pointreflection_selfdual_sum,
@@ -183,7 +182,7 @@ def test_two_quotient_halves_weight_and_matches_even_split():
     # an even partition's quotient pair is its interleaved halves, unordered
     for lam in partitions_in_box(3, 4):
         doubled = Partition(tuple(2 * p for p in lam.parts))
-        plus, minus = even_partition_halves(lam)
+        plus, minus = Partition(lam.parts[0::2]), Partition(lam.parts[1::2])
         q0, q1 = two_quotient(doubled)
         assert {q0.parts, q1.parts} == {plus.parts, minus.parts}
 
