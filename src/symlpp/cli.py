@@ -217,8 +217,9 @@ def _sample_pieces(model: ModelSpec, count: int, seed: int):
                "count": count, "matrices": [_HOLE]}
     head, _, tail = dump_json(payload).rpartition(json.dumps(_HOLE))
     separator = ",\n    "  # between the items of a list at indent 1
+    chunks = sample_chunks(model, count, seed)
     yield head
-    for index, chunk in enumerate(sample_chunks(model, count, seed)):
+    for index, chunk in enumerate(chunks):
         text = separator.join([template] * len(chunk)) % tuple(
             chain.from_iterable(chain.from_iterable(chunk)))
         yield separator + text if index else text
@@ -235,7 +236,9 @@ def _cmd_sample(args) -> int:
         raise ConfigError(f"sample writes JSON only, not {args.format}", field="format")
     model = _load_model(args.model)
     seed = _seed_from(args)
-    _emit_pieces(_sample_pieces(model, args.count, seed), args.out)
+    pieces = _sample_pieces(model, args.count, seed)
+    head = next(pieces)  # checks the site plan before --out is opened
+    _emit_pieces(chain((head,), pieces), args.out)
     return 0
 
 
@@ -287,8 +290,8 @@ def _cmd_rsk(args) -> int:
             isinstance(row, list) and all(type(x) is int for x in row) for row in rows)):
         raise ConfigError("rows_top_to_bottom must be a list of rows of integers",
                           field="rows_top_to_bottom")
+    check_rsk_budget(rows)
     matrix = matrix_from_rows_top_to_bottom(rows)
-    check_rsk_budget(matrix)
     pair = rsk(matrix)
     payload = {
         "schema": SCHEMA_VERSION,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterator, NamedTuple, Union
 
 Rational = Fraction
@@ -263,7 +263,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, r)) for r in self.rows)
+        rows = tuple(tuple(map(index, r)) for r in self.rows)
         if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
         width = len(rows[0])

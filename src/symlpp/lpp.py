@@ -49,7 +49,9 @@ def _site_plan(spec: ModelSpec) -> tuple[_Site, ...]:
     """One site per orbit of the model's symmetry, in row-major order of the
     cell that comes first in its orbit under (i + j, i); its law is the
     record's law of that cell.  Cached: the one-matrix sampler of symlpp.oracles
-    asks for it per matrix."""
+    asks for it per matrix.  A geometric or parity site whose largest draw
+    (53 ln 2 / -ln p, as w = 1 - u >= 2^-53) times the n_rows + n_cols - 1 cells
+    of a path overflows int64, p = 1.0 among them, raises ValueError."""
     variant = variant_of(spec)
     n_rows, n_cols = spec.matrix_shape
     sites: list[_Site] = []
@@ -58,6 +60,9 @@ def _site_plan(spec: ModelSpec) -> tuple[_Site, ...]:
             orbit = variant.orbit(n_rows, i, j)
             if min(orbit, key=lambda cell: (cell[0] + cell[1], cell[0])) == (i, j):
                 law, params = variant.site(spec, i, j)
+                if law != "bernoulli" and 0 < params[0] and math.log(params[0]) * -2.0**63 \
+                        <= 53 * math.log(2) * (n_rows + n_cols - 1):
+                    raise ValueError(f"site ({i},{j}) parameter {params[0]!r} is too close to 1")
                 sites.append(_Site(law, params, tuple(sorted(orbit))))
     return tuple(sites)
 
@@ -137,10 +142,11 @@ def chunk_streams(seed: int, total: int, size: int):
 
 def sample_chunks(spec: ModelSpec, count: int, seed: int):
     """The `count` matrices of `seed`, one list per chunk of SAMPLE_CHUNK, drawn
-    as the caller asks for it; each matrix is a list of rows, top row first."""
+    as the caller asks for it; each matrix is a list of rows, top row first.
+    The site plan is checked at the call, before any chunk is drawn."""
     plan = _site_plan(spec)
-    for size, rng in chunk_streams(seed, count, SAMPLE_CHUNK):
-        yield _sample_grid(plan, spec.matrix_shape, rng, size)[:, ::-1].tolist()
+    return (_sample_grid(plan, spec.matrix_shape, rng, size)[:, ::-1].tolist()
+            for size, rng in chunk_streams(seed, count, SAMPLE_CHUNK))
 
 
 @record

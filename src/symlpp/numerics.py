@@ -59,6 +59,8 @@ class SymbolSpec:
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
+        if not all(isinstance(f, Factor) for f in self.factors):
+            raise TypeError("symbol factors must be PolyPlus or GeomInv")
         object.__setattr__(self, "factors", tuple(f for f in self.factors if f.c != 0))
 
     def times(self, *extra: Factor) -> "SymbolSpec":

@@ -2,23 +2,20 @@
 
 The production engine (symlpp.rmt) evaluates every Sp/O average as a
 Toeplitz +- Hankel determinant and every U average as a Toeplitz determinant.
-This module keeps two general engines that share no code with those
-determinants, so tests can check them against each other:
-
-* exact_average expands the Weyl density and a polynomial class function
-  (times a SchurFactor, which production class functions do not carry) as
-  exact Laurent polynomials in the free angles and returns the constant term
-  as a Fraction.  The expansion grows exponentially with the number of free
-  angles, so more than MAX_EXACT_ANGLES of them raise ValueError before
-  anything is built.
-* quadrature_average integrates any class function with the product
-  trapezoidal rule on a uniform grid whose node count exceeds the integrand's
-  trigonometric degree, so polynomial parts are integrated exactly and series
-  parts contribute below the requested tolerance.  The grid size is checked
-  against _QUAD_POINT_BUDGET before anything is allocated.
+This module keeps one general engine that shares no code with those
+determinants, so tests can check them against each other: exact_average
+expands the Weyl density and the polynomial factors of a class function
+(times a SchurFactor, which production class functions do not carry) as an
+exact Laurent polynomial P in the free angles.  Without a geometric factor
+the average is P's constant term; one geometric factor (1 - c z^s)^-1 has
+exact Fourier coefficients g_k, and the average is sum_e P_e prod_j g_{-e_j},
+a Fraction either way.  The expansion grows exponentially with the number of
+free angles, so more than MAX_EXACT_ANGLES of them raise ValueError before
+anything is built, as does a second geometric factor.
 
 The Schur-average identities (sp_schur_identity, o_schur_identity,
-o_component_reflection_gap) evaluate through these engines.
+o_component_reflection_gap) evaluate through this engine, so their reports
+hold Fractions only.
 
 The bounded Schur sums that symlpp.symfunc takes as Gram determinants and
 Pfaffians are also summed here term by term over the partition box
@@ -48,15 +45,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import exp, factorial
+from math import factorial, prod
 
 import numpy as np
 
-from .core import (BudgetError, IntMatrix, ModelSpec, Partition, check_table_bound,
+from .core import (IntMatrix, ModelSpec, Partition, check_table_bound,
                    partitions_in_box, record)
 from .lpp import _sample_grid, _site_plan
-from .numerics import GeomInv, PolyPlus, SymbolSpec, _check_skew, det_exact, pfaffian
-from .rmt import UNIT, ClassFunctionSpec, GroupSpec, _Structure, _structure, _value_at_point
+from .numerics import GeomInv, SymbolSpec, _check_skew, det_exact, pfaffian
+from .rmt import UNIT, ClassFunctionSpec, GroupSpec, _Structure, _structure
 from .rsk import Tableau, _insert_rsk, evacuate, rsk
 from .symfunc import _check_box, _schur_values, schur
 
@@ -64,25 +61,12 @@ from .symfunc import _check_box, _schur_values, schur
 # factors over Sp(8) already take over a minute.
 MAX_EXACT_ANGLES = 3
 
-# Largest tensor grid quadrature builds, in points; each array over the grid
-# holds one complex128 per point.
-_QUAD_POINT_BUDGET = 1 << 22
-
-_SINGLE_DEGREE = {"sin2": 2, "one_minus": 1, "one_plus": 1, None: 0}
-
-
-@record
-class ExpCos:
-    """Symbol factor exp(c * (z + 1/z) / 2), which only quadrature integrates."""
-
-    c: float
-
 
 @record
 class SchurFactor:
     """Class-function factor s_rho over all eigenvalues (forced real eigenvalues
     included), with `extra_vars` appended as further Schur variables; only the
-    engines here average it."""
+    engine here averages it."""
 
     rho: Partition
     extra_vars: tuple[Fraction, ...] = ()
@@ -93,54 +77,15 @@ def _divisor(st: _Structure) -> int:
     return (2**st.pairs if st.paired else 1) * factorial(st.pairs) // (1 + st.halved)
 
 
-def _is_polynomial(symbol: SymbolSpec) -> bool:
-    return all(isinstance(f, PolyPlus) for f in symbol.factors)
-
-
-def _bessel_order(c: float, tol: float, norm_product: float) -> int:
-    """Last Bessel order kept for exp(c cos theta), the tail below tol."""
-    c = abs(c)
-    n = 0
-    bound = 2 * exp(c * c / 4) * norm_product
-    while bound * (c / 2) ** (n + 1) / factorial(min(n + 1, 170)) >= tol:
-        n += 1
-        if n > 500:
-            break
-    return n
-
-
-def _mean_of_components(engine, group: GroupSpec, *args):
-    """Family 'O' is the half-half mixture of O+ and O-; other families pass through."""
-    if group.family != "O":
-        return engine(_structure(group.family, group.l), *args)
-    plus = _mean_of_components(engine, GroupSpec("O+", group.l), *args)
-    minus = _mean_of_components(engine, GroupSpec("O-", group.l), *args)
-    if isinstance(plus, Fraction) and isinstance(minus, Fraction):
-        return (plus + minus) / 2
-    return (float(plus) + float(minus)) / 2.0
-
-
 def exact_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT,
                   schur_factor: SchurFactor | None = None) -> Fraction:
-    """Average of a polynomial class function, times the Schur factor if given,
-    by constant-term extraction."""
-    return _mean_of_components(_exact_average, group, cf, schur_factor)
-
-
-def quadrature_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT,
-                       tol: float = 1e-12, schur_factor: SchurFactor | None = None):
-    """Average of any class function, times the Schur factor if given, by product
-    trapezoidal quadrature (a float, or a Fraction when there is no free angle
-    and the class function is rational)."""
-    return _mean_of_components(_quad_average, group, cf, schur_factor, tol)
-
-
-def _average(group: GroupSpec, cf: ClassFunctionSpec, schur_factor: SchurFactor | None,
-             tol: float):
-    """Constant terms for polynomial class functions, quadrature for the rest."""
-    if _is_polynomial(cf.effective_symbol()):
-        return exact_average(group, cf, schur_factor)
-    return quadrature_average(group, cf, tol, schur_factor)
+    """Average of a class function with at most one geometric factor, times the
+    Schur factor if given, by constant-term extraction.  Family 'O' is the
+    half-half mixture of O+ and O-."""
+    if group.family == "O":
+        return (exact_average(GroupSpec("O+", group.l), cf, schur_factor)
+                + exact_average(GroupSpec("O-", group.l), cf, schur_factor)) / 2
+    return _exact_average(_structure(group.family, group.l), cf, schur_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +144,6 @@ class _ZPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        out = _ZPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
 
 def _density_zpoly(st: _Structure) -> _ZPoly:
     p = st.pairs
@@ -248,26 +184,48 @@ def _exps(p: int, assignments: dict[int, int]) -> tuple[int, ...]:
     return tuple(e)
 
 
+def _geometric_coefficients(st: _Structure, fac: GeomInv):
+    """k -> Fourier coefficient g_k of the geometric factor on one free angle.
+
+    Paired angles carry (1 - c z^s)^-1 (1 - c z^-s)^-1 = sum_k c^|k| z^k / (1 - c^2);
+    an unpaired angle carries (1 - c z^s)^-1 = sum of c^|k| z^k over k of sign s or 0.
+    """
+    c, sign = fac.c, fac.exponent_sign
+    if st.paired:
+        scale = 1 / (1 - c * c)
+        return lambda k: c ** abs(k) * scale
+    return lambda k: c ** abs(k) if k * sign >= 0 else 0
+
+
 def _exact_average(st: _Structure, cf: ClassFunctionSpec, schur_factor: SchurFactor | None
                    ) -> Fraction:
+    """Expand density, polynomial factors and Schur factor as a Laurent polynomial
+    P, and return sum_e P_e prod_j g(-e_j) / divisor, with g the coefficients of
+    the geometric factor (g_k = [k = 0] without one): the constant term of P
+    times the geometric series, exactly."""
     if st.pairs > MAX_EXACT_ANGLES:
         raise ValueError(f"constant-term expansion over {st.pairs} free angles exceeds "
                          f"the limit of {MAX_EXACT_ANGLES}")
     symbol = cf.effective_symbol()
-    if not _is_polynomial(symbol):
-        raise ValueError("exact engine needs a polynomial class function")
+    geometric = [fac for fac in symbol.factors if isinstance(fac, GeomInv)]
+    if len(geometric) > 1:
+        raise ValueError("constant-term witness takes at most one geometric factor")
+    g = _geometric_coefficients(st, geometric[0]) if geometric else (lambda k: k == 0)
     p = st.pairs
     f = _density_zpoly(st)
-    for j in range(p):
-        for fac in symbol.factors:
+    scalar = Fraction(1)
+    for fac in symbol.factors:
+        if isinstance(fac, GeomInv):
+            for eps in st.forced:
+                scalar /= 1 - fac.c * eps
+            continue
+        for j in range(p):
             f = f * (_ZPoly.constant(p, 1)
                      + _ZPoly.monomial(p, j, fac.exponent_sign, fac.c))
             if st.paired:
                 f = f * (_ZPoly.constant(p, 1)
                          + _ZPoly.monomial(p, j, -fac.exponent_sign, fac.c))
-    scalar = Fraction(1)
-    for eps in st.forced:
-        for fac in symbol.factors:
+        for eps in st.forced:
             scalar *= 1 + fac.c * eps
     if schur_factor is not None:
         eigs: list = []
@@ -279,146 +237,8 @@ def _exact_average(st: _Structure, cf: ClassFunctionSpec, schur_factor: SchurFac
         eigs.extend(Fraction(x) for x in schur_factor.extra_vars)
         value = schur(schur_factor.rho, eigs)
         f = f * value if isinstance(value, _ZPoly) else f * Fraction(value)
-    return f.constant_term() * scalar / _divisor(st)
-
-
-# ---------------------------------------------------------------------------
-# Quadrature engine
-# ---------------------------------------------------------------------------
-
-
-def _evaluate(symbol: SymbolSpec, z):
-    """Value of the symbol at a point (or numpy array of points) on the unit circle."""
-    out = 1
-    for f in symbol.factors:
-        if isinstance(f, ExpCos):
-            out = out * np.exp(f.c * (z + 1 / z) / 2)
-            continue
-        zz = z if f.exponent_sign == 1 else 1 / z
-        if isinstance(f, PolyPlus):
-            out = out * (1 + float(f.c) * zz)
-        else:
-            out = out / (1 - float(f.c) * zz)
-    return out
-
-
-def _norm_product(symbol: SymbolSpec) -> float:
-    """Sup norm bound of the symbol on the unit circle: the product of its factors'."""
-    out = 1.0
-    for f in symbol.factors:
-        if isinstance(f, PolyPlus):
-            out *= 1 + abs(float(f.c))
-        elif isinstance(f, GeomInv):
-            out *= 1 / (1 - abs(float(f.c)))
-        else:
-            out *= exp(abs(f.c))
-    return out
-
-
-def _truncation_order(f, tol: float, norm_product: float) -> int:
-    """Fourier degree kept for one factor: the tail of a geometric or exponential
-    series below tol, relative to the symbol's norm product."""
-    if isinstance(f, PolyPlus):
-        return 1
-    if isinstance(f, ExpCos):
-        return _bessel_order(f.c, tol, norm_product)
-    c = abs(float(f.c))
-    n = 0
-    bound = norm_product / (1 - c)
-    while bound * c ** (n + 1) >= tol:
-        n += 1
-        if n > 100_000:
-            raise ArithmeticError("geometric truncation failed to converge")
-    return n
-
-
-def _angle_degree(st: _Structure, cf: ClassFunctionSpec, schur_factor: SchurFactor | None,
-                  tol: float) -> int:
-    symbol = cf.effective_symbol()
-    norm = _norm_product(symbol)
-    sym_deg = sum(_truncation_order(fac, tol, norm) for fac in symbol.factors)
-    degree = _SINGLE_DEGREE[st.single] + (st.pairs - 1) * (2 if st.paired else 1)
-    degree += sym_deg * (2 if st.paired else 1)
-    if schur_factor is not None:
-        degree += schur_factor.rho.weight
-    return max(degree, 1)
-
-
-def _forced_only_average(st: _Structure, cf: ClassFunctionSpec,
-                         schur_factor: SchurFactor | None) -> Fraction:
-    """No free angles: the average is a finite product over forced eigenvalues."""
-    symbol = cf.effective_symbol()
-    value = Fraction(1)
-    for eps in st.forced:
-        value *= _value_at_point(symbol, eps)
-    if schur_factor is not None:
-        eigs = tuple(Fraction(eps) for eps in st.forced) + tuple(
-            Fraction(x) for x in schur_factor.extra_vars)
-        value *= schur(schur_factor.rho, eigs)
-    return value / _divisor(st)
-
-
-def _quad_average(st: _Structure, cf: ClassFunctionSpec, schur_factor: SchurFactor | None,
-                  tol: float) -> float:
-    symbol = cf.effective_symbol()
-    p = st.pairs
-    if p == 0:
-        try:
-            return _forced_only_average(st, cf, schur_factor)
-        except ValueError:
-            pass
-        value = 1.0
-        for eps in st.forced:
-            value *= float(np.real(_evaluate(symbol, complex(eps))))
-        if schur_factor is not None:
-            eigs = tuple(float(eps) for eps in st.forced) + tuple(
-                float(x) for x in schur_factor.extra_vars)
-            value *= float(schur(schur_factor.rho, eigs))
-        return value / _divisor(st)
-    scalar = 1.0
-    for eps in st.forced:
-        scalar *= float(np.real(_evaluate(symbol, complex(eps))))
-
-    nodes = 2 * _angle_degree(st, cf, schur_factor, tol) + 2
-    if nodes**p > _QUAD_POINT_BUDGET:
-        raise BudgetError(f"quadrature grid of {nodes}^{p} points exceeds the budget of "
-                         f"{_QUAD_POINT_BUDGET} points")
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    grids = np.meshgrid(*([theta] * p), indexing="ij")
-    zs = [np.exp(1j * g.ravel()) for g in grids]
-
-    weight = np.ones_like(zs[0])
-    for j in range(p):
-        z = zs[j]
-        if st.single == "sin2":
-            weight = weight * (2 - z**2 - z**-2)
-        elif st.single == "one_minus":
-            weight = weight * (2 - z - 1 / z)
-        elif st.single == "one_plus":
-            weight = weight * (2 + z + 1 / z)
-    for j in range(p):
-        for k in range(j + 1, p):
-            weight = weight * (2 - zs[j] / zs[k] - zs[k] / zs[j])
-            if st.paired:
-                weight = weight * (2 - zs[j] * zs[k] - 1 / (zs[j] * zs[k]))
-
-    values = np.ones_like(zs[0])
-    for j in range(p):
-        values = values * _evaluate(symbol, zs[j])
-        if st.paired:
-            values = values * _evaluate(symbol, np.conj(zs[j]))
-    if schur_factor is not None:
-        eigs: list = []
-        for j in range(p):
-            eigs.append(zs[j])
-            if st.paired:
-                eigs.append(np.conj(zs[j]))
-        eigs.extend(complex(eps) for eps in st.forced)
-        eigs.extend(complex(x) for x in schur_factor.extra_vars)
-        values = values * schur(schur_factor.rho, eigs)
-
-    mean = (weight * values).mean()
-    return float(np.real(mean)) * scalar / _divisor(st)
+    total = sum((c * prod(g(-k) for k in e) for e, c in f.terms.items()), Fraction(0))
+    return total * scalar / _divisor(st)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +354,7 @@ def box_weighted_table(q, weight, exponent, lmax: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _as_diff(lhs, rhs) -> float:
-    return abs(float(lhs) - float(rhs))
-
-
-def sp_schur_identity(rho: Partition, beta: Fraction, l: int,
-                      odd_case: bool, tol: float = 1e-12) -> dict:
+def sp_schur_identity(rho: Partition, beta: Fraction, l: int, odd_case: bool) -> dict:
     """Evaluate both sides of the symplectic Schur-average identity.
 
     Even case: average of s_rho on the 2l eigenvalues against the
@@ -557,19 +372,12 @@ def sp_schur_identity(rho: Partition, beta: Fraction, l: int,
         cf, factor = UNIT, SchurFactor(rho, (beta,))
     else:
         cf, factor = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(beta, -1),))), SchurFactor(rho)
-    lhs = _average(GroupSpec("Sp", l), cf, factor, tol)
+    lhs = exact_average(GroupSpec("Sp", l), cf, factor)
     rhs = beta ** alternating_sum(rho)
-    exact = isinstance(lhs, Fraction)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_diff": Fraction(0) if exact and lhs == rhs else _as_diff(lhs, rhs),
-        "exact": exact,
-    }
+    return {"lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs)}
 
 
-def o_schur_identity(rho: Partition, alpha: Fraction, l: int,
-                     tol: float = 1e-12) -> dict:
+def o_schur_identity(rho: Partition, alpha: Fraction, l: int) -> dict:
     """Averages of det(1 + alpha U) s_rho(U) over both orthogonal components.
 
     With n_odd odd parts in rho (padded to length l), the predictions are
@@ -580,7 +388,7 @@ def o_schur_identity(rho: Partition, alpha: Fraction, l: int,
     if rho.length > l:
         raise ValueError("rho has more parts than eigenvalues")
     cf = ClassFunctionSpec(det_alpha=alpha)
-    actual = {key: _average(GroupSpec(family, l), cf, SchurFactor(rho), tol)
+    actual = {key: exact_average(GroupSpec(family, l), cf, SchurFactor(rho))
               for key, family in (("plus", "O+"), ("minus", "O-"), ("mean", "O"))}
     n_odd = odd_part_count(rho)
     expected = {
@@ -590,29 +398,22 @@ def o_schur_identity(rho: Partition, alpha: Fraction, l: int,
     }
     report = {"expected": expected, "actual": actual}
     for key in expected:
-        a, e = actual[key], expected[key]
-        if isinstance(a, Fraction) and a == e:
-            report[f"abs_diff_{key}"] = Fraction(0)
-        else:
-            report[f"abs_diff_{key}"] = _as_diff(a, e)
+        report[f"abs_diff_{key}"] = abs(actual[key] - expected[key])
     return report
 
 
-def o_component_reflection_gap(rho: Partition, alpha: Fraction, l_odd: int,
-                               tol: float = 1e-12):
+def o_component_reflection_gap(rho: Partition, alpha: Fraction, l_odd: int) -> Fraction:
     """Difference in the change-of-variables relation between the two odd
     components: <det(1+aU)s_rho>_{O-(l)} - (-1)^|rho| <det(1-aU)s_rho>_{O+(l)}."""
     if l_odd % 2 == 0:
         raise ValueError("relation is for odd sizes")
     alpha = Fraction(alpha)
-    left = _average(GroupSpec("O-", l_odd), ClassFunctionSpec(det_alpha=alpha),
-                    SchurFactor(rho), tol)
-    right = _average(GroupSpec("O+", l_odd), ClassFunctionSpec(det_alpha=-alpha),
-                     SchurFactor(rho), tol)
+    left = exact_average(GroupSpec("O-", l_odd), ClassFunctionSpec(det_alpha=alpha),
+                         SchurFactor(rho))
+    right = exact_average(GroupSpec("O+", l_odd), ClassFunctionSpec(det_alpha=-alpha),
+                          SchurFactor(rho))
     sign = -1 if rho.weight % 2 else 1
-    if isinstance(left, Fraction) and isinstance(right, Fraction):
-        return left - sign * right
-    return float(left) - sign * float(right)
+    return left - sign * right
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ size, so one integer elimination (numerics.leading_minors) gives a whole table
 of rationals (_averages); each model's formula calls it from its record in
 symlpp.variants, whose model_rmt_table mirrors exact_table.  Every average a
 model formula asks for has one of these forms; group_average raises
-ValueError for any other class function.  Two general engines (constant-term
-extraction and tensor quadrature) live in symlpp.oracles as test witnesses.
+ValueError for any other class function.  An independent witness
+(constant-term extraction) lives in symlpp.oracles for the tests.
 
 Conventions: an average over a size-0 group is 1, and 0**0 = 1 wherever a
 weight parameter is 0 with a vanishing exponent.
@@ -122,12 +122,10 @@ def _structure(family: str, l: int) -> _Structure:
 
 
 def _has_determinant_form(family: str, cf: ClassFunctionSpec) -> bool:
-    """Rational and multiplicative, with geometric factors of one exponent sign
-    over U and at most one geometric factor over Sp and O."""
-    factors = cf.effective_symbol().factors
-    geometric = [f for f in factors if isinstance(f, GeomInv)]
+    """Geometric factors of one exponent sign over U, at most one over Sp and O."""
+    geometric = [f for f in cf.effective_symbol().factors if isinstance(f, GeomInv)]
     limited = {f.exponent_sign for f in geometric} if family == "U" else geometric
-    return len(limited) <= 1 and all(isinstance(f, (PolyPlus, GeomInv)) for f in factors)
+    return len(limited) <= 1
 
 
 def _pair_coefficients(symbol: SymbolSpec, k_max: int) -> list[Fraction]:
@@ -211,22 +209,20 @@ def _value_at_point(symbol: SymbolSpec, eps: int) -> Fraction:
     for fac in symbol.factors:
         if isinstance(fac, PolyPlus):
             value *= 1 + fac.c * eps
-        elif isinstance(fac, GeomInv):
-            value /= 1 - fac.c * eps
         else:
-            raise ValueError("exponential factor is not rational at a point")
+            value /= 1 - fac.c * eps
     return value
 
 
 def group_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT) -> Fraction:
     """Average of the class function over the group's eigenvalue measure, a Fraction.
 
-    Any class function without a determinant form (an exponential factor, too
-    many geometric factors) raises ValueError.
+    A class function without a determinant form (too many geometric factors)
+    raises ValueError.
     """
     if not _has_determinant_form(group.family, cf):
-        raise ValueError("class function has no determinant form: it has an exponential "
-                         "factor or too many geometric factors")
+        raise ValueError("class function has no determinant form: it has too many "
+                         "geometric factors")
     return _averages(group.family, cf.effective_symbol(), [group.l])[0]
 
 

@@ -15,13 +15,13 @@ from bisect import bisect_left, bisect_right
 
 from .core import BudgetError, IntMatrix, Partition, record
 
-# Most insertion steps the `rsk` command may spend on a matrix, checked before
-# insertion.  Each letter (the entries' total) is inserted once and bumps
-# through at most min(n_rows, n_cols) rows of P; it is charged that many steps
-# plus RSK_LETTER_STEPS for the tableau records and the JSON it adds to the
-# output.  At the budget a fresh `symlpp rsk` took 0.4 to 3.4 s and peaked at
-# 25 to 86 MiB RSS on a 2-CPU host, over square matrices from 1 x 1 (508k
-# letters) to 1000 x 1000 (16k letters).
+# Most steps the `rsk` command may spend on a matrix, checked before the
+# IntMatrix is built.  Each letter (the entries' total) is inserted once and
+# bumps through at most min(n_rows, n_cols) rows of P; it is charged that many
+# steps plus RSK_LETTER_STEPS for its tableau records and JSON, and each cell
+# RSK_LETTER_STEPS for its tuple entry and JSON.  At the budget a fresh
+# `symlpp rsk` took 0.5 to 1.5 s and peaked at 26 to 75 MiB RSS on a 2-CPU host,
+# over square matrices from 1 x 1 (508k letters) to 724 x 724 (no letters).
 RSK_STEP_BUDGET = 1 << 24
 RSK_LETTER_STEPS = 32
 
@@ -115,13 +115,14 @@ def _insert_dual(rows: list[list[int]], x: int) -> int:
         r += 1
 
 
-def check_rsk_budget(X: IntMatrix) -> None:
-    letters = sum(map(sum, X.rows))
-    steps = letters * (min(X.n_rows, X.n_cols) + RSK_LETTER_STEPS)
+def check_rsk_budget(rows) -> None:
+    depth = min(len(rows), len(rows[0])) if rows else 0
+    letters, cells = sum(map(sum, rows)), sum(map(len, rows))
+    steps = letters * (depth + RSK_LETTER_STEPS) + cells * RSK_LETTER_STEPS
     if steps > RSK_STEP_BUDGET:
-        raise BudgetError(f"insertion of {letters} letters into at most "
-                          f"{min(X.n_rows, X.n_cols)} rows costs about {steps} steps, over "
-                          f"the budget of {RSK_STEP_BUDGET} steps", field="matrix")
+        raise BudgetError(f"{cells} cells and the insertion of {letters} letters into at most "
+                          f"{depth} rows cost about {steps} steps, over the budget of "
+                          f"{RSK_STEP_BUDGET} steps", field="matrix")
 
 
 def rsk(X: IntMatrix) -> TableauPair:

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Every tolerance is pinned here; exact routes must agree as identical rationals
-(tolerance zero), quadrature routes within their stated absolute tolerances,
-and Monte Carlo within z-score bounds.
+Every tolerance is pinned here; exact routes, group averages and their
+identities among them, must agree as identical rationals (tolerance zero), and
+Monte Carlo within z-score bounds.
 """
 
 import math
@@ -24,14 +24,14 @@ from symlpp.oracles import (
     o_schur_identity,
     pfaffian_minor_sum_check,
     pfaffian_sign_identity_check,
-    quadrature_average,
     sample_matrix,
     selfdual_schur_oracle,
     sp_schur_identity,
     total,
     transpose,
 )
-from symlpp.rmt import GroupSpec, antidiagonal_odd_prefactors, model_rmt_distribution
+from symlpp.rmt import (GroupSpec, antidiagonal_odd_prefactors, group_average,
+                        model_rmt_distribution)
 from symlpp.rsk import dual_rsk, rsk
 from symlpp.symfunc import (
     exact_distribution,
@@ -267,31 +267,31 @@ def test_08_pfaffian_identities():
 
 
 def test_09_group_normalizations():
-    worst = 0.0
+    worst = F(0)
     for family in ("U", "Sp", "O+", "O-", "O"):
         for l in range(4):
             exact = exact_average(GroupSpec(family, l))
-            quad = quadrature_average(GroupSpec(family, l))
-            worst = max(worst, abs(float(exact) - 1.0), abs(float(quad) - 1.0))
-    report(9, "average of 1 is 1 on every group and component", worst <= 1e-12,
-           f"worst deviation {worst:.2e} <= 1e-12, both engines, l <= 3")
+            determinant = group_average(GroupSpec(family, l))
+            worst = max(worst, abs(exact - 1), abs(determinant - 1))
+    report(9, "average of 1 is 1 on every group and component", worst == 0,
+           f"worst deviation {worst} == 0, constant terms and determinants, l <= 3")
 
 
 def test_10_schur_average_identities():
     start = time.monotonic()
     params = (F(0), F(1, 3), F(1, 2))
-    worst = 0.0
+    worst = F(0)
     cases = 0
     for rho in partitions_in_box(3, 3):
         for l in (0, 1, 2):
             for value in params:
                 if rho.length <= 2 * l:
                     rep = sp_schur_identity(rho, value, l, odd_case=False)
-                    worst = max(worst, float(rep["abs_diff"]))
+                    worst = max(worst, rep["abs_diff"])
                     cases += 1
                 if rho.length <= 2 * l + 1:
                     rep = sp_schur_identity(rho, value, l, odd_case=True)
-                    worst = max(worst, float(rep["abs_diff"]))
+                    worst = max(worst, rep["abs_diff"])
                     cases += 1
         for size in (1, 2, 3, 4, 5):
             if rho.length > size:
@@ -299,11 +299,11 @@ def test_10_schur_average_identities():
             for value in params:
                 rep = o_schur_identity(rho, value, size)
                 for key in ("plus", "minus", "mean"):
-                    worst = max(worst, float(rep[f"abs_diff_{key}"]))
+                    worst = max(worst, rep[f"abs_diff_{key}"])
                 cases += 1
     elapsed = time.monotonic() - start
     report(10, "symplectic and orthogonal Schur-average identities",
-           worst <= 1e-9, f"{cases} cases, worst |lhs-rhs| = {worst:.2e} <= 1e-9, "
+           worst == 0, f"{cases} cases, worst |lhs-rhs| = {worst} == 0, "
            f"runtime {elapsed:.0f}s")
 
 

@@ -486,6 +486,7 @@ HUGE = "99999999999999999999/100000000000000000000"
     (["rsk", "--matrix", "FLOATS"], "rows_top_to_bottom"),
     (["rsk", "--matrix", "STRINGS"], "rows_top_to_bottom"),
     (["rsk", "--matrix", "HEAVY"], "matrix"),
+    (["rsk", "--matrix", "ZEROS"], "matrix"),
 ])
 def test_exit_code_contract(argv, field, model_file, capsys):
     """Exit 0, 1 or 2 with JSON on stdout; a case with a field is an error of that field."""
@@ -497,12 +498,34 @@ def test_exit_code_contract(argv, field, model_file, capsys):
         "STRINGS": model_file("strings.json", {"rows_top_to_bottom": [["3", True]]}),
         # 2^20 letters: over the insertion budget, however few rows they bump through
         "HEAVY": model_file("heavy.json", {"rows_top_to_bottom": [[1 << 20]]}),
+        # no letters, but a million cells: each is charged before the matrix is built
+        "ZEROS": model_file("zeros.json", {"rows_top_to_bottom": [[0] * 1000] * 1000}),
     }
     code, out = run_cli(capsys, [paths.get(a, a) for a in argv])
     assert code in (0, 1, 2)
     payload = json.loads(out)
     if field is not None:
         assert code == 2 and payload["error"]["field"] == field
+
+
+def test_sampling_refuses_a_site_parameter_that_rounds_to_one(model_file, capsys):
+    # float(HUGE * HUGE) is 1.0, so a geometric draw would divide by log(1) = 0
+    path = model_file("huge.json", {"variant": "johansson", "a": [HUGE], "b": [HUGE]})
+    for argv in (["mc", "--lmax", "3", "--samples", "100"], ["sample", "--count", "2"],
+                 ["verify", "--lmax", "3", "--samples", "100"]):
+        code, out = run_cli(capsys, [*argv, "--model", path])
+        assert code == 2 and "too close to 1" in json.loads(out)["error"]["message"], argv
+    kept = model_file("kept.json", {"kept": True})  # refused before --out is opened
+    assert run_cli(capsys, ["sample", "--model", path, "--out", kept])[0] == 2
+    with open(kept, encoding="utf-8") as fh:
+        assert json.load(fh) == {"kept": True}
+    p = F(HUGE) ** 2
+    code, out = run_cli(capsys, ["exact", "--model", path, "--lmax", "1"])
+    assert code == 0
+    assert [row["p"] for row in json.loads(out)["distribution"]] == [
+        format_rational(1 - p), format_rational((1 - p) * (1 + p))]
+    code, out = run_cli(capsys, ["rmt", "--model", path, "--l", "0"])
+    assert code == 0 and json.loads(out)["value"] == format_rational(1 - p)
 
 
 def test_every_traced_name_resolves():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 from math import comb
 
+import numpy as np
 import pytest
 
 from symlpp.core import (
@@ -111,6 +112,16 @@ def test_int_matrix_reflections():
         IntMatrix(((-1,),))
     with pytest.raises(ValueError):
         IntMatrix(())
+
+
+def test_int_matrix_takes_integers_only():
+    # a float entry is refused, not truncated
+    with pytest.raises(TypeError):
+        IntMatrix(((1.5, 0),))
+    with pytest.raises(TypeError):
+        matrix_from_rows_top_to_bottom([[2.9]])
+    X = IntMatrix(((np.int64(3), np.int32(0)),))
+    assert X == IntMatrix(((3, 0),)) and all(type(x) is int for x in X.rows[0])
 
 
 def test_model_spec_validation():

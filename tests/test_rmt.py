@@ -3,8 +3,8 @@ import random
 import subprocess
 import sys
 import time
-import tracemalloc
 from fractions import Fraction as F
+from math import factorial, fsum
 
 import pytest
 
@@ -21,12 +21,10 @@ from symlpp.rmt import (
     u_average,
 )
 from symlpp.oracles import (
-    ExpCos,
     SchurFactor,
     exact_average,
     o_component_reflection_gap,
     o_schur_identity,
-    quadrature_average,
     sp_schur_identity,
 )
 from symlpp.symfunc import exact_distribution, schur
@@ -36,9 +34,8 @@ def test_normalizations_both_engines():
     for family, lmax in (("U", 3), ("Sp", 3), ("O+", 5), ("O-", 5), ("O", 5)):
         for l in range(lmax + 1):
             exact = exact_average(GroupSpec(family, l))
-            quad = quadrature_average(GroupSpec(family, l))
-            assert exact == 1, (family, l)
-            assert abs(quad - 1) < 1e-12, (family, l)
+            determinant = group_average(GroupSpec(family, l))
+            assert exact == determinant == 1, (family, l)
 
 
 def test_u_average_examples():
@@ -50,13 +47,12 @@ def test_u_average_examples():
     assert u_average(symbol, 0) == 1
 
 
-def test_u_average_agrees_with_weyl_quadrature():
+def test_u_average_agrees_with_weyl_constant_terms():
     a, b = F(1, 3), F(2, 5)
     symbol = SymbolSpec((PolyPlus(a, -1), PolyPlus(b, 1), PolyPlus(F(1, 7), 1)))
     for l in (1, 2, 3):
         toeplitz = u_average(symbol, l)
-        quad = quadrature_average(GroupSpec("U", l), ClassFunctionSpec(symbol=symbol))
-        assert abs(float(toeplitz) - quad) < 1e-10
+        assert toeplitz == exact_average(GroupSpec("U", l), ClassFunctionSpec(symbol=symbol))
 
 
 def test_sp_average_examples():
@@ -114,10 +110,10 @@ def test_sp_schur_identity():
     assert rep["rhs"] == 1 and rep["lhs"] == 1
     rep = sp_schur_identity(Partition((1,)), F(1, 2), 1, odd_case=False)
     assert rep["rhs"] == F(1, 2)
-    assert float(rep["abs_diff"]) < 1e-9
+    assert rep["abs_diff"] == 0
     rep = sp_schur_identity(Partition((2, 1)), F(1, 3), 1, odd_case=True)
     assert rep["rhs"] == F(1, 3)
-    assert float(rep["abs_diff"]) < 1e-9
+    assert rep["abs_diff"] == 0
     with pytest.raises(ValueError):
         sp_schur_identity(Partition((1, 1, 1)), F(1, 3), 1, odd_case=False)
 
@@ -189,13 +185,17 @@ def test_geominv_average_exactness_tagging():
     assert group_average(GroupSpec("Sp", 1), cf0) == 1
 
 
-def test_expcos_quadrature_matches_toeplitz():
-    symbol = SymbolSpec((ExpCos(1.5),))
-    for l in (1, 2):
-        toeplitz = toeplitz_bessel(1.5, l)
-        quad = quadrature_average(GroupSpec("U", l), ClassFunctionSpec(symbol=symbol),
-                                  tol=1e-12)
-        assert abs(toeplitz - quad) < 1e-9
+def _bessel_i(n: int, c: float) -> float:
+    """I_n(c) by its power series sum_m (c/2)^(2m+n) / (m! (m+n)!)."""
+    return fsum((c / 2) ** (2 * m + n) / (factorial(m) * factorial(m + n)) for m in range(40))
+
+
+def test_toeplitz_bessel_matches_bessel_series():
+    # the symbol exp(c cos theta) has Fourier coefficients I_k(c)
+    c = 1.5
+    i0, i1 = _bessel_i(0, c), _bessel_i(1, c)
+    assert toeplitz_bessel(c, 1) == pytest.approx(i0, rel=1e-13)
+    assert toeplitz_bessel(c, 2) == pytest.approx(i0 * i0 - i1 * i1, rel=1e-13)
 
 
 def test_determinant_engine_matches_constant_terms():
@@ -204,10 +204,10 @@ def test_determinant_engine_matches_constant_terms():
     def param():
         return F(rnd.randint(-9, 9), rnd.randint(10, 19))
 
-    for det_alpha in (None, param(), None, param()):
-        factors = (PolyPlus(param(), 1), PolyPlus(param(), -1))
+    for sign, det_alpha in ((1, None), (-1, param()), (-1, None), (1, param())):
+        factors = (PolyPlus(param(), 1), PolyPlus(param(), -1), GeomInv(param(), sign))
         cf = ClassFunctionSpec(symbol=SymbolSpec(factors), det_alpha=det_alpha)
-        for family, lmax in (("Sp", 3), ("O+", 6), ("O-", 6), ("O", 6)):
+        for family, lmax in (("U", 3), ("Sp", 3), ("O+", 6), ("O-", 6), ("O", 6)):
             for l in range(lmax + 1):
                 auto = group_average(GroupSpec(family, l), cf)
                 exact = exact_average(GroupSpec(family, l), cf)
@@ -227,18 +227,6 @@ def test_model_averages_are_exact_laws():
                 assert isinstance(value, F) and value == exact_distribution(spec, l), (spec, l)
 
 
-def test_quadrature_grid_budget_checked_before_allocation():
-    cf = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(1, 2), -1),)))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="budget"):
-            quadrature_average(GroupSpec("Sp", 8), cf)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
 def test_constant_term_guard_raises_before_expanding():
     # four free angles and more are refused before the density is expanded
     factors = (PolyPlus(F(1, 2), 1), PolyPlus(F(1, 3), 1), PolyPlus(F(1, 5), -1))
@@ -247,13 +235,22 @@ def test_constant_term_guard_raises_before_expanding():
     with pytest.raises(ValueError, match="free angles"):
         exact_average(GroupSpec("Sp", 8), cf)
     assert time.monotonic() - start < 1.0
+    two_geometric = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(1, 2), 1),
+                                                         GeomInv(F(1, 3), 1))))
+    with pytest.raises(ValueError, match="geometric"):
+        exact_average(GroupSpec("U", 1), two_geometric)
+
+
+class _ExpCos:
+    """A factor exp(c cos theta), which has no rational Fourier coefficients."""
+
+    def __init__(self, c):
+        self.c = c
 
 
 def test_production_average_rejects_non_determinant_forms():
-    exponential = ClassFunctionSpec(symbol=SymbolSpec((ExpCos(1.5),)), det_alpha=F(1, 3))
-    for family in ("U", "Sp", "O+", "O-", "O"):
-        with pytest.raises(ValueError, match="no determinant form"):
-            group_average(GroupSpec(family, 2), exponential)
+    with pytest.raises(TypeError, match="PolyPlus or GeomInv"):
+        SymbolSpec((_ExpCos(1.5),))
     two_geometric = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(1, 2), 1),
                                                          GeomInv(F(1, 3), -1))))
     with pytest.raises(ValueError, match="no determinant form"):
