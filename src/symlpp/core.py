@@ -142,10 +142,11 @@ def check_table_bound(lmax: int) -> None:
 
 
 def parse_rational(value) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a decimal-free "p/q" string."""
+    """Parse a rational from an int, a Fraction, or a decimal-free "p/q" string.
+    A bool is not a rational, although Python counts it an int."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()

@@ -63,9 +63,6 @@ class SymbolSpec:
             raise TypeError("symbol factors must be PolyPlus or GeomInv")
         object.__setattr__(self, "factors", tuple(f for f in self.factors if f.c != 0))
 
-    def times(self, *extra: Factor) -> "SymbolSpec":
-        return SymbolSpec(self.factors + tuple(extra))
-
 
 # ---------------------------------------------------------------------------
 # Fourier coefficients

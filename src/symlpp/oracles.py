@@ -4,14 +4,15 @@ The production engine (symlpp.rmt) evaluates every Sp/O average as a
 Toeplitz +- Hankel determinant and every U average as a Toeplitz determinant.
 This module keeps one general engine that shares no code with those
 determinants, so tests can check them against each other: exact_average
-expands the Weyl density and the polynomial factors of a class function
-(times a SchurFactor, which production class functions do not carry) as an
-exact Laurent polynomial P in the free angles.  Without a geometric factor
-the average is P's constant term; one geometric factor (1 - c z^s)^-1 has
-exact Fourier coefficients g_k, and the average is sum_e P_e prod_j g_{-e_j},
-a Fraction either way.  The expansion grows exponentially with the number of
-free angles, so more than MAX_EXACT_ANGLES of them raise ValueError before
-anything is built, as does a second geometric factor.
+takes the same (family, l, symbol) as rmt.group_average and expands the Weyl
+density and the polynomial factors of the symbol (times a SchurFactor, which
+production averages do not carry) as an exact Laurent polynomial P in the
+free angles.  Without a geometric factor the average is P's constant term;
+one geometric factor (1 - c z^s)^-1 has exact Fourier coefficients g_k, and
+the average is sum_e P_e prod_j g_{-e_j}, a Fraction either way.  The
+expansion grows exponentially with the number of free angles, so more than
+MAX_EXACT_ANGLES of them raise ValueError before anything is built, as does a
+second geometric factor.
 
 The Schur-average identities (sp_schur_identity, o_schur_identity,
 o_component_reflection_gap) evaluate through this engine, so their reports
@@ -42,6 +43,7 @@ does not import this module.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -52,9 +54,9 @@ import numpy as np
 from .core import (IntMatrix, ModelSpec, Partition, check_table_bound,
                    partitions_in_box, record)
 from .lpp import _sample_grid, _site_plan
-from .numerics import GeomInv, SymbolSpec, _check_skew, det_exact, pfaffian
-from .rmt import UNIT, ClassFunctionSpec, GroupSpec, _Structure, _structure
-from .rsk import Tableau, _insert_rsk, evacuate, rsk
+from .numerics import GeomInv, PolyPlus, SymbolSpec, _check_skew, det_exact, pfaffian
+from .rmt import _Structure, _structure
+from .rsk import Tableau, _insert, evacuate, rsk
 from .symfunc import _check_box, _schur_values, schur
 
 # Most free angles the constant-term expander takes: at four, three linear
@@ -77,15 +79,15 @@ def _divisor(st: _Structure) -> int:
     return (2**st.pairs if st.paired else 1) * factorial(st.pairs) // (1 + st.halved)
 
 
-def exact_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT,
+def exact_average(family: str, l: int, symbol: SymbolSpec = SymbolSpec(()),
                   schur_factor: SchurFactor | None = None) -> Fraction:
-    """Average of a class function with at most one geometric factor, times the
-    Schur factor if given, by constant-term extraction.  Family 'O' is the
-    half-half mixture of O+ and O-."""
-    if group.family == "O":
-        return (exact_average(GroupSpec("O+", group.l), cf, schur_factor)
-                + exact_average(GroupSpec("O-", group.l), cf, schur_factor)) / 2
-    return _exact_average(_structure(group.family, group.l), cf, schur_factor)
+    """Average of prod symbol(eigenvalue) over the family at size l, with at most
+    one geometric factor, times the Schur factor if given, by constant-term
+    extraction.  Family 'O' is the half-half mixture of O+ and O-."""
+    if family == "O":
+        return (exact_average("O+", l, symbol, schur_factor)
+                + exact_average("O-", l, symbol, schur_factor)) / 2
+    return _exact_average(_structure(family, l), symbol, schur_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +199,7 @@ def _geometric_coefficients(st: _Structure, fac: GeomInv):
     return lambda k: c ** abs(k) if k * sign >= 0 else 0
 
 
-def _exact_average(st: _Structure, cf: ClassFunctionSpec, schur_factor: SchurFactor | None
+def _exact_average(st: _Structure, symbol: SymbolSpec, schur_factor: SchurFactor | None
                    ) -> Fraction:
     """Expand density, polynomial factors and Schur factor as a Laurent polynomial
     P, and return sum_e P_e prod_j g(-e_j) / divisor, with g the coefficients of
@@ -206,7 +208,6 @@ def _exact_average(st: _Structure, cf: ClassFunctionSpec, schur_factor: SchurFac
     if st.pairs > MAX_EXACT_ANGLES:
         raise ValueError(f"constant-term expansion over {st.pairs} free angles exceeds "
                          f"the limit of {MAX_EXACT_ANGLES}")
-    symbol = cf.effective_symbol()
     geometric = [fac for fac in symbol.factors if isinstance(fac, GeomInv)]
     if len(geometric) > 1:
         raise ValueError("constant-term witness takes at most one geometric factor")
@@ -369,10 +370,10 @@ def sp_schur_identity(rho: Partition, beta: Fraction, l: int, odd_case: bool) ->
     if rho.length > limit:
         raise ValueError(f"rho has more than {limit} parts")
     if odd_case:
-        cf, factor = UNIT, SchurFactor(rho, (beta,))
+        symbol, factor = SymbolSpec(()), SchurFactor(rho, (beta,))
     else:
-        cf, factor = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(beta, -1),))), SchurFactor(rho)
-    lhs = exact_average(GroupSpec("Sp", l), cf, factor)
+        symbol, factor = SymbolSpec((GeomInv(beta, -1),)), SchurFactor(rho)
+    lhs = exact_average("Sp", l, symbol, factor)
     rhs = beta ** alternating_sum(rho)
     return {"lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs)}
 
@@ -387,8 +388,8 @@ def o_schur_identity(rho: Partition, alpha: Fraction, l: int) -> dict:
     alpha = Fraction(alpha)
     if rho.length > l:
         raise ValueError("rho has more parts than eigenvalues")
-    cf = ClassFunctionSpec(det_alpha=alpha)
-    actual = {key: exact_average(GroupSpec(family, l), cf, SchurFactor(rho))
+    det = SymbolSpec((PolyPlus(alpha, 1),))
+    actual = {key: exact_average(family, l, det, SchurFactor(rho))
               for key, family in (("plus", "O+"), ("minus", "O-"), ("mean", "O"))}
     n_odd = odd_part_count(rho)
     expected = {
@@ -408,10 +409,8 @@ def o_component_reflection_gap(rho: Partition, alpha: Fraction, l_odd: int) -> F
     if l_odd % 2 == 0:
         raise ValueError("relation is for odd sizes")
     alpha = Fraction(alpha)
-    left = exact_average(GroupSpec("O-", l_odd), ClassFunctionSpec(det_alpha=alpha),
-                         SchurFactor(rho))
-    right = exact_average(GroupSpec("O+", l_odd), ClassFunctionSpec(det_alpha=-alpha),
-                          SchurFactor(rho))
+    left = exact_average("O-", l_odd, SymbolSpec((PolyPlus(alpha, 1),)), SchurFactor(rho))
+    right = exact_average("O+", l_odd, SymbolSpec((PolyPlus(-alpha, 1),)), SchurFactor(rho))
     sign = -1 if rho.weight % 2 else 1
     return left - sign * right
 
@@ -611,7 +610,7 @@ def _word_of(t: Tableau) -> list[int]:
 def insertion_tableau(word, content_bound: int) -> Tableau:
     rows: list[list[int]] = []
     for x in word:
-        _insert_rsk(rows, x)
+        _insert(rows, x, bisect_right)
     return Tableau(tuple(tuple(r) for r in rows), content_bound)
 
 

@@ -1,24 +1,29 @@
 """Eigenvalue averages over the classical compact groups and the model formulas.
 
-One engine computes every average, as a determinant in exact Fourier
-coefficients.
+An average is a function of (family, l, symbol): the family U, Sp, O+, O- or
+O (the half-half mixture of O+ and O-), its size convention l (Sp(2l) has l
+pairs; O+(l) and O-(l) split by the parity of l) and a multiplicative symbol
+f, averaged as prod f(eigenvalue).  One engine computes every average, as a
+determinant in exact Fourier coefficients.
 
 * Over U(l), the average of a rational multiplicative symbol ((1 + c z^s)
   factors and geometric factors (1 - c z^s)^-1 of one exponent sign) is the
   Toeplitz determinant of its exact Fourier coefficients (Heine; Gessel 1990).
-* Over Sp(2l), O+(l) and O-(l), multiplicative class functions made of
-  (1 + c z^s) factors (the det(1 + alpha U) factor included) and at most one
-  geometric factor (1 - c z^s)^-1 have the Toeplitz +- Hankel determinant
-  forms of Johansson (Ann. Math. 145, 1997) and Baik & Rains (Duke Math. J.
-  109, 2001) in the exact Fourier coefficients of g(z) = f(z) f(1/z).
+* Over Sp(2l), O+(l) and O-(l), symbols made of (1 + c z^s) factors (a
+  det(1 + alpha U) factor is PolyPlus(alpha, 1)) and at most one geometric
+  factor (1 - c z^s)^-1 have the Toeplitz +- Hankel determinant forms of
+  Johansson (Ann. Math. 145, 1997) and Baik & Rains (Duke Math. J. 109, 2001)
+  in the exact Fourier coefficients of g(z) = f(z) f(1/z).
 
 The determinant at each size is a leading minor of the matrix at the largest
 size, so one integer elimination (numerics.leading_minors) gives a whole table
 of rationals (_averages); each model's formula calls it from its record in
-symlpp.variants, whose model_rmt_table mirrors exact_table.  Every average a
-model formula asks for has one of these forms; group_average raises
-ValueError for any other class function.  An independent witness
-(constant-term extraction) lives in symlpp.oracles for the tests.
+symlpp.variants, whose model_rmt_table mirrors exact_table.  What has no such
+form raises ValueError where its coefficients are built: a second geometric
+factor in _pair_coefficients, geometric factors of both exponent signs in
+fourier_coefficients; _structure refuses an unknown family or a negative size.
+An independent witness (constant-term extraction) lives in symlpp.oracles for
+the tests.
 
 Conventions: an average over a size-0 group is 1, and 0**0 = 1 wherever a
 weight parameter is 0 with a vanishing exponent.
@@ -27,7 +32,6 @@ weight parameter is 0 with a vanishing exponent.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 
 from .core import ModelSpec, record
 from .numerics import (
@@ -38,41 +42,6 @@ from .numerics import (
     fourier_coefficients,
     leading_minors,
 )
-from .symfunc import _upper_pair_product
-
-GROUP_FAMILIES = ("U", "Sp", "O+", "O-", "O")
-
-
-@record
-class GroupSpec:
-    """Family plus the size convention used in the formulas: Sp(2l) has l pairs,
-    O+(l)/O-(l) split by the parity of l, and 'O' means the half-half mixture."""
-
-    family: str
-    l: int
-
-    def __post_init__(self):
-        if self.family not in GROUP_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.l < 0:
-            raise ValueError("size parameter must be nonnegative")
-
-
-@record
-class ClassFunctionSpec:
-    """Multiplicative class function: a per-eigenvalue symbol and an optional
-    det(1 + alpha U) factor."""
-
-    symbol: SymbolSpec = SymbolSpec(())
-    det_alpha: Fraction | None = None
-
-    def effective_symbol(self) -> SymbolSpec:
-        if self.det_alpha is None:
-            return self.symbol
-        return self.symbol.times(PolyPlus(Fraction(self.det_alpha), 1))
-
-
-UNIT = ClassFunctionSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +73,8 @@ class _Structure:
 
 def _structure(family: str, l: int) -> _Structure:
     """Unpaired angles (U) have the density |z_j - z_k|^2 only, paired ones both factors."""
+    if l < 0:
+        raise ValueError(f"group size must be nonnegative, got {l}")
     m = l // 2
     if family in ("U", "Sp"):
         return _Structure(l, family == "Sp", (), "sin2" if family == "Sp" else None)
@@ -121,25 +92,22 @@ def _structure(family: str, l: int) -> _Structure:
 # ---------------------------------------------------------------------------
 
 
-def _has_determinant_form(family: str, cf: ClassFunctionSpec) -> bool:
-    """Geometric factors of one exponent sign over U, at most one over Sp and O."""
-    geometric = [f for f in cf.effective_symbol().factors if isinstance(f, GeomInv)]
-    limited = {f.exponent_sign for f in geometric} if family == "U" else geometric
-    return len(limited) <= 1
-
-
 def _pair_coefficients(symbol: SymbolSpec, k_max: int) -> list[Fraction]:
     """Exact Fourier coefficients g_0..g_{k_max} of g(z) = f(z) f(1/z).
 
     Each polynomial factor contributes (1 + cz)(1 + c/z) whatever its exponent
     sign.  A geometric factor contributes sum_k c^|k| z^k / (1 - c^2), so
     g_k = sum_a P_a c^|k-a| / (1 - c^2) over the polynomial part P, in closed
-    form instead of a truncated series.
+    form instead of a truncated series.  A second geometric factor has no
+    such form and raises ValueError.
     """
     poly = {0: Fraction(1)}
     geom = None
     for fac in symbol.factors:
         if isinstance(fac, GeomInv):
+            if geom is not None:
+                raise ValueError("no determinant form: more than one geometric factor "
+                                 "over Sp or O")
             geom = fac.c
             continue
         out: dict[int, Fraction] = {}
@@ -214,42 +182,19 @@ def _value_at_point(symbol: SymbolSpec, eps: int) -> Fraction:
     return value
 
 
-def group_average(group: GroupSpec, cf: ClassFunctionSpec = UNIT) -> Fraction:
-    """Average of the class function over the group's eigenvalue measure, a Fraction.
-
-    A class function without a determinant form (too many geometric factors)
-    raises ValueError.
-    """
-    if not _has_determinant_form(group.family, cf):
-        raise ValueError("class function has no determinant form: it has too many "
-                         "geometric factors")
-    return _averages(group.family, cf.effective_symbol(), [group.l])[0]
+def group_average(family: str, l: int, symbol: SymbolSpec = SymbolSpec(())) -> Fraction:
+    """Average of prod symbol(eigenvalue) over the family at size l, a Fraction."""
+    return _averages(family, symbol, [l])[0]
 
 
 def u_average(s: SymbolSpec, l: int) -> Fraction:
     """U(l) average of a rational symbol: the Toeplitz determinant of its coefficients."""
-    return group_average(GroupSpec("U", l), ClassFunctionSpec(symbol=s))
+    return group_average("U", l, s)
 
 
 # ---------------------------------------------------------------------------
 # Model distributions through matrix averages
 # ---------------------------------------------------------------------------
-
-
-def antidiagonal_odd_prefactors(q) -> dict[str, Fraction]:
-    """Both candidate prefactors for the odd-bound anti-diagonal formula.
-
-    'standard' uses prod_{i<j} (1 - q_i q_j) like every parallel formula;
-    'printed' uses prod_{i<j} (1 - q_i q_{n+1-j}) as displayed in the source
-    of the formula.  The verification harness reports which one matches the
-    exact law; they coincide for n = 1.
-    """
-    q = tuple(q)
-    n = len(q)
-    base = prod(1 - x * x for x in q)
-    printed = base * prod(1 - q[i - 1] * q[n - j]
-                          for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    return {"standard": base * _upper_pair_product(q), "printed": printed}
 
 
 def model_rmt_distribution(spec: ModelSpec, l: int) -> Fraction:

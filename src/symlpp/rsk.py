@@ -83,31 +83,17 @@ def _transpose_rows(rows: list[list[int]]) -> list[tuple[int, ...]]:
     return [tuple(c) for c in cols]
 
 
-def _insert_rsk(rows: list[list[int]], x: int) -> int:
-    """Row-insert x, bumping the leftmost entry > x; returns the row index of the new cell."""
+def _insert(rows: list[list[int]], x: int, bisect) -> int:
+    """Row-insert x, bumping the entry at bisect(row, x): the leftmost entry > x with
+    bisect_right (RSK), >= x with bisect_left (rows strictly increasing).  Returns
+    the row index of the new cell."""
     r = 0
     while True:
         if r == len(rows):
             rows.append([x])
             return r
         row = rows[r]
-        pos = bisect_right(row, x)
-        if pos == len(row):
-            row.append(x)
-            return r
-        x, row[pos] = row[pos], x
-        r += 1
-
-
-def _insert_dual(rows: list[list[int]], x: int) -> int:
-    """Insert x keeping rows strictly increasing, bumping the leftmost entry >= x."""
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([x])
-            return r
-        row = rows[r]
-        pos = bisect_left(row, x)
+        pos = bisect(row, x)
         if pos == len(row):
             row.append(x)
             return r
@@ -132,7 +118,7 @@ def rsk(X: IntMatrix) -> TableauPair:
     for i, row in enumerate(X.rows, 1):
         for j, x in enumerate(row, 1):
             for _ in range(x):
-                r = _insert_rsk(p_rows, j)
+                r = _insert(p_rows, j, bisect_right)
                 if r == len(q_rows):
                     q_rows.append([i])
                 else:
@@ -157,7 +143,7 @@ def dual_rsk(X: IntMatrix) -> TableauPair:
                 raise ValueError(f"dual correspondence needs 0/1 entries, got {x} at ({i},{j})")
             if x == 0:
                 continue
-            r = _insert_dual(rows_strict, j)
+            r = _insert(rows_strict, j, bisect_left)
             if r == len(record):
                 record.append([i])
             else:

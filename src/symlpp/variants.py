@@ -16,7 +16,7 @@ from typing import Callable
 
 from .core import ModelSpec, format_rational, record
 from .numerics import GeomInv, PolyPlus, SymbolSpec
-from .rmt import _averages, antidiagonal_odd_prefactors
+from .rmt import _averages
 from .symfunc import (_pair_product, _upper_pair_product, alternating_table, cauchy_table,
                       dual_cauchy_table, odd_part_table, pointreflection_selfdual_table)
 
@@ -92,6 +92,22 @@ def _doubly_averages(s, lmax) -> Table:
     factors = (PolyPlus(s.alpha, 1),) + tuple(
         f for x in s.q for f in (PolyPlus(x, 1), PolyPlus(x, -1)))
     return _halved(_averages("U", SymbolSpec(factors), range(lmax // 2 + 1)), lmax)
+
+
+def antidiagonal_odd_prefactors(q) -> dict[str, Fraction]:
+    """Both candidate prefactors for the odd-bound anti-diagonal formula.
+
+    'standard' uses prod_{i<j} (1 - q_i q_j) like every parallel formula;
+    'printed' uses prod_{i<j} (1 - q_i q_{n+1-j}) as displayed in the source
+    of the formula.  _antidiagonal_notes reports which one matches the exact
+    law; they coincide for n = 1.
+    """
+    q = tuple(q)
+    n = len(q)
+    base = prod(1 - x * x for x in q)
+    printed = base * prod(1 - q[i - 1] * q[n - j]
+                          for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return {"standard": base * _upper_pair_product(q), "printed": printed}
 
 
 def _antidiagonal_notes(s, exact_column: Table, second_column: Table) -> dict:

@@ -487,6 +487,7 @@ HUGE = "99999999999999999999/100000000000000000000"
     (["rsk", "--matrix", "STRINGS"], "rows_top_to_bottom"),
     (["rsk", "--matrix", "HEAVY"], "matrix"),
     (["rsk", "--matrix", "ZEROS"], "matrix"),
+    (["exact", "--model", "BOOLS", "--lmax", "3"], "model"),
 ])
 def test_exit_code_contract(argv, field, model_file, capsys):
     """Exit 0, 1 or 2 with JSON on stdout; a case with a field is an error of that field."""
@@ -500,6 +501,8 @@ def test_exit_code_contract(argv, field, model_file, capsys):
         "HEAVY": model_file("heavy.json", {"rows_top_to_bottom": [[1 << 20]]}),
         # no letters, but a million cells: each is charged before the matrix is built
         "ZEROS": model_file("zeros.json", {"rows_top_to_bottom": [[0] * 1000] * 1000}),
+        # parse_rational used to read false as 0 and true as 1
+        "BOOLS": model_file("bools.json", {"variant": "diagonal", "q": [False], "alpha": False}),
     }
     code, out = run_cli(capsys, [paths.get(a, a) for a in argv])
     assert code in (0, 1, 2)

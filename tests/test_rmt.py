@@ -12,14 +12,7 @@ import symlpp
 from symlpp.core import ModelSpec, Partition, partitions_in_box
 from symlpp.harness import toeplitz_bessel
 from symlpp.numerics import GeomInv, PolyPlus, SymbolSpec
-from symlpp.rmt import (
-    ClassFunctionSpec,
-    GroupSpec,
-    antidiagonal_odd_prefactors,
-    group_average,
-    model_rmt_distribution,
-    u_average,
-)
+from symlpp.rmt import _averages, group_average, model_rmt_distribution, u_average
 from symlpp.oracles import (
     SchurFactor,
     exact_average,
@@ -28,13 +21,14 @@ from symlpp.oracles import (
     sp_schur_identity,
 )
 from symlpp.symfunc import exact_distribution, schur
+from symlpp.variants import antidiagonal_odd_prefactors
 
 
 def test_normalizations_both_engines():
     for family, lmax in (("U", 3), ("Sp", 3), ("O+", 5), ("O-", 5), ("O", 5)):
         for l in range(lmax + 1):
-            exact = exact_average(GroupSpec(family, l))
-            determinant = group_average(GroupSpec(family, l))
+            exact = exact_average(family, l)
+            determinant = group_average(family, l)
             assert exact == determinant == 1, (family, l)
 
 
@@ -52,21 +46,20 @@ def test_u_average_agrees_with_weyl_constant_terms():
     symbol = SymbolSpec((PolyPlus(a, -1), PolyPlus(b, 1), PolyPlus(F(1, 7), 1)))
     for l in (1, 2, 3):
         toeplitz = u_average(symbol, l)
-        assert toeplitz == exact_average(GroupSpec("U", l), ClassFunctionSpec(symbol=symbol))
+        assert toeplitz == exact_average("U", l, symbol)
 
 
 def test_sp_average_examples():
-    assert group_average(GroupSpec("Sp", 2), ClassFunctionSpec()) == 1
-    assert exact_average(GroupSpec("Sp", 2), schur_factor=SchurFactor(Partition())) == 1
+    assert group_average("Sp", 2) == 1
+    assert exact_average("Sp", 2, schur_factor=SchurFactor(Partition())) == 1
     # pair products of a linear symbol expand through bounded dual pairing sums:
     # the average of prod |1+q e^{i theta}|^2 picks out the shapes whose
     # conjugate averages to 1, i.e. the even shapes
     q = F(1, 2)
-    lhs = group_average(GroupSpec("Sp", 1),
-                        ClassFunctionSpec(symbol=SymbolSpec((PolyPlus(q, 1),))))
+    lhs = group_average("Sp", 1, SymbolSpec((PolyPlus(q, 1),)))
     rhs = F(0)
     for mu in partitions_in_box(2, 1):
-        coeff = exact_average(GroupSpec("Sp", 1), schur_factor=SchurFactor(Partition(
+        coeff = exact_average("Sp", 1, schur_factor=SchurFactor(Partition(
             tuple(sorted((p for p in _conj(mu)), reverse=True)))))
         rhs += schur(mu, (q,)) * coeff
     assert lhs == rhs
@@ -86,20 +79,20 @@ def test_sp_schur_average_vanishing_pattern():
     # with no weight, the Schur average over conjugate pairs is 1 exactly when
     # every column has even length, else 0
     for rho in partitions_in_box(3, 4):
-        value = exact_average(GroupSpec("Sp", 2), schur_factor=SchurFactor(rho))
+        value = exact_average("Sp", 2, schur_factor=SchurFactor(rho))
         expect = 1 if all(c % 2 == 0 for c in _conj(rho)) else 0
         assert value == expect, rho.parts
 
 
 def test_o_average_forced_eigenvalues():
     alpha = F(1, 3)
-    cf = ClassFunctionSpec(det_alpha=alpha)
-    assert group_average(GroupSpec("O-", 1), cf) == 1 - alpha
-    assert group_average(GroupSpec("O+", 1), cf) == 1 + alpha
-    assert group_average(GroupSpec("O+", 2), cf) == 1 + alpha**2
-    assert group_average(GroupSpec("O-", 2), cf) == 1 - alpha**2
-    assert group_average(GroupSpec("O", 2), cf) == 1
-    assert group_average(GroupSpec("O", 0), cf) == 1
+    det = SymbolSpec((PolyPlus(alpha, 1),))
+    assert group_average("O-", 1, det) == 1 - alpha
+    assert group_average("O+", 1, det) == 1 + alpha
+    assert group_average("O+", 2, det) == 1 + alpha**2
+    assert group_average("O-", 2, det) == 1 - alpha**2
+    assert group_average("O", 2, det) == 1
+    assert group_average("O", 0, det) == 1
 
 
 def test_sp_schur_identity():
@@ -170,7 +163,7 @@ def test_antidiagonal_prefactor_candidates():
     spec = ModelSpec("antidiagonal", q=q2, beta=F(1, 3))
     symbol = SymbolSpec(tuple(PolyPlus(x, 1) for x in q2))
     for l in (1, 3, 5):
-        average = group_average(GroupSpec("Sp", l // 2), ClassFunctionSpec(symbol=symbol))
+        average = group_average("Sp", l // 2, symbol)
         exact = exact_distribution(spec, l)
         assert both["standard"] * average == exact
         assert both["printed"] * average != exact
@@ -178,11 +171,9 @@ def test_antidiagonal_prefactor_candidates():
 
 def test_geominv_average_exactness_tagging():
     # Sp(2): g_0 - g_2 = (1 - c^2) / (1 - c^2) = 1, as an exact rational
-    cf = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(1, 2), -1),)))
-    value = group_average(GroupSpec("Sp", 1), cf)
+    value = group_average("Sp", 1, SymbolSpec((GeomInv(F(1, 2), -1),)))
     assert isinstance(value, F) and value == 1
-    cf0 = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(0), -1),)))
-    assert group_average(GroupSpec("Sp", 1), cf0) == 1
+    assert group_average("Sp", 1, SymbolSpec((GeomInv(F(0), -1),))) == 1
 
 
 def _bessel_i(n: int, c: float) -> float:
@@ -204,14 +195,15 @@ def test_determinant_engine_matches_constant_terms():
     def param():
         return F(rnd.randint(-9, 9), rnd.randint(10, 19))
 
-    for sign, det_alpha in ((1, None), (-1, param()), (-1, None), (1, param())):
+    for sign, alpha in ((1, None), (-1, param()), (-1, None), (1, param())):
         factors = (PolyPlus(param(), 1), PolyPlus(param(), -1), GeomInv(param(), sign))
-        cf = ClassFunctionSpec(symbol=SymbolSpec(factors), det_alpha=det_alpha)
+        det = () if alpha is None else (PolyPlus(alpha, 1),)
+        symbol = SymbolSpec(factors + det)
         for family, lmax in (("U", 3), ("Sp", 3), ("O+", 6), ("O-", 6), ("O", 6)):
             for l in range(lmax + 1):
-                auto = group_average(GroupSpec(family, l), cf)
-                exact = exact_average(GroupSpec(family, l), cf)
-                assert isinstance(auto, F) and auto == exact, (family, l, factors, det_alpha)
+                auto = group_average(family, l, symbol)
+                exact = exact_average(family, l, symbol)
+                assert isinstance(auto, F) and auto == exact, (family, l, factors, alpha)
 
 
 def test_model_averages_are_exact_laws():
@@ -230,15 +222,13 @@ def test_model_averages_are_exact_laws():
 def test_constant_term_guard_raises_before_expanding():
     # four free angles and more are refused before the density is expanded
     factors = (PolyPlus(F(1, 2), 1), PolyPlus(F(1, 3), 1), PolyPlus(F(1, 5), -1))
-    cf = ClassFunctionSpec(symbol=SymbolSpec(factors))
     start = time.monotonic()
     with pytest.raises(ValueError, match="free angles"):
-        exact_average(GroupSpec("Sp", 8), cf)
+        exact_average("Sp", 8, SymbolSpec(factors))
     assert time.monotonic() - start < 1.0
-    two_geometric = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(1, 2), 1),
-                                                         GeomInv(F(1, 3), 1))))
+    two_geometric = SymbolSpec((GeomInv(F(1, 2), 1), GeomInv(F(1, 3), 1)))
     with pytest.raises(ValueError, match="geometric"):
-        exact_average(GroupSpec("U", 1), two_geometric)
+        exact_average("U", 1, two_geometric)
 
 
 class _ExpCos:
@@ -251,10 +241,18 @@ class _ExpCos:
 def test_production_average_rejects_non_determinant_forms():
     with pytest.raises(TypeError, match="PolyPlus or GeomInv"):
         SymbolSpec((_ExpCos(1.5),))
-    two_geometric = ClassFunctionSpec(symbol=SymbolSpec((GeomInv(F(1, 2), 1),
-                                                         GeomInv(F(1, 3), -1))))
+    two_geometric = SymbolSpec((GeomInv(F(1, 2), 1), GeomInv(F(1, 3), -1)))
     with pytest.raises(ValueError, match="no determinant form"):
-        group_average(GroupSpec("Sp", 2), two_geometric)
+        group_average("Sp", 2, two_geometric)
+
+
+def test_engine_refuses_what_it_cannot_average():
+    # every model formula goes through the sweep, so the sweep checks its own limits
+    two_geometric = SymbolSpec((GeomInv(F(1, 2)), GeomInv(F(1, 3))))
+    with pytest.raises(ValueError, match="no determinant form"):
+        _averages("O", two_geometric, [3])
+    with pytest.raises(ValueError, match="nonnegative"):
+        group_average("Sp", -1)
 
 
 def test_cli_import_does_not_load_oracles():
