@@ -97,18 +97,16 @@ def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
 
     Columns: Monte Carlo with binomial standard errors, the exact bounded
     Schur-sum law, and the matrix-average formula, each exact column one
-    table.  A variant with a witness takes its exact column from it: the
-    point-reflection model, whose matrix-average route is its factored exact
-    table, is checked against self-dual path sums.  The columns reach the
-    variant's least bound, and its notes are read off them.
+    table, the same three for every variant.  The columns reach the variant's
+    least bound, and its notes are read off them.
     """
     variant = variant_of(spec)
     top = max(l_max, variant.least_bound)
     # the exact tables check their budgets, so they come before any sampling
-    exact_column = (variant.witness or exact_table)(spec, top)
+    exact_column = exact_table(spec, top)
     second_column = model_rmt_table(spec, top)
     mc = mc_distribution(spec, l_max, mc_samples, seed, threads)
-    return _report(spec.to_json_dict(), variant.second_kind or variant.method, mc, mc_samples,
+    return _report(spec.to_json_dict(), variant.method, mc, mc_samples,
                    z_max, exact_column, second_column,
                    variant.notes(spec, exact_column, second_column))
 

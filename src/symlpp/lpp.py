@@ -164,55 +164,6 @@ def sample_batch(spec: ModelSpec, count: int, seed: int) -> SampleBatch:
 
 
 # ---------------------------------------------------------------------------
-# Passage times
-# ---------------------------------------------------------------------------
-
-
-def last_passage(X: IntMatrix) -> int:
-    """Maximum weight of an up/right path from (1,1) to the top-right corner."""
-    prev: list[int] = []
-    for i, row in enumerate(X.rows):
-        current: list[int] = []
-        for j, x in enumerate(row):
-            if i > 0 and j > 0:
-                base = max(prev[j], current[j - 1])
-            elif i > 0:
-                base = prev[j]
-            elif j > 0:
-                base = current[j - 1]
-            else:
-                base = 0
-            current.append(x + base)
-        prev = current
-    return prev[-1]
-
-
-def last_passage_bernoulli(X: IntMatrix) -> int:
-    """Maximum weight over north / north-east paths from the bottom row to the top.
-
-    One entry per row, start and end columns free; each successive entry sits
-    north or north-east of the previous one, i.e. the column sequence is
-    weakly increasing.  (Restricting the eastward moves to single columns
-    breaks the dual-correspondence identity; this is the reading under which
-    the law matches the bounded dual Cauchy sum.)
-    """
-    for row in X.rows:
-        for x in row:
-            if x not in (0, 1):
-                raise ValueError(f"binary matrix required, found entry {x}")
-    scores = list(X.rows[0])
-    for i in range(1, X.n_rows):
-        row = X.rows[i]
-        best = 0
-        carried = []
-        for j in range(X.n_cols):
-            best = max(best, scores[j])
-            carried.append(row[j] + best)
-        scores = carried
-    return max(scores)
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
 

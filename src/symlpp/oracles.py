@@ -18,16 +18,22 @@ The Schur-average identities (sp_schur_identity, o_schur_identity,
 o_component_reflection_gap) evaluate through this engine, so their reports
 hold Fractions only.
 
-The bounded Schur sums that symlpp.symfunc takes as Gram determinants and
-Pfaffians are also summed here term by term over the partition box
-(box_cauchy_table, box_dual_cauchy_table, box_weighted_table), each box
-checked against symfunc.CELL_BUDGET.  Two Pfaffian identities check
-numerics.pfaffian: the closed pairing evaluation of a sign-ratio matrix
-(pfaffian_sign_identity_check) and the minor-sum expansion of Pf(A + B)
-(pfaffian_minor_sum_check).
+Schur values are evaluated here over a whole partition box at once
+(_schur_values, schur), each box checked against CELL_BUDGET.  With them the
+bounded Schur sums that symlpp.symfunc takes as Gram determinants and
+Pfaffians are summed term by term (box_cauchy_table, box_dual_cauchy_table,
+box_weighted_table), and the point-reflection law is summed over self-dual
+path families (pointreflection_selfdual_table: domino-tilable displacements
+and their 2-quotients), the witness for both of its production routes.  Two
+Pfaffian identities check numerics.pfaffian: the closed pairing evaluation of
+a sign-ratio matrix (pfaffian_sign_identity_check) and the minor-sum
+expansion of Pf(A + B) (pfaffian_minor_sum_check).
 
-The tableau witnesses check the combinatorics by other routes:
-check_symmetry_lemmas the tableau side of each matrix symmetry,
+The one-matrix references check the batch kernels and the correspondences:
+last_passage and last_passage_bernoulli take the passage time of one matrix,
+dual_rsk is the dual correspondence of a 0/1 matrix and evacuate is
+Schuetzenberger evacuation.  The tableau witnesses check the combinatorics by
+other routes: check_symmetry_lemmas the tableau side of each matrix symmetry,
 greene_oracle Greene's theorem on the insertion shape by brute force over
 site subsets (greene_multi reads the shape), evacuate_by_word evacuation by
 inserting the reversed, complemented reading word (insertion_tableau),
@@ -37,13 +43,14 @@ evacuation-fixed fillings (iter_ssyt).  They read partitions and matrices
 through helpers that production does not need: conjugate, alternating_sum,
 the entry, total and trace of a matrix, its reflections transpose,
 anti_transpose and rotate180, and sample_matrix, which draws one matrix at a
-time from a generator as lpp.sample_chunks draws a chunk.  Production code
-does not import this module.
+time from a generator as lpp.sample_chunks draws a chunk.  No production
+route imports this module; symfunc.pointreflection_selfdual_sum, kept for the
+benchmark's tracer, imports it when called.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -51,13 +58,14 @@ from math import factorial, prod
 
 import numpy as np
 
-from .core import (IntMatrix, ModelSpec, Partition, check_table_bound,
-                   partitions_in_box, record)
+from .core import (BudgetError, IntMatrix, ModelSpec, Partition, box_parts, check_table_bound,
+                   count_partitions_in_box, partitions_in_box, record)
 from .lpp import _sample_grid, _site_plan
-from .numerics import GeomInv, PolyPlus, SymbolSpec, _check_skew, det_exact, pfaffian
+from .numerics import (GeomInv, PolyPlus, SymbolSpec, _check_skew, det_exact, pfaffian,
+                       scaled)
 from .rmt import _Structure, _structure
-from .rsk import Tableau, _insert, evacuate, rsk
-from .symfunc import _check_box, _schur_values, schur
+from .rsk import Tableau, TableauPair, _insert, rsk
+from .symfunc import _pair_product
 
 # Most free angles the constant-term expander takes: at four, three linear
 # factors over Sp(8) already take over a minute.
@@ -307,6 +315,70 @@ def sample_matrix(spec: ModelSpec, rng: np.random.Generator) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Schur evaluation over a partition box
+# ---------------------------------------------------------------------------
+
+# Most cells one Schur table or box sweep may cover, checked before anything is
+# built: schur(), the box sweeps below and the self-dual witness.  A max_part x
+# max_length box holds C(max_part + max_length, max_length) partitions of mean
+# weight max_part * max_length / 2, and exact Schur values grow with the
+# weight, so the box's total cell count bounds both the time and the memory of
+# a sweep (about 2 s and 100 MiB at the budget).
+CELL_BUDGET = 1 << 22
+
+
+def _check_box(max_part: int, max_length: int):
+    if max_part < 0:
+        raise ValueError("bound must be nonnegative")
+    size = count_partitions_in_box(max_part, max_length)
+    cells = size * max_part * max_length // 2
+    if cells > CELL_BUDGET:
+        raise BudgetError(f"partition box {max_part} x {max_length} holds {size} partitions "
+                         f"of {cells} cells in all, over the budget of {CELL_BUDGET} cells")
+
+
+def _schur_values(xs: tuple, max_part: int, max_length: int) -> dict:
+    """s_mu(xs) for every mu in the max_part x max_length box, keyed by its parts.
+
+    Adds one variable at a time: s_mu(x_1..x_k) sums s_nu(x_1..x_{k-1})
+    x_k ** |mu/nu| over horizontal strips mu/nu.  Peeling the strip cell by
+    cell, lowest row first, that sum is one in-place pass per row j = k..1,
+    G_j(mu) = G_{j+1}(mu) + x_k G_j(mu - e_j) whenever mu_j > mu_{j+1}, so each
+    partition costs O(k) steps per variable instead of one per strip.
+    """
+    length = min(max_length, len(xs))
+    _check_box(max_part, length)
+    boxed = list(box_parts(max_part, length))
+    index = {parts: i for i, parts in enumerate(boxed)}
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(length)]
+    for i, parts in enumerate(boxed):
+        for j, p in enumerate(parts):
+            if p > (parts[j + 1] if j + 1 < len(parts) else 0):
+                smaller = parts[:j] + ((p - 1,) if p > 1 else ()) + parts[j + 1:]
+                steps[j].append((i, index[smaller]))
+    values = [0] * len(boxed)
+    values[0] = 1
+    for k, x in enumerate(xs, start=1):
+        for row in reversed(steps[:k]):
+            for i, smaller in row:
+                values[i] += x * values[smaller]
+    return dict(zip(boxed, values))
+
+
+def schur(mu: Partition, xs):
+    """Schur polynomial s_mu at the variable list xs (zero when len(mu) > len(xs)).
+
+    Read off _schur_values over the box that mu fits in.  The evaluation never
+    divides, so repeated variables are fine and any value type with + and *
+    works: Fractions, complex numbers, numpy arrays, Laurent polynomials.
+    """
+    xs = tuple(xs)
+    if mu.length > len(xs):
+        return 0
+    return _schur_values(xs, mu.part(1), mu.length)[mu.parts]
+
+
+# ---------------------------------------------------------------------------
 # Bounded Schur sums over the partition box
 # ---------------------------------------------------------------------------
 
@@ -348,6 +420,96 @@ def box_weighted_table(q, weight, exponent, lmax: int) -> list[Fraction]:
     """[sum of weight ** exponent(mu) s_mu(q) over mu_1 <= l, for l = 0..lmax]."""
     sq, weight = _schur_values(tuple(q), lmax, len(q)), Fraction(weight)
     return _box_table(lmax, len(q), lambda mu: weight ** exponent(mu) * sq[mu.parts])
+
+
+# ---------------------------------------------------------------------------
+# Dominoes, 2-quotients and the self-dual point-reflection law
+# ---------------------------------------------------------------------------
+
+
+def _color_counts(mu: Partition) -> tuple[int, int]:
+    even = odd = 0
+    for i, p in enumerate(mu.parts, start=1):
+        # cells (i, j), j = 1..p; i+j even iff j has the parity of i
+        same_parity = p // 2 if i % 2 == 0 else (p + 1) // 2
+        even += same_parity
+        odd += p - same_parity
+    return even, odd
+
+
+def domino_tilable(mu: Partition) -> bool:
+    """True iff the diagram has equally many cells of each checkerboard colour."""
+    even, odd = _color_counts(mu)
+    return even == odd
+
+
+def two_quotient(mu: Partition) -> tuple[Partition, Partition]:
+    """2-quotient via beta-numbers, padding mu with zeros to an even length m.
+
+    Beta-numbers mu_k + (m - k) split by parity; the even half maps through
+    b -> b/2 and the odd half through b -> (b-1)/2, and each half has its
+    staircase stripped.  |quotient_0| + |quotient_1| = |mu| / 2.  With this
+    convention mu_1 <= 2l forces both first parts <= l, and mu_1 <= 2l + 1
+    forces quotient_0 first part <= l + 1 and quotient_1 first part <= l.
+    """
+    even, odd = _color_counts(mu)
+    if even != odd:
+        raise ValueError(
+            f"no domino tiling: colour counts {even} vs {odd} for {mu}")
+    m = mu.length + (mu.length % 2)
+    padded = mu.padded(m)
+    betas = [padded[k] + (m - 1 - k) for k in range(m)]
+
+    def strip(values: list[int]) -> Partition:
+        values = sorted(values, reverse=True)
+        r = len(values)
+        return Partition(tuple(v - (r - 1 - idx) for idx, v in enumerate(values)))
+
+    quotient_even = strip([b // 2 for b in betas if b % 2 == 0])
+    quotient_odd = strip([(b - 1) // 2 for b in betas if b % 2 == 1])
+    return quotient_even, quotient_odd
+
+
+def selfdual_schur(mu: Partition, q) -> Fraction:
+    """Generating function of self-dual path families with displacement mu.
+
+    Zero unless mu admits a domino tiling; otherwise the product of the Schur
+    polynomials of the two 2-quotient components.  For an even partition
+    mu = 2*lambda this equals s_{lambda+} * s_{lambda-} with lambda+ the
+    odd-indexed and lambda- the even-indexed parts of lambda.
+    """
+    q = tuple(q)
+    if not domino_tilable(mu):
+        return Fraction(0)
+    q0, q1 = two_quotient(mu)
+    return schur(q0, q) * schur(q1, q)
+
+
+def pointreflection_selfdual_table(q, lmax: int) -> list[Fraction]:
+    """[Pr(L <= l) for l = 0..lmax] of the point-reflection model from self-dual path sums.
+
+    Independent of both production routes (the squared Gram tables and the
+    U averages at the halved bounds): enumerates displacements mu with
+    mu_1 <= lmax directly, once, and squares their generating functions.  The
+    square of s_{q0}(q) s_{q1}(q) at the scaled points carries
+    D ** (2 |q0| + 2 |q1|) = D ** |mu|, so terms sharing (mu_1, |mu|) add up as
+    integers before one Fraction each.
+    """
+    d, xq = scaled(q)
+    _check_box(lmax, 2 * len(xq))  # the sweep's box, before the smaller quotient box is built
+    # mu_1 <= lmax bounds both quotients' first parts by (lmax + 1) // 2
+    sq = _schur_values(xq, (lmax + 1) // 2, len(xq))
+    buckets: dict[tuple[int, int], int] = {}
+    for mu in partitions_in_box(lmax, 2 * len(xq)):
+        if domino_tilable(mu):
+            q0, q1 = two_quotient(mu)
+            key = (mu.part(1), mu.weight)
+            buckets[key] = buckets.get(key, 0) + (sq[q0.parts] * sq[q1.parts]) ** 2
+    rows = [Fraction(0)] * (lmax + 1)
+    for (first, w), value in buckets.items():
+        rows[first] += Fraction(value, d**w)
+    pref = _pair_product(q, q) ** 2
+    return [pref * x for x in accumulate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +645,124 @@ def pfaffian_minor_sum_check(a, b) -> bool:
         total = total + term if weight % 2 == 0 else total - term
     lhs = pfaffian([[ma[i][j] + mb[i][j] for j in range(n)] for i in range(n)])
     return lhs == total
+
+
+# ---------------------------------------------------------------------------
+# Passage times and correspondences, one matrix at a time
+# ---------------------------------------------------------------------------
+
+
+def last_passage(X: IntMatrix) -> int:
+    """Maximum weight of an up/right path from (1,1) to the top-right corner."""
+    prev: list[int] = []
+    for i, row in enumerate(X.rows):
+        current: list[int] = []
+        for j, x in enumerate(row):
+            if i > 0 and j > 0:
+                base = max(prev[j], current[j - 1])
+            elif i > 0:
+                base = prev[j]
+            elif j > 0:
+                base = current[j - 1]
+            else:
+                base = 0
+            current.append(x + base)
+        prev = current
+    return prev[-1]
+
+
+def last_passage_bernoulli(X: IntMatrix) -> int:
+    """Maximum weight over north / north-east paths from the bottom row to the top.
+
+    One entry per row, start and end columns free; each successive entry sits
+    north or north-east of the previous one, i.e. the column sequence is
+    weakly increasing.  (Restricting the eastward moves to single columns
+    breaks the dual-correspondence identity; this is the reading under which
+    the law matches the bounded dual Cauchy sum.)
+    """
+    for row in X.rows:
+        for x in row:
+            if x not in (0, 1):
+                raise ValueError(f"binary matrix required, found entry {x}")
+    scores = list(X.rows[0])
+    for i in range(1, X.n_rows):
+        row = X.rows[i]
+        best = 0
+        carried = []
+        for j in range(X.n_cols):
+            best = max(best, scores[j])
+            carried.append(row[j] + best)
+        scores = carried
+    return max(scores)
+
+
+def _transpose_rows(rows: list[list[int]]) -> list[tuple[int, ...]]:
+    if not rows:
+        return []
+    cols: list[list[int]] = [[] for _ in range(len(rows[0]))]
+    for r in rows:
+        for j, x in enumerate(r):
+            cols[j].append(x)
+    return [tuple(c) for c in cols]
+
+
+def dual_rsk(X: IntMatrix) -> TableauPair:
+    """Dual correspondence for 0/1 matrices.
+
+    For an m x n binary matrix the result has shape(p) conjugate to shape(q):
+    p records row indices (content bound m) on the conjugate shape, q holds
+    column indices (content bound n), and shape(q)_1 <= m always.
+    """
+    rows_strict: list[list[int]] = []
+    record: list[list[int]] = []
+    for i, row in enumerate(X.rows, 1):
+        for j, x in enumerate(row, 1):
+            if x not in (0, 1):
+                raise ValueError(f"dual correspondence needs 0/1 entries, got {x} at ({i},{j})")
+            if x == 0:
+                continue
+            r = _insert(rows_strict, j, bisect_left)
+            if r == len(record):
+                record.append([i])
+            else:
+                record[r].append(i)
+    p = Tableau(tuple(tuple(r) for r in record), X.n_rows)
+    q = Tableau(tuple(_transpose_rows(rows_strict)), X.n_cols)
+    return TableauPair(p, q)
+
+
+def evacuate(t: Tableau) -> Tableau:
+    """Schuetzenberger evacuation: a shape-preserving involution sending letter k to n+1-k.
+
+    Repeatedly removes the corner entry at (1,1), slides the hole to an outer
+    corner with inward jeu-de-taquin moves (ties go to the cell below so column
+    strictness survives), and writes the complemented removed letter at the
+    vacated cell of the output.
+    """
+    n = t.content_bound
+    work = [list(r) for r in t.rows]
+    out: list[list] = [[None] * len(r) for r in t.rows]
+    remaining = sum(len(r) for r in work)
+    while remaining:
+        removed = work[0][0]
+        r, c = 0, 0
+        while True:
+            right = work[r][c + 1] if c + 1 < len(work[r]) else None
+            below = work[r + 1][c] if r + 1 < len(work) and c < len(work[r + 1]) else None
+            if right is None and below is None:
+                break
+            if below is not None and (right is None or below <= right):
+                work[r][c] = below
+                r += 1
+            else:
+                work[r][c] = right
+                c += 1
+        work[r].pop()
+        if not work[r]:
+            work.pop()
+        out[r][c] = n + 1 - removed
+        remaining -= 1
+    return Tableau(tuple(tuple(r) for r in out), n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Row-insertion and dual correspondences for integer matrices, plus evacuation.
+"""The row-insertion correspondence (RSK) of an integer matrix, and its budget.
 
 The biword of a matrix is read with the bottom row (i = 1) first and columns
 left to right inside each row; entry x_{i,j} = k contributes k copies of the
@@ -11,7 +11,7 @@ the insertion side the b-content.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from .core import BudgetError, IntMatrix, Partition, record
 
@@ -73,16 +73,6 @@ class TableauPair:
     q: Tableau
 
 
-def _transpose_rows(rows: list[list[int]]) -> list[tuple[int, ...]]:
-    if not rows:
-        return []
-    cols: list[list[int]] = [[] for _ in range(len(rows[0]))]
-    for r in rows:
-        for j, x in enumerate(r):
-            cols[j].append(x)
-    return [tuple(c) for c in cols]
-
-
 def _insert(rows: list[list[int]], x: int, bisect) -> int:
     """Row-insert x, bumping the entry at bisect(row, x): the leftmost entry > x with
     bisect_right (RSK), >= x with bisect_left (rows strictly increasing).  Returns
@@ -126,62 +116,3 @@ def rsk(X: IntMatrix) -> TableauPair:
     p = Tableau(tuple(tuple(r) for r in p_rows), X.n_cols)
     q = Tableau(tuple(tuple(r) for r in q_rows), X.n_rows)
     return TableauPair(p, q)
-
-
-def dual_rsk(X: IntMatrix) -> TableauPair:
-    """Dual correspondence for 0/1 matrices.
-
-    For an m x n binary matrix the result has shape(p) conjugate to shape(q):
-    p records row indices (content bound m) on the conjugate shape, q holds
-    column indices (content bound n), and shape(q)_1 <= m always.
-    """
-    rows_strict: list[list[int]] = []
-    record: list[list[int]] = []
-    for i, row in enumerate(X.rows, 1):
-        for j, x in enumerate(row, 1):
-            if x not in (0, 1):
-                raise ValueError(f"dual correspondence needs 0/1 entries, got {x} at ({i},{j})")
-            if x == 0:
-                continue
-            r = _insert(rows_strict, j, bisect_left)
-            if r == len(record):
-                record.append([i])
-            else:
-                record[r].append(i)
-    p = Tableau(tuple(tuple(r) for r in record), X.n_rows)
-    q = Tableau(tuple(_transpose_rows(rows_strict)), X.n_cols)
-    return TableauPair(p, q)
-
-
-def evacuate(t: Tableau) -> Tableau:
-    """Schuetzenberger evacuation: a shape-preserving involution sending letter k to n+1-k.
-
-    Repeatedly removes the corner entry at (1,1), slides the hole to an outer
-    corner with inward jeu-de-taquin moves (ties go to the cell below so column
-    strictness survives), and writes the complemented removed letter at the
-    vacated cell of the output.
-    """
-    n = t.content_bound
-    work = [list(r) for r in t.rows]
-    out: list[list] = [[None] * len(r) for r in t.rows]
-    remaining = sum(len(r) for r in work)
-    while remaining:
-        removed = work[0][0]
-        r, c = 0, 0
-        while True:
-            right = work[r][c + 1] if c + 1 < len(work[r]) else None
-            below = work[r + 1][c] if r + 1 < len(work) and c < len(work[r + 1]) else None
-            if right is None and below is None:
-                break
-            if below is not None and (right is None or below <= right):
-                work[r][c] = below
-                r += 1
-            else:
-                work[r][c] = right
-                c += 1
-        work[r].pop()
-        if not work[r]:
-            work.pop()
-        out[r][c] = n + 1 - removed
-        remaining -= 1
-    return Tableau(tuple(tuple(r) for r in out), n)

@@ -1,4 +1,4 @@
-"""Schur polynomials, bounded pairing sums, 2-quotients, and the self-dual law.
+"""Bounded pairing sums as Gram determinants and Pfaffians.
 
 Everything here is exact: parameters come in as Fractions and probabilities go
 out as Fractions.  The bounded sums read two small tables built from h_k and
@@ -6,93 +6,18 @@ e_k of the parameters: Gram determinants by Cauchy-Binet on Jacobi-Trudi
 minors (cauchy_table, dual_cauchy_table) and Pfaffians by minor summation
 (odd_part_table, alternating_table), each of order n at every bound.  Both
 keep their running matrix as integers at the parameters scaled by the lcm of
-their denominators and make one Fraction per bound.  Only the self-dual
-point-reflection witness sweeps a partition box.  The Schur evaluator also
-accepts complex, numpy and Laurent-polynomial values, which the oracle
-engines of symlpp.oracles reuse.
+their denominators and make one Fraction per bound; nothing here sweeps a
+partition box.  The Schur evaluator and the self-dual point-reflection sum,
+which do, are test witnesses in symlpp.oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import prod
 
-from .core import (
-    BudgetError,
-    ModelSpec,
-    Partition,
-    box_parts,
-    check_table_bound,
-    count_partitions_in_box,
-    partitions_in_box,
-)
+from .core import BudgetError, ModelSpec, check_table_bound
 from .numerics import leading_minors, pfaffian, scaled
-
-# ---------------------------------------------------------------------------
-# Schur evaluation
-# ---------------------------------------------------------------------------
-
-# Most cells one Schur table or box sweep may cover, checked before anything is
-# built.  It bounds schur() and the self-dual witness, the box sweeps left in
-# production, and the box-sweep oracles of symlpp.oracles.  A max_part x
-# max_length box holds C(max_part + max_length, max_length) partitions of mean
-# weight max_part * max_length / 2, and exact Schur values grow with the
-# weight, so the box's total cell count bounds both the time and the memory of
-# a sweep (about 2 s and 100 MiB at the budget).
-CELL_BUDGET = 1 << 22
-
-
-def _check_box(max_part: int, max_length: int):
-    if max_part < 0:
-        raise ValueError("bound must be nonnegative")
-    size = count_partitions_in_box(max_part, max_length)
-    cells = size * max_part * max_length // 2
-    if cells > CELL_BUDGET:
-        raise BudgetError(f"partition box {max_part} x {max_length} holds {size} partitions "
-                         f"of {cells} cells in all, over the budget of {CELL_BUDGET} cells")
-
-
-def _schur_values(xs: tuple, max_part: int, max_length: int) -> dict:
-    """s_mu(xs) for every mu in the max_part x max_length box, keyed by its parts.
-
-    Adds one variable at a time: s_mu(x_1..x_k) sums s_nu(x_1..x_{k-1})
-    x_k ** |mu/nu| over horizontal strips mu/nu.  Peeling the strip cell by
-    cell, lowest row first, that sum is one in-place pass per row j = k..1,
-    G_j(mu) = G_{j+1}(mu) + x_k G_j(mu - e_j) whenever mu_j > mu_{j+1}, so each
-    partition costs O(k) steps per variable instead of one per strip.
-    """
-    length = min(max_length, len(xs))
-    _check_box(max_part, length)
-    boxed = list(box_parts(max_part, length))
-    index = {parts: i for i, parts in enumerate(boxed)}
-    steps: list[list[tuple[int, int]]] = [[] for _ in range(length)]
-    for i, parts in enumerate(boxed):
-        for j, p in enumerate(parts):
-            if p > (parts[j + 1] if j + 1 < len(parts) else 0):
-                smaller = parts[:j] + ((p - 1,) if p > 1 else ()) + parts[j + 1:]
-                steps[j].append((i, index[smaller]))
-    values = [0] * len(boxed)
-    values[0] = 1
-    for k, x in enumerate(xs, start=1):
-        for row in reversed(steps[:k]):
-            for i, smaller in row:
-                values[i] += x * values[smaller]
-    return dict(zip(boxed, values))
-
-
-def schur(mu: Partition, xs):
-    """Schur polynomial s_mu at the variable list xs (zero when len(mu) > len(xs)).
-
-    Read off _schur_values over the box that mu fits in.  The evaluation never
-    divides, so repeated variables are fine and any value type with + and *
-    works: Fractions, complex numbers, numpy arrays, Laurent polynomials.
-    """
-    xs = tuple(xs)
-    if mu.length > len(xs):
-        return 0
-    return _schur_values(xs, mu.part(1), mu.length)[mu.parts]
-
 
 # ---------------------------------------------------------------------------
 # Bounded sums: Gram determinants and Pfaffians of Jacobi-Trudi minors
@@ -206,70 +131,7 @@ def alternating_table(q, alpha, lmax: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Dominoes and 2-quotients
-# ---------------------------------------------------------------------------
-
-
-def _color_counts(mu: Partition) -> tuple[int, int]:
-    even = odd = 0
-    for i, p in enumerate(mu.parts, start=1):
-        # cells (i, j), j = 1..p; i+j even iff j has the parity of i
-        same_parity = p // 2 if i % 2 == 0 else (p + 1) // 2
-        even += same_parity
-        odd += p - same_parity
-    return even, odd
-
-
-def domino_tilable(mu: Partition) -> bool:
-    """True iff the diagram has equally many cells of each checkerboard colour."""
-    even, odd = _color_counts(mu)
-    return even == odd
-
-
-def two_quotient(mu: Partition) -> tuple[Partition, Partition]:
-    """2-quotient via beta-numbers, padding mu with zeros to an even length m.
-
-    Beta-numbers mu_k + (m - k) split by parity; the even half maps through
-    b -> b/2 and the odd half through b -> (b-1)/2, and each half has its
-    staircase stripped.  |quotient_0| + |quotient_1| = |mu| / 2.  With this
-    convention mu_1 <= 2l forces both first parts <= l, and mu_1 <= 2l + 1
-    forces quotient_0 first part <= l + 1 and quotient_1 first part <= l.
-    """
-    even, odd = _color_counts(mu)
-    if even != odd:
-        raise ValueError(
-            f"no domino tiling: colour counts {even} vs {odd} for {mu}")
-    m = mu.length + (mu.length % 2)
-    padded = mu.padded(m)
-    betas = [padded[k] + (m - 1 - k) for k in range(m)]
-
-    def strip(values: list[int]) -> Partition:
-        values = sorted(values, reverse=True)
-        r = len(values)
-        return Partition(tuple(v - (r - 1 - idx) for idx, v in enumerate(values)))
-
-    quotient_even = strip([b // 2 for b in betas if b % 2 == 0])
-    quotient_odd = strip([(b - 1) // 2 for b in betas if b % 2 == 1])
-    return quotient_even, quotient_odd
-
-
-def selfdual_schur(mu: Partition, q) -> Fraction:
-    """Generating function of self-dual path families with displacement mu.
-
-    Zero unless mu admits a domino tiling; otherwise the product of the Schur
-    polynomials of the two 2-quotient components.  For an even partition
-    mu = 2*lambda this equals s_{lambda+} * s_{lambda-} with lambda+ the
-    odd-indexed and lambda- the even-indexed parts of lambda.
-    """
-    q = tuple(q)
-    if not domino_tilable(mu):
-        return Fraction(0)
-    q0, q1 = two_quotient(mu)
-    return schur(q0, q) * schur(q1, q)
-
-
-# ---------------------------------------------------------------------------
-# Pair products and the self-dual point-reflection law
+# Pair products and the one-bound reads
 # ---------------------------------------------------------------------------
 
 
@@ -289,32 +151,11 @@ def exact_distribution(spec: ModelSpec, l: int) -> Fraction:
     return exact_table(spec, l)[l]
 
 
-def pointreflection_selfdual_table(q, lmax: int) -> list[Fraction]:
-    """[Pr(L <= l) for l = 0..lmax] of the point-reflection model from self-dual path sums.
-
-    Independent of the factored route in exact_table: enumerates displacements
-    mu with mu_1 <= lmax directly, once, and squares their generating
-    functions.  The square of s_{q0}(q) s_{q1}(q) at the scaled points carries
-    D ** (2 |q0| + 2 |q1|) = D ** |mu|, so terms sharing (mu_1, |mu|) add up as
-    integers before one Fraction each.
-    """
-    d, xq = scaled(q)
-    _check_box(lmax, 2 * len(xq))  # the sweep's box, before the smaller quotient box is built
-    # mu_1 <= lmax bounds both quotients' first parts by (lmax + 1) // 2
-    sq = _schur_values(xq, (lmax + 1) // 2, len(xq))
-    buckets: dict[tuple[int, int], int] = {}
-    for mu in partitions_in_box(lmax, 2 * len(xq)):
-        if domino_tilable(mu):
-            q0, q1 = two_quotient(mu)
-            key = (mu.part(1), mu.weight)
-            buckets[key] = buckets.get(key, 0) + (sq[q0.parts] * sq[q1.parts]) ** 2
-    rows = [Fraction(0)] * (lmax + 1)
-    for (first, w), value in buckets.items():
-        rows[first] += Fraction(value, d**w)
-    pref = _pair_product(q, q) ** 2
-    return [pref * x for x in accumulate(rows)]
 
 
 def pointreflection_selfdual_sum(q, l: int) -> Fraction:
-    """Pr(L <= l) for the point-reflection model straight from self-dual path sums."""
+    """The self-dual witness of symlpp.oracles at one bound.  Kept only because
+    perfbench's tracer wraps this name; no production route calls it."""
+    from .oracles import pointreflection_selfdual_table
+
     return pointreflection_selfdual_table(tuple(q), l)[l]

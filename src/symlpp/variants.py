@@ -18,7 +18,7 @@ from .core import ModelSpec, format_rational, record
 from .numerics import GeomInv, PolyPlus, SymbolSpec
 from .rmt import _averages
 from .symfunc import (_pair_product, _upper_pair_product, alternating_table, cauchy_table,
-                      dual_cauchy_table, odd_part_table, pointreflection_selfdual_table)
+                      dual_cauchy_table, odd_part_table)
 
 Table = list[Fraction]
 
@@ -33,14 +33,10 @@ class Variant:
     prefactor: Callable[[ModelSpec], Fraction]
     exact: Callable[[ModelSpec, int], Table]
     average: Callable[[ModelSpec, int], Table]
-    method: str                                # how `average` is made, as `rmt` prints it
+    method: str                                # how `rmt` and `verify` label `average`
     binary: bool = False                       # 0/1 entries, read by the Bernoulli DP
-    # What verify needs beyond that: its second-column label when it is not
-    # `method`; an independent exact column that it checks exact_table against
-    # (in place of checking model_rmt_table against exact_table); the least
-    # bound its columns reach; the notes read off its columns.
-    second_kind: str | None = None
-    witness: Callable[[ModelSpec, int], Table] | None = None
+    # What verify needs beyond that: the least bound its columns reach; the
+    # notes read off its columns.
     least_bound: int = 0
     notes: Callable[[ModelSpec, Table, Table], dict] = lambda spec, exact, second: {}
 
@@ -63,19 +59,22 @@ def _halved(table: Table, lmax: int) -> Table:
     return [table[l // 2] for l in range(lmax + 1)]
 
 
-def _squared_halves(s, lmax) -> Table:
-    """Products of two square-case laws at the halved bound."""
-    square = cauchy_table(s.q, s.q, lmax // 2 + 1)
-    return [square[l // 2] * square[(l + 1) // 2] for l in range(lmax + 1)]
-
-
-def _u_averages(row_factor):
-    """U(l) averages of prod(row factor of a_i) prod(1 + b_j z).  Bernoulli row
-    parameters enter as geometric inverses: the transposed assignment
-    reproduces the length-bounded sum, not the width-bounded law."""
-    return lambda s, lmax: _averages("U", SymbolSpec(
-        tuple(row_factor(x, -1) for x in s.a) + tuple(PolyPlus(y, 1) for y in s.b)),
+def _u_table(row_factor, a, b, lmax: int) -> Table:
+    """U(l) averages of prod(row factor of a_i) prod(1 + b_j z), l = 0..lmax.
+    Bernoulli row parameters enter as geometric inverses: the transposed
+    assignment reproduces the length-bounded sum, not the width-bounded law."""
+    return _averages("U", SymbolSpec(
+        tuple(row_factor(x, -1) for x in a) + tuple(PolyPlus(y, 1) for y in b)),
         range(lmax + 1))
+
+
+def _halves(square):
+    """Point reflection from the square law at a = b = q, square(q, lmax): the
+    product of the two laws at the halved bounds l // 2 and (l + 1) // 2."""
+    def table(s, lmax) -> Table:
+        half = square(s.q, (lmax + 1) // 2)
+        return [half[l // 2] * half[(l + 1) // 2] for l in range(lmax + 1)]
+    return table
 
 
 def _antidiagonal_averages(s, lmax) -> Table:
@@ -139,13 +138,14 @@ VARIANTS: dict[str, Variant] = {
         site=lambda s, i, j: ("geom", (float(s.a[i - 1] * s.b[j - 1]),)),
         prefactor=lambda s: _pair_product(s.a, s.b),
         exact=lambda s, lmax: cauchy_table(s.a, s.b, lmax),
-        average=_u_averages(PolyPlus), method="toeplitz-U"),
+        average=lambda s, lmax: _u_table(PolyPlus, s.a, s.b, lmax), method="toeplitz-U"),
     "bernoulli": Variant(
         orbit=lambda n, i, j: {(i, j)},
         site=lambda s, i, j: ("bernoulli", (float(s.a[i - 1] * s.b[j - 1]),)),
         prefactor=lambda s: 1 / _pair_product(s.a, tuple(-y for y in s.b)),
         exact=lambda s, lmax: dual_cauchy_table(s.a, s.b, lmax),
-        average=_u_averages(GeomInv), method="toeplitz-U", binary=True),
+        average=lambda s, lmax: _u_table(GeomInv, s.a, s.b, lmax), method="toeplitz-U",
+        binary=True),
     "antidiagonal": Variant(
         orbit=lambda n, i, j: {(i, j), (n + 1 - j, n + 1 - i)},
         site=lambda s, i, j: (("parity_geom", (float(s.q[i - 1]), float(s.beta)))
@@ -171,17 +171,16 @@ VARIANTS: dict[str, Variant] = {
         prefactor=lambda s: _pair_product(s.q, s.q) * prod(1 - s.alpha * x for x in s.q),
         exact=lambda s, lmax: _halved(cauchy_table(s.q, s.q + (s.alpha,), lmax // 2), lmax),
         average=_doubly_averages, method="toeplitz-U"),
-    # The point-reflection law factors into square-lattice laws and has no
-    # separate matrix average; verify checks the factorization against
-    # self-dual path sums instead.
+    # The point-reflection law is a product of two square-lattice laws at the
+    # halved bounds, so its average is over U(l // 2) x U((l + 1) // 2): both
+    # routes read the square law at a = b = q, as Gram table or U averages.
     "pointreflection": Variant(
         orbit=lambda n, i, j: {(i, j), (n + 1 - i, n + 1 - j)},
         site=lambda s, i, j: ("geom", (float(_reflected(s, i) * _reflected(s, j)),)),
         prefactor=lambda s: _pair_product(s.q, s.q) ** 2,
-        exact=_squared_halves, average=_squared_halves,
-        method="exact-factorization (no separate matrix-average formula)",
-        second_kind="johansson-factorization",
-        witness=lambda s, lmax: pointreflection_selfdual_table(s.q, lmax)),
+        exact=_halves(lambda q, lmax: cauchy_table(q, q, lmax)),
+        average=_halves(lambda q, lmax: _u_table(PolyPlus, q, q, lmax)),
+        method="toeplitz-U-halves"),
 }
 
 

@@ -19,25 +19,24 @@ from symlpp.lpp import mc_distribution
 from symlpp.oracles import (
     check_symmetry_lemmas,
     conjugate,
+    dual_rsk,
     exact_average,
     greene_oracle,
     o_schur_identity,
     pfaffian_minor_sum_check,
     pfaffian_sign_identity_check,
+    pointreflection_selfdual_table,
     sample_matrix,
+    selfdual_schur,
     selfdual_schur_oracle,
     sp_schur_identity,
     total,
     transpose,
-)
-from symlpp.rmt import group_average, model_rmt_distribution
-from symlpp.rsk import dual_rsk, rsk
-from symlpp.symfunc import (
-    exact_distribution,
-    pointreflection_selfdual_sum,
-    selfdual_schur,
     two_quotient,
 )
+from symlpp.rmt import group_average, model_rmt_distribution
+from symlpp.rsk import rsk
+from symlpp.symfunc import exact_distribution
 from symlpp.variants import antidiagonal_odd_prefactors
 
 
@@ -169,7 +168,7 @@ def test_06_point_reflection():
         q = random_params(rnd, n, top=F(1, 2))
         square = ModelSpec("johansson", a=q, b=q)
         for l in range(5):
-            direct = pointreflection_selfdual_sum(q, l)
+            direct = pointreflection_selfdual_table(q, l)[l]
             h = l // 2
             if l % 2 == 0:
                 factored = exact_distribution(square, h) ** 2

@@ -297,7 +297,7 @@ def test_oversized_exact_box_is_config_error(model_file, capsys):
                                  "--samples", "10"])
     assert code == 2
     assert json.loads(out)["error"]["field"] == "lmax"
-    # the point-reflection matrix-average route reads the exact table at --l
+    # the point-reflection matrix-average route sweeps U averages to (--l + 1) // 2
     path = model_file("p.json", {"variant": "pointreflection", "q": ["1/2"]})
     code, out = run_cli(capsys, ["rmt", "--model", path, "--l", "100000"])
     assert code == 2
@@ -589,14 +589,17 @@ def test_exact_output_is_pinned(variant, model_file, capsys):
 
 # SHA-256 of `verify --lmax 6 --samples 9000 --seed 5` and of `rmt --l 5` on
 # the models above, recorded before each variant's facts moved into one
-# record; the `rmt` output holds each variant's method label.
+# record; the `rmt` output holds each variant's method label.  The
+# point-reflection entries were re-recorded when its matrix-average column
+# became U averages at the halved bounds, labelled `toeplitz-U-halves`
+# (`second_kind` in `verify`, `method` in `rmt`); its rows stay pinned below.
 PINNED_VERIFY = {
     "johansson": "49113449659edbc6e4742c3e94f4ef64d4a645361f423a07f4f104b755304c5a",
     "bernoulli": "09f221d929f304a26178472abfac74967713df3329123a67a2bb15b71aa6501c",
     "antidiagonal": "61e5357c1d3b550fa9862bcbb122a8fc0e14b133e9e3f81d2af947247b3fe51b",
     "diagonal": "4b75910b6f75662fdd944300361ac54f8a10bb4306b1f314f2f09696709f2bcd",
     "doublysymmetric": "cebddcc2c063d1df9f9c81085b16a29d4be7fc2c4cd049cbfa1bb984a47b7780",
-    "pointreflection": "42e6e208e3e66e6fef336620e07359d82f12652363b003cb9fb70422e5bc08e2",
+    "pointreflection": "8f2c513001004786cb640ed52173891023e76f599f738c5271371d07e72facf4",
 }
 PINNED_RMT = {
     "johansson": "28cf94c677ffb9d5bfa87728366f6d6dd796802c82a9c8caedcbad4c613d5821",
@@ -604,7 +607,15 @@ PINNED_RMT = {
     "antidiagonal": "5dfa8017036d6040e701623d6cd4ea10f27e233b6fdf601784428dda8c5bae9d",
     "diagonal": "86c1ce7a0e235b406e1dcc97fd4b6f026d3cd31293293e890f0a51a70563502c",
     "doublysymmetric": "a6b61aa267fe84b1658ac4c68a577dc140fb33990de49baee51ae582d0c1cdc1",
-    "pointreflection": "8f0c0fa5f13b8bb280a9caebe14501f1060b305651f0ecf93ffd78d7f8d8ab4c",
+    "pointreflection": "c316767f7ff22d5f0d45685e48f390f59d7b0a69301bf921804e55e2d832e2e3",
+}
+# The same point-reflection runs without their labels, recorded while the
+# second column was still the factored exact table checked against self-dual
+# path sums: SHA-256 of the `verify` rows as JSON and of the `rmt` output as
+# JSON without its `method`.
+PINNED_POINTREFLECTION_ROWS = {
+    "verify": "3118956916b8f4760c4ae3fa48aa39384d37abb12a8f84e0a4f10f93319c0f9e",
+    "rmt": "89b2b36cc15ce62af1beb797022e66462a3322d104344949d1620cc8c85e5717",
 }
 
 
@@ -625,6 +636,21 @@ def test_rmt_output_is_pinned(variant, model_file, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_RMT[variant]
 
 
+def test_pointreflection_rows_are_pinned_apart_from_the_label(model_file, capsys):
+    path = model_file("p.json", PINNED_EXACT["pointreflection"][0])
+    code, out = run_cli(capsys, ["verify", "--model", path, "--lmax", "6", "--samples", "9000",
+                                 "--seed", "5"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        PINNED_POINTREFLECTION_ROWS["verify"]
+    code, out = run_cli(capsys, ["rmt", "--model", path, "--l", "5"])
+    assert code == 0
+    payload = {k: v for k, v in json.loads(out).items() if k != "method"}
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == \
+        PINNED_POINTREFLECTION_ROWS["rmt"]
+
+
 def test_antidiagonal_verify_at_bound_zero_resolves_the_odd_prefactor(model_file, capsys):
     # the columns reach bound 1 even for --lmax 0, so the odd-bound note has a row to read
     path = model_file("anti.json", PINNED_EXACT["antidiagonal"][0])
@@ -643,7 +669,8 @@ def _ratios(n, start):
     ({"variant": "johansson", "a": _ratios(5, 1), "b": _ratios(5, 2)}, 24),
     ({"variant": "diagonal", "q": _ratios(8, 1), "alpha": "1/3"}, 40),
     ({"variant": "antidiagonal", "q": _ratios(8, 1), "beta": "2/5"}, 40),
-], ids=["johansson-n5", "diagonal-n8", "antidiagonal-n8"])
+    ({"variant": "pointreflection", "q": _ratios(8, 1)}, 40),
+], ids=["johansson-n5", "diagonal-n8", "antidiagonal-n8", "pointreflection-n8"])
 def test_exact_reaches_bounds_the_box_sweep_refused(model, lmax, model_file, capsys):
     # the partition box of each exceeds the cell budget; the Gram and Pfaffian
     # tables are of order n and agree with the matrix-average column
@@ -653,6 +680,18 @@ def test_exact_reaches_bounds_the_box_sweep_refused(model, lmax, model_file, cap
     average = model_rmt_table(ModelSpec.from_json_dict(model), lmax)
     assert [row["p"] for row in json.loads(out)["distribution"]] == [
         format_rational(p) for p in average]
+
+
+def test_verify_reaches_the_16x16_point_reflection_model(model_file, capsys):
+    # a self-dual path-sum column would sweep a 10 x 16 box of 5.3M partitions
+    path = model_file("p.json", {"variant": "pointreflection", "q": _ratios(8, 1)})
+    code, out = run_cli(capsys, ["verify", "--model", path, "--lmax", "10",
+                                 "--samples", "20000", "--seed", "1"])
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "PASS"
+    assert report["second_kind"] == "toeplitz-U-halves"
+    assert len(report["rows"]) == 11
+    assert all(r["second_value"] == r["exact_value"] for r in report["rows"])
 
 
 # One model per variant with 66-81 sampled sites, so a Monte Carlo chunk draws

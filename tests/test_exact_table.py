@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symlpp.core import ModelSpec, Partition, box_parts
-from symlpp import core, rmt, symfunc
+from symlpp import core, oracles, rmt, symfunc
 from symlpp.numerics import det_exact
-from symlpp.oracles import (alternating_sum, box_cauchy_table, box_dual_cauchy_table,
-                            box_weighted_table, odd_part_count, schur_bialternant)
+from symlpp.oracles import (_schur_values, alternating_sum, box_cauchy_table,
+                            box_dual_cauchy_table, box_weighted_table, odd_part_count,
+                            pointreflection_selfdual_table, schur_bialternant)
 from symlpp.rmt import model_rmt_distribution
-from symlpp.symfunc import _schur_values, pointreflection_selfdual_table
 from symlpp.variants import exact_table, model_rmt_table, variant_of
 
 # Fixed example stream, so a failure reproduces from run to run.
@@ -94,6 +94,27 @@ def test_table_equals_matrix_average(spec, lmax):
     for l, exact in enumerate(table):
         average = model_rmt_distribution(spec, l)
         assert isinstance(average, F) and average == exact, (spec, l)
+
+
+# n = 1 to 4 with a repeated and a zero parameter, each to its own bound.
+POINT_REFLECTION_Q = [
+    ((F(2, 5),), 9),
+    ((F(1, 2), F(1, 3)), 8),
+    ((F(1, 4), F(1, 4), F(0)), 7),
+    ((F(1, 2), F(1, 3), F(2, 5), F(3, 7)), 9),
+]
+
+
+@pytest.mark.parametrize("q, lmax", POINT_REFLECTION_Q,
+                         ids=[f"n{len(q)}-l{lmax}" for q, lmax in POINT_REFLECTION_Q])
+def test_pointreflection_average_equals_exact_and_selfdual_tables(q, lmax):
+    # the U(l // 2) x U((l + 1) // 2) column, the squared Gram tables and the
+    # self-dual path sums are three routes to one table of rationals
+    spec = ModelSpec("pointreflection", q=q)
+    average = model_rmt_table(spec, lmax)
+    assert all(isinstance(p, F) for p in average)
+    assert average == exact_table(spec, lmax) == pointreflection_selfdual_table(q, lmax)
+    assert symfunc.pointreflection_selfdual_sum(q, lmax) == average[lmax]
 
 
 def _minors_one_by_one(rows):
@@ -200,11 +221,11 @@ def test_exact_tables_never_enumerate_partitions(monkeypatch):
         raise AssertionError("a partition box was enumerated")
 
     for module, name in ((core, "partitions_in_box"), (core, "box_parts"),
-                         (symfunc, "partitions_in_box"), (symfunc, "box_parts"),
-                         (symfunc, "_schur_values")):
+                         (oracles, "partitions_in_box"), (oracles, "box_parts"),
+                         (oracles, "_schur_values")):
         monkeypatch.setattr(module, name, no_sweep)
     for spec in FIXED_MODELS:
         assert len(exact_table(spec, 7)) == 8
-    # the self-dual witness is the one route left that sweeps a box
+    # the self-dual witness of the oracles does sweep a box
     with pytest.raises(AssertionError, match="partition box"):
         pointreflection_selfdual_table(_Q5, 3)

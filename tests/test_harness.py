@@ -53,7 +53,7 @@ def test_verify_doubly_symmetric_parity_rows():
 def test_verify_pointreflection_factorization_column():
     spec = ModelSpec("pointreflection", q=(F(1, 3), F(1, 4)))
     report = verify_model(spec, l_max=4, mc_samples=20_000, seed=5)
-    assert report.second_kind == "johansson-factorization"
+    assert report.second_kind == "toeplitz-U-halves"
     assert report.verdict == "PASS"
     for row in report.rows:
         assert isinstance(row.second_value, F)

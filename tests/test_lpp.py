@@ -8,16 +8,9 @@ import pytest
 
 from symlpp import lpp
 from symlpp.core import IntMatrix, ModelSpec
-from symlpp.lpp import (
-    _draw_vector,
-    _Site,
-    last_passage,
-    last_passage_bernoulli,
-    mc_distribution,
-    sample_batch,
-)
-from symlpp.oracles import (anti_transpose, entry, greene_multi, greene_oracle, rotate180,
-                            sample_matrix, total, transpose)
+from symlpp.lpp import _draw_vector, _Site, mc_distribution, sample_batch
+from symlpp.oracles import (anti_transpose, entry, greene_multi, greene_oracle, last_passage,
+                            last_passage_bernoulli, rotate180, sample_matrix, total, transpose)
 from symlpp.symfunc import exact_distribution
 from symlpp.variants import variant_of
 

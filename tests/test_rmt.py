@@ -18,9 +18,10 @@ from symlpp.oracles import (
     exact_average,
     o_component_reflection_gap,
     o_schur_identity,
+    schur,
     sp_schur_identity,
 )
-from symlpp.symfunc import exact_distribution, schur
+from symlpp.symfunc import exact_distribution
 from symlpp.variants import antidiagonal_odd_prefactors
 
 

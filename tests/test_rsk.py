@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from symlpp.core import IntMatrix, ModelSpec, Partition
-from symlpp.oracles import (check_symmetry_lemmas, conjugate, entry, evacuate_by_word,
-                            greene_oracle, sample_matrix, total, transpose)
-from symlpp.rsk import Tableau, dual_rsk, evacuate, rsk
-from symlpp.symfunc import schur
+from symlpp.oracles import (check_symmetry_lemmas, conjugate, dual_rsk, entry, evacuate,
+                            evacuate_by_word, greene_oracle, sample_matrix, schur, total,
+                            transpose)
+from symlpp.rsk import Tableau, rsk
 
 
 def random_matrix(rnd, n_rows, n_cols, max_entry=2):

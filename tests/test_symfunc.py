@@ -4,18 +4,22 @@ from fractions import Fraction as F
 import pytest
 
 from symlpp.core import ModelSpec, Partition, partitions_in_box
-from symlpp.oracles import iter_ssyt, schur_bialternant, selfdual_schur_oracle
+from symlpp.oracles import (
+    domino_tilable,
+    iter_ssyt,
+    pointreflection_selfdual_table,
+    schur,
+    schur_bialternant,
+    selfdual_schur,
+    selfdual_schur_oracle,
+    two_quotient,
+)
 from symlpp.symfunc import (
     alternating_table,
     cauchy_table,
-    domino_tilable,
     dual_cauchy_table,
     exact_distribution,
     odd_part_table,
-    pointreflection_selfdual_sum,
-    schur,
-    selfdual_schur,
-    two_quotient,
 )
 
 
@@ -256,4 +260,4 @@ def test_pointreflection_selfdual_sum_matches_factorization():
     q = (F(1, 3), F(1, 4))
     m = ModelSpec("pointreflection", q=q)
     for l in range(6):
-        assert pointreflection_selfdual_sum(q, l) == exact_distribution(m, l)
+        assert pointreflection_selfdual_table(q, l)[l] == exact_distribution(m, l)
