@@ -113,14 +113,22 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-def _load_model(path: str) -> ModelSpec:
+def _read_json(path: str, field: str):
+    """The JSON in the file at `path`; a file that cannot be read or parsed is an
+    error of `field`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"model file not found: {path}", field="model")
+        raise ConfigError(f"{field} file not found: {path}", field=field)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed model JSON: {exc}", field="model")
+        raise ConfigError(f"malformed {field} JSON: {exc}", field=field)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {field} file: {exc}", field=field)
+
+
+def _load_model(path: str) -> ModelSpec:
+    data = _read_json(path, "model")
     try:
         return ModelSpec.from_json_dict(data)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -162,10 +170,14 @@ def _emit(text: str, out_path: str | None):
 
 def _emit_pieces(pieces, out_path: str | None):
     """Writes each piece of the output as it comes; on stdout the output ends
-    with a newline."""
+    with a newline.  An --out that cannot be opened is an error of `out`."""
     last = ""
-    with open(out_path, "w", encoding="utf-8") if out_path else \
-            contextlib.nullcontext(sys.stdout) as fh:
+    try:
+        out = open(out_path, "w", encoding="utf-8") if out_path else \
+            contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ConfigError(f"cannot open output file: {exc}", field="out")
+    with out as fh:
         for piece in pieces:
             fh.write(piece)
             last = piece or last
@@ -269,18 +281,13 @@ def _cmd_rmt(args) -> int:
 def _cmd_verify(args) -> int:
     model = _load_model(args.model)
     seed = _seed_from(args)
-    return _emit_report(args, verify_model(model, args.lmax, args.samples, seed,
-                                           z_max=args.zmax, threads=args.threads))
+    return _emit_report(args, verify_model(model, args.lmax, args.samples, seed, z_max=args.zmax))
 
 
 def _cmd_rsk(args) -> int:
-    try:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"matrix file not found: {args.matrix}", field="matrix")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed matrix JSON: {exc}", field="matrix")
+    data = _read_json(args.matrix, "matrix")
+    if not isinstance(data, dict):
+        raise ConfigError("matrix JSON must be an object", field="matrix")
     if "rows_top_to_bottom" not in data:
         raise ConfigError("matrix JSON is missing required field 'rows_top_to_bottom'",
                           field="rows_top_to_bottom")
@@ -289,6 +296,9 @@ def _cmd_rsk(args) -> int:
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in rows)):
         raise ConfigError("rows_top_to_bottom must be a list of rows of integers",
+                          field="rows_top_to_bottom")
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigError("rows_top_to_bottom must hold rows of one nonzero length",
                           field="rows_top_to_bottom")
     check_rsk_budget(rows)
     matrix = matrix_from_rows_top_to_bottom(rows)
@@ -313,7 +323,7 @@ def _cmd_hammersley(args) -> int:
 def _cmd_mc(args) -> int:
     model = _load_model(args.model)
     seed = _seed_from(args)
-    table = mc_distribution(model, args.lmax, args.samples, seed, args.threads)
+    table = mc_distribution(model, args.lmax, args.samples, seed)
     return _emit_table(args, model, table, {"kind": "mc", "seed": seed, "samples": args.samples})
 
 
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (default 1); the output does not depend on it")
+                   help="accepted for compatibility (at least 1); it has no effect")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("verify", help="Monte Carlo vs exact vs matrix average")
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--zmax", type=float, default=4.0)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (default 1); the output does not depend on it")
+                   help="accepted for compatibility (at least 1); it has no effect")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("rsk", help="insertion pair of a matrix")

@@ -53,7 +53,6 @@ class VerificationReport:
     second_kind: str
     rows: list[ReportRow]
     verdict: str
-    notes: dict
 
     def passed(self) -> bool:
         return self.verdict == "PASS"
@@ -65,12 +64,11 @@ class VerificationReport:
             "second_kind": self.second_kind,
             "rows": [r.to_json_dict() for r in self.rows],
             "verdict": self.verdict,
-            "notes": self.notes,
         }
 
 
 def _report(model: dict, second_kind: str, mc: DistributionTable, n_samples: int,
-            z_max: float, first: list, second: list | None, notes: dict) -> VerificationReport:
+            z_max: float, first: list, second: list | None) -> VerificationReport:
     """A row per bound of `mc`: it passes when |z| against `first` is at most z_max
     and `first` equals `second`, if given; the report passes when every row does."""
     rows: list[ReportRow] = []
@@ -88,27 +86,23 @@ def _report(model: dict, second_kind: str, mc: DistributionTable, n_samples: int
         rows.append(ReportRow(l, p, mc.stderr[l], exact, other, diff, z,
                               "PASS" if ok else "FAIL"))
     verdict = "PASS" if all(r.verdict == "PASS" for r in rows) else "FAIL"
-    return VerificationReport(model, second_kind, rows, verdict, notes)
+    return VerificationReport(model, second_kind, rows, verdict)
 
 
 def verify_model(spec: ModelSpec, l_max: int, mc_samples: int, seed: int,
-                 z_max: float = 4.0, threads: int = 1) -> VerificationReport:
+                 z_max: float = 4.0) -> VerificationReport:
     """Three-column check of Pr(L <= l) for l = 0..l_max.
 
     Columns: Monte Carlo with binomial standard errors, the exact bounded
     Schur-sum law, and the matrix-average formula, each exact column one
-    table, the same three for every variant.  The columns reach the variant's
-    least bound, and its notes are read off them.
+    table, the same three for every variant.
     """
-    variant = variant_of(spec)
-    top = max(l_max, variant.least_bound)
     # the exact tables check their budgets, so they come before any sampling
-    exact_column = exact_table(spec, top)
-    second_column = model_rmt_table(spec, top)
-    mc = mc_distribution(spec, l_max, mc_samples, seed, threads)
-    return _report(spec.to_json_dict(), variant.method, mc, mc_samples,
-                   z_max, exact_column, second_column,
-                   variant.notes(spec, exact_column, second_column))
+    exact_column = exact_table(spec, l_max)
+    second_column = model_rmt_table(spec, l_max)
+    mc = mc_distribution(spec, l_max, mc_samples, seed)
+    return _report(spec.to_json_dict(), variant_of(spec).method, mc, mc_samples,
+                   z_max, exact_column, second_column)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +270,4 @@ def hammersley_check(lam: float, l_max: int, mc_samples: int, seed: int,
     formula = [min(math.exp(-lam) * d, 1.0)
                for d in toeplitz_bessel_minors(2 * math.sqrt(lam), l_max)]
     mc = empirical_table(_poisson_chain_counts(lam, l_max, mc_samples, seed), mc_samples)
-    notes = {"resolved_normalization": "prefactor=exp(-lam), coefficient=2*sqrt(lam)",
-             "displayed_form_matches": False}
-    return _report({"lambda": lam}, "toeplitz-bessel", mc, mc_samples, z_max, formula, None,
-                   notes)
+    return _report({"lambda": lam}, "toeplitz-bessel", mc, mc_samples, z_max, formula, None)

@@ -2,9 +2,8 @@
 
 Sampling is inverse-CDF on uniform variates (no rejection anywhere), so the
 laws are exact and a fixed seed reproduces the run bit for bit.  Monte Carlo
-fans out over fixed-size chunks whose generator streams derive from
-(seed, chunk_index); the per-chunk counts add commutatively, so the result is
-independent of worker count and scheduling.
+runs serially over fixed-size chunks whose generator streams derive from
+(seed, chunk_index), and adds up their counts.
 
 numpy is imported inside the functions that make or read arrays, so a
 process that never samples (`exact`, `rmt`, `rsk`) never loads it.
@@ -13,7 +12,6 @@ process that never samples (`exact`, `rmt`, `rsk`) never loads it.
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -131,8 +129,8 @@ def _sample_grid(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random
 def chunk_streams(seed: int, total: int, size: int):
     """(size, generator) for each chunk of `total` draws, `size` per full chunk.
 
-    Chunk k draws from SeedSequence(seed, spawn_key=(k,)), so the draws do not
-    depend on how the chunks are spread over workers.
+    Chunk k draws from SeedSequence(seed, spawn_key=(k,)), so its draws depend
+    on its index alone.
     """
     import numpy as np
     for index, start in enumerate(range(0, total, size)):
@@ -231,8 +229,7 @@ def _chunk_counts(spec: ModelSpec, plan: tuple[_Site, ...], l_max: int, count: i
     return np.bincount(clipped, minlength=l_max + 2)
 
 
-def mc_distribution(spec: ModelSpec, l_max: int, n_samples: int, seed: int,
-                    threads: int = 1) -> DistributionTable:
+def mc_distribution(spec: ModelSpec, l_max: int, n_samples: int, seed: int) -> DistributionTable:
     """Empirical cumulative law of the class statistic with binomial standard errors."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -240,23 +237,10 @@ def mc_distribution(spec: ModelSpec, l_max: int, n_samples: int, seed: int,
         raise ValueError("l_max must be nonnegative")
     check_table_bound(l_max)
     plan = _site_plan(spec)
-
-    def run(chunk):
-        count, rng = chunk
-        return _chunk_counts(spec, plan, l_max, count, rng)
-
-    # no more workers than CPUs: map submits every chunk at once, and the pool
-    # starts a thread per submitted chunk up to max_workers
-    workers = min(threads, os.cpu_count() or 1)
-    # chunk counts are added as they arrive, so memory does not grow with
+    # chunk counts are added as they are made, so memory does not grow with
     # the number of chunks times l_max
-    chunks = chunk_streams(seed, n_samples, MC_CHUNK)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(run, chunks))
-    else:
-        counts = sum(map(run, chunks))
+    counts = sum(_chunk_counts(spec, plan, l_max, count, rng)
+                 for count, rng in chunk_streams(seed, n_samples, MC_CHUNK))
     return empirical_table(counts, n_samples)
 
 

@@ -105,8 +105,9 @@ def fourier_coefficients(s: SymbolSpec, k_min: int, k_max: int) -> dict[int, Rat
 # ---------------------------------------------------------------------------
 
 def scaled(xs) -> tuple[int, tuple[int, ...]]:
-    """(D, D * xs) with D the lcm of the denominators, so D * xs are integers."""
-    xs = [Fraction(x) for x in xs]
+    """(D, D * xs) with D the lcm of the denominators of the ints and Fractions
+    xs, so D * xs are integers."""
+    xs = list(xs)
     d = lcm(*(x.denominator for x in xs))
     return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 

@@ -24,7 +24,9 @@ bounded Schur sums that symlpp.symfunc takes as Gram determinants and
 Pfaffians are summed term by term (box_cauchy_table, box_dual_cauchy_table,
 box_weighted_table), and the point-reflection law is summed over self-dual
 path families (pointreflection_selfdual_table: domino-tilable displacements
-and their 2-quotients), the witness for both of its production routes.  Two
+and their 2-quotients), the witness for both of its production routes.
+antidiagonal_odd_prefactors gives the odd-bound anti-diagonal prefactor as
+printed in the source of the formula and in its standard form.  Two
 Pfaffian identities check numerics.pfaffian: the closed pairing evaluation of
 a sign-ratio matrix (pfaffian_sign_identity_check) and the minor-sum
 expansion of Pf(A + B) (pfaffian_minor_sum_check).
@@ -65,7 +67,7 @@ from .numerics import (GeomInv, PolyPlus, SymbolSpec, _check_skew, det_exact, pf
                        scaled)
 from .rmt import _Structure, _structure
 from .rsk import Tableau, TableauPair, _insert, rsk
-from .symfunc import _pair_product
+from .symfunc import _pair_product, _upper_pair_product
 
 # Most free angles the constant-term expander takes: at four, three linear
 # factors over Sp(8) already take over a minute.
@@ -510,6 +512,22 @@ def pointreflection_selfdual_table(q, lmax: int) -> list[Fraction]:
         rows[first] += Fraction(value, d**w)
     pref = _pair_product(q, q) ** 2
     return [pref * x for x in accumulate(rows)]
+
+
+def antidiagonal_odd_prefactors(q) -> dict[str, Fraction]:
+    """Both candidate prefactors of the odd-bound anti-diagonal formula.
+
+    'standard' is prod(1 - q_i^2) prod_{i<j} (1 - q_i q_j), as in every parallel
+    formula; 'printed' pairs the cross terms as (1 - q_i q_{n+1-j}), as the
+    source of the formula displays them.  They coincide for n = 1; the tests
+    pin that only 'standard' reproduces the exact law.
+    """
+    q = tuple(q)
+    n = len(q)
+    base = prod(1 - x * x for x in q)
+    printed = base * prod(1 - q[i - 1] * q[n - j]
+                          for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return {"standard": base * _upper_pair_product(q), "printed": printed}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import prod
 from typing import Callable
 
-from .core import ModelSpec, format_rational, record
+from .core import ModelSpec, record
 from .numerics import GeomInv, PolyPlus, SymbolSpec
 from .rmt import _averages
 from .symfunc import (_pair_product, _upper_pair_product, alternating_table, cauchy_table,
@@ -35,10 +35,6 @@ class Variant:
     average: Callable[[ModelSpec, int], Table]
     method: str                                # how `rmt` and `verify` label `average`
     binary: bool = False                       # 0/1 entries, read by the Bernoulli DP
-    # What verify needs beyond that: the least bound its columns reach; the
-    # notes read off its columns.
-    least_bound: int = 0
-    notes: Callable[[ModelSpec, Table, Table], dict] = lambda spec, exact, second: {}
 
 
 def _reflected(s, i):
@@ -93,45 +89,6 @@ def _doubly_averages(s, lmax) -> Table:
     return _halved(_averages("U", SymbolSpec(factors), range(lmax // 2 + 1)), lmax)
 
 
-def antidiagonal_odd_prefactors(q) -> dict[str, Fraction]:
-    """Both candidate prefactors for the odd-bound anti-diagonal formula.
-
-    'standard' uses prod_{i<j} (1 - q_i q_j) like every parallel formula;
-    'printed' uses prod_{i<j} (1 - q_i q_{n+1-j}) as displayed in the source
-    of the formula.  _antidiagonal_notes reports which one matches the exact
-    law; they coincide for n = 1.
-    """
-    q = tuple(q)
-    n = len(q)
-    base = prod(1 - x * x for x in q)
-    printed = base * prod(1 - q[i - 1] * q[n - j]
-                          for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    return {"standard": base * _upper_pair_product(q), "printed": printed}
-
-
-def _antidiagonal_notes(s, exact_column: Table, second_column: Table) -> dict:
-    """Both candidate prefactors of the odd-bound formula against the exact law.
-
-    The two candidates differ in the index pairing of the cross terms; they
-    agree for n = 1.  Whichever reproduces the exact law at every odd bound of
-    the columns (bound 1 at least) is reported as 'resolved'; the mismatch of
-    the other candidate is reported, not silently fixed.  The second column
-    at an odd bound is the standard prefactor times the Sp average, so each
-    candidate's value is rescaled from it.
-    """
-    candidates = antidiagonal_odd_prefactors(s.q)
-    diffs = {name: [abs(exact_column[l] - pref / candidates["standard"] * second_column[l])
-                    for l in range(1, len(exact_column), 2)]
-             for name, pref in candidates.items()}
-    matches = {name: not any(d) for name, d in diffs.items()}
-    return {"odd_bound_prefactor": {
-        "resolved": next((n for n in ("standard", "printed") if matches[n]), None),
-        "matches": matches,
-        "max_abs_diff": {n: float(max(d)) for n, d in diffs.items()},
-        "prefactors": {n: format_rational(v) for n, v in candidates.items()},
-    }}
-
-
 VARIANTS: dict[str, Variant] = {
     "johansson": Variant(
         orbit=lambda n, i, j: {(i, j)},
@@ -154,8 +111,7 @@ VARIANTS: dict[str, Variant] = {
         prefactor=lambda s: _upper_pair_product(s.q) * prod(
             (1 - x * x) / (1 + s.beta * x) for x in s.q),
         exact=lambda s, lmax: odd_part_table(s.q, s.beta, lmax),
-        average=_antidiagonal_averages, method="sp-average",
-        least_bound=1, notes=_antidiagonal_notes),
+        average=_antidiagonal_averages, method="sp-average"),
     "diagonal": Variant(
         orbit=lambda n, i, j: {(i, j), (j, i)},
         site=lambda s, i, j: ("geom", (float((s.alpha if i == j else s.q[j - 1]) * s.q[i - 1]),)),

@@ -2,12 +2,14 @@ import concurrent.futures
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 
@@ -444,31 +446,18 @@ def test_threads_default_to_one():
         assert args.threads == 1
 
 
-def test_threads_are_capped_at_the_cpu_count(model_file, capsys, monkeypatch):
-    # a fake pool records its size and maps serially, so no thread starts
-    workers = []
+def test_threads_start_no_pool(model_file, capsys, monkeypatch):
+    # --threads is parsed and checked, but no pool is made at any count
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread pool was made")
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     path = model_file("j.json", STREAM_MODELS["johansson"])
     argv = ["mc", "--model", path, "--lmax", "60", "--samples", str(3 * MC_CHUNK), "--seed", "5"]
     serial = run_cli(capsys, argv + ["--threads", "1"])
-    capped = run_cli(capsys, argv + ["--threads", str(10**6)])
-    assert workers == [os.cpu_count()]
-    assert capped == serial and serial[0] == 0
+    assert run_cli(capsys, argv + ["--threads", "4"]) == serial and serial[0] == 0
 
 
 HUGE = "99999999999999999999/100000000000000000000"
@@ -488,9 +477,21 @@ HUGE = "99999999999999999999/100000000000000000000"
     (["rsk", "--matrix", "HEAVY"], "matrix"),
     (["rsk", "--matrix", "ZEROS"], "matrix"),
     (["exact", "--model", "BOOLS", "--lmax", "3"], "model"),
+    (["exact", "--model", "DIR", "--lmax", "3"], "model"),
+    (["exact", "--model", "UTF16", "--lmax", "3"], "model"),
+    (["exact", "--model", "MODEL", "--lmax", "3", "--out", "MISSING"], "out"),
+    (["sample", "--model", "MODEL", "--out", "DIR"], "out"),
+    (["rsk", "--matrix", "DIR"], "matrix"),
+    (["rsk", "--matrix", "UTF16"], "matrix"),
+    (["rsk", "--matrix", "SCALAR"], "matrix"),
+    (["rsk", "--matrix", "NOROWS"], "rows_top_to_bottom"),
+    (["rsk", "--matrix", "EMPTYROW"], "rows_top_to_bottom"),
+    (["rsk", "--matrix", "RAGGED"], "rows_top_to_bottom"),
 ])
-def test_exit_code_contract(argv, field, model_file, capsys):
+def test_exit_code_contract(argv, field, model_file, tmp_path, capsys):
     """Exit 0, 1 or 2 with JSON on stdout; a case with a field is an error of that field."""
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_text('{"variant": "johansson"}', encoding="utf-16")
     paths = {
         "MODEL": model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]}),
         "HUGE": model_file("huge.json", {"variant": "johansson", "a": [HUGE], "b": [HUGE]}),
@@ -503,6 +504,15 @@ def test_exit_code_contract(argv, field, model_file, capsys):
         "ZEROS": model_file("zeros.json", {"rows_top_to_bottom": [[0] * 1000] * 1000}),
         # parse_rational used to read false as 0 and true as 1
         "BOOLS": model_file("bools.json", {"variant": "diagonal", "q": [False], "alpha": False}),
+        # a directory, a file that is not UTF-8 and a path in a missing directory
+        "DIR": str(tmp_path),
+        "UTF16": str(utf16),
+        "MISSING": str(tmp_path / "missing" / "out.json"),
+        # JSON that is not an object, and rows that make no matrix
+        "SCALAR": model_file("scalar.json", 5),
+        "NOROWS": model_file("norows.json", {"rows_top_to_bottom": []}),
+        "EMPTYROW": model_file("emptyrow.json", {"rows_top_to_bottom": [[]]}),
+        "RAGGED": model_file("ragged.json", {"rows_top_to_bottom": [[1, 2], [3]]}),
     }
     code, out = run_cli(capsys, [paths.get(a, a) for a in argv])
     assert code in (0, 1, 2)
@@ -593,13 +603,15 @@ def test_exact_output_is_pinned(variant, model_file, capsys):
 # point-reflection entries were re-recorded when its matrix-average column
 # became U averages at the halved bounds, labelled `toeplitz-U-halves`
 # (`second_kind` in `verify`, `method` in `rmt`); its rows stay pinned below.
+# The `verify` entries were re-recorded when the output lost its `notes`;
+# PINNED_WITHOUT_NOTES pins the rest of it across that change.
 PINNED_VERIFY = {
-    "johansson": "49113449659edbc6e4742c3e94f4ef64d4a645361f423a07f4f104b755304c5a",
-    "bernoulli": "09f221d929f304a26178472abfac74967713df3329123a67a2bb15b71aa6501c",
-    "antidiagonal": "61e5357c1d3b550fa9862bcbb122a8fc0e14b133e9e3f81d2af947247b3fe51b",
-    "diagonal": "4b75910b6f75662fdd944300361ac54f8a10bb4306b1f314f2f09696709f2bcd",
-    "doublysymmetric": "cebddcc2c063d1df9f9c81085b16a29d4be7fc2c4cd049cbfa1bb984a47b7780",
-    "pointreflection": "8f2c513001004786cb640ed52173891023e76f599f738c5271371d07e72facf4",
+    "johansson": "d72f00c4864623407d3fa43f16b495696231a0f51307113d37c227f6033f5d02",
+    "bernoulli": "0a8ef66b58904f0443278bc3f79539faa6b56b70de956eb755e0c2927a3ec4bb",
+    "antidiagonal": "564a8819f85ee3432ed48481f03fdd61a0881b86632912bac64ef50d424c45f9",
+    "diagonal": "27836ca8f7cf74822ca88f93912364b163157107a292c315baf4ed3777eed76a",
+    "doublysymmetric": "79ba7b6bc0ab51185c81cc1812a91c5eb42db048d39a2de91ab3732389ef582f",
+    "pointreflection": "8ca57a43fcd78eda3c7f1f6a67269462c2ce6973bea4fa2d969c0b7f2f2b119e",
 }
 PINNED_RMT = {
     "johansson": "28cf94c677ffb9d5bfa87728366f6d6dd796802c82a9c8caedcbad4c613d5821",
@@ -651,14 +663,14 @@ def test_pointreflection_rows_are_pinned_apart_from_the_label(model_file, capsys
         PINNED_POINTREFLECTION_ROWS["rmt"]
 
 
-def test_antidiagonal_verify_at_bound_zero_resolves_the_odd_prefactor(model_file, capsys):
-    # the columns reach bound 1 even for --lmax 0, so the odd-bound note has a row to read
+def test_antidiagonal_verify_at_bound_zero(model_file, capsys):
+    # bound 0 is even, so the columns need no odd-bound Sp average
     path = model_file("anti.json", PINNED_EXACT["antidiagonal"][0])
     code, out = run_cli(capsys, ["verify", "--model", path, "--lmax", "0", "--samples", "2000",
                                  "--seed", "5"])
     report = json.loads(out)
     assert code == 0 and len(report["rows"]) == 1
-    assert report["notes"]["odd_bound_prefactor"]["resolved"] == "standard"
+    assert report["rows"][0]["exact_value"] == report["rows"][0]["second_value"] == "8/21"
 
 
 def _ratios(n, start):
@@ -729,8 +741,9 @@ PINNED_SAMPLE = {
 # [[l, mc_estimate, mc_stderr], ...], is the one recorded with the sampling kernels.
 # Its rows, as JSON, were recorded while the normalization was still chosen
 # among four candidates by their worst z-score; the whole output was
-# re-recorded when the notes dropped that choice's `candidate_worst_z` scores.
-PINNED_HAMMERSLEY = "2aac7ea04dcfe0f321d0b9e89921a5b3960687b233e9f0c239ec40998e4208fa"
+# re-recorded when the notes dropped that choice's `candidate_worst_z` scores,
+# and again when the output lost its `notes` (see PINNED_WITHOUT_NOTES).
+PINNED_HAMMERSLEY = "98ff91d95a614f5dd1f9113a951efd0cf6bf8ccf50ec2b799f12df61a98a9343"
 PINNED_HAMMERSLEY_ROWS = "3b171cc9dadd253f8412ada1a4f23d7e27f9f6f93c71d0c2db7fe7c7a5c59964"
 PINNED_HAMMERSLEY_MC = "6c7959ee340f37bc2d5e0be57b8d813728b09c7a9a19d9ab8a0553ee725a37eb"
 
@@ -765,15 +778,49 @@ def test_hammersley_output_is_pinned(capsys):
     assert hashlib.sha256(json.dumps(mc).encode()).hexdigest() == PINNED_HAMMERSLEY_MC
 
 
+# SHA-256 of dump_json of the `verify` outputs of test_verify_output_is_pinned
+# and of the `hammersley` output of test_hammersley_output_is_pinned, each
+# without its `notes`; recorded while the outputs still held them, so every
+# other byte of both outputs stays pinned across the removal of `notes`.
+PINNED_WITHOUT_NOTES = {
+    "johansson": "1ed09f0f5ef3129b139aa6e74c977fc185cf31ffaac29d14bfa0e1719983a210",
+    "bernoulli": "449e10cfc442ea133cc9a05fe230a6d8cb09428a20c697d11628e88614bcfcd7",
+    "antidiagonal": "f4e6b73be8b7c6e72e7bfc01ea62a04887d766a8cb82f2b397cee78b61f8eb60",
+    "diagonal": "ad006987d7386b483ecb7cc27435c1d6cda01b79b58210f67cff50edb182c9b5",
+    "doublysymmetric": "e6a28de85f5fff0acf9d9f8474b3b549c524a0325003bdc75400488d343fb855",
+    "pointreflection": "ad1233176eb0cba6d094191e38ab41680904f9b0cac00d3bd05bd64f365b5512",
+    "hammersley": "ceebdd4f0dcfcd891cfa8537333401f54013d76a2b2f55f427589d884f6ff389",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_WITHOUT_NOTES))
+def test_outputs_are_pinned_without_notes(command, model_file, capsys):
+    if command == "hammersley":
+        argv = ["hammersley", "--lam", "4", "--lmax", "14"]
+    else:
+        path = model_file(f"{command}.json", PINNED_EXACT[command][0])
+        argv = ["verify", "--model", path, "--lmax", "6"]
+    code, out = run_cli(capsys, argv + ["--samples", "9000", "--seed", "5"])
+    assert code == 0
+    payload = json.loads(out)
+    payload.pop("notes", None)
+    assert hashlib.sha256(dump_json(payload).encode()).hexdigest() == \
+        PINNED_WITHOUT_NOTES[command]
+
+
 def test_hammersley_normalization_is_fixed_below_the_bulk(capsys):
     # every row counts 0 events at lam = 100, l <= 6, so no Monte Carlo score
-    # can tell the candidate normalizations apart
+    # can tell the candidate normalizations apart; D_0 = 1 and D_1 = I_0(20)
+    # fix the formula rows Pr(L <= 0) = e^-100 and Pr(L <= 1) = e^-100 I_0(20)
     code, out = run_cli(capsys, ["hammersley", "--lam", "100", "--lmax", "6",
                                  "--samples", "10000", "--seed", "1"])
     assert code == 0
-    notes = json.loads(out)["notes"]
-    assert notes == {"resolved_normalization": "prefactor=exp(-lam), coefficient=2*sqrt(lam)",
-                     "displayed_form_matches": False}
+    rows = json.loads(out)["rows"]
+    # I_0(20) = sum_k 100^k / (k!)^2, each term from the one before
+    i0 = math.fsum(accumulate(range(1, 100), lambda t, k: t * 100.0 / (k * k), initial=1.0))
+    assert rows[0]["exact_value"] == pytest.approx(math.exp(-100.0), rel=1e-13)
+    assert rows[1]["exact_value"] == pytest.approx(math.exp(-100.0) * i0, rel=1e-13)
+    assert all(r["mc_estimate"] == 0 for r in rows)
 
 
 def _fresh_env() -> dict:

@@ -235,11 +235,11 @@ def test_records_keep_the_dataclass_semantics():
     with pytest.raises(ValueError, match="outside"):
         ModelSpec("diagonal", q=(F(1),), alpha=c)
     assert Partition((2, 0)) == Partition((2,)) and PolyPlus(1).c == F(1)
-    # each report holds the notes dict it is given; a record holding a dict
+    # each report holds the model dict it is given; a record holding a dict
     # is unhashable, as a frozen dataclass holding one is
-    first, second = (VerificationReport({}, "exact", [], "PASS", {}) for _ in range(2))
-    first.notes["seed"] = 1
-    assert second.notes == {} and first != second
+    first, second = (VerificationReport({}, "exact", [], "PASS") for _ in range(2))
+    first.model["seed"] = 1
+    assert second.model == {} and first != second
     with pytest.raises(TypeError):
         hash(first)
     with pytest.raises(AttributeError):

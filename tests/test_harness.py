@@ -60,13 +60,13 @@ def test_verify_pointreflection_factorization_column():
         assert row.abs_diff == 0
 
 
-def test_verify_antidiagonal_reports_prefactor_resolution():
+def test_verify_antidiagonal_odd_rows_take_the_standard_prefactor():
+    # the second column at an odd bound is the standard prefactor times the Sp
+    # average, and a wrong prefactor would fail those rows
     spec = ModelSpec("antidiagonal", q=(F(1, 2), F(1, 5)), beta=F(1, 3))
     report = verify_model(spec, l_max=4, mc_samples=20_000, seed=6)
-    note = report.notes["odd_bound_prefactor"]
-    assert note["resolved"] == "standard"
-    assert note["matches"] == {"standard": True, "printed": False}
-    assert note["max_abs_diff"]["printed"] > 0
+    assert report.verdict == "PASS"
+    assert all(r.abs_diff == 0 and isinstance(r.second_value, F) for r in report.rows)
 
 
 def test_longest_increasing_chain():
@@ -203,11 +203,10 @@ def test_toeplitz_bessel_minors_keep_their_value_at_twice_the_bits():
 def test_hammersley_check_resolves_normalization():
     report = hammersley_check(2.0, 8, 20_000, seed=11)
     assert report.verdict == "PASS"
-    assert report.notes["resolved_normalization"] == \
-        "prefactor=exp(-lam), coefficient=2*sqrt(lam)"
-    assert report.notes["displayed_form_matches"] is False
-    # the resolved table starts at exp(-lam)
-    assert report.rows[0].exact_value == pytest.approx(math.exp(-2.0), rel=1e-9)
+    # the prefactor exp(-lam) and the coefficient 2 sqrt(lam): D_0 and D_1
+    assert report.rows[0].exact_value == pytest.approx(math.exp(-2.0), rel=1e-13)
+    assert report.rows[1].exact_value == pytest.approx(
+        math.exp(-2.0) * _bessel_i0_of_twice_root(2.0), rel=1e-13)
     with pytest.raises(ValueError):
         hammersley_check(0.0, 4, 100, seed=1)
 
@@ -216,8 +215,8 @@ def test_hammersley_check_passes_at_lam_100():
     # e^{-100} D_20 is 0.972; a float determinant of that order reads -0.83
     report = hammersley_check(100.0, 30, 10_000, seed=0, z_max=6)
     assert report.verdict == "PASS"
-    assert report.notes["resolved_normalization"] == \
-        "prefactor=exp(-lam), coefficient=2*sqrt(lam)"
+    assert report.rows[1].exact_value == pytest.approx(
+        math.exp(-100.0) * _bessel_i0_of_twice_root(100.0), rel=1e-13)
     assert report.rows[20].exact_value == pytest.approx(0.97205948011446078, rel=1e-13)
 
 
@@ -243,6 +242,7 @@ def test_report_serialization_shape():
     spec = ModelSpec("johansson", a=(F(1, 2),), b=(F(1, 2),))
     report = verify_model(spec, l_max=1, mc_samples=1000, seed=1)
     data = report.to_json_dict()
+    assert list(data) == ["schema", "model", "second_kind", "rows", "verdict"]
     assert data["schema"] == 1
     assert data["verdict"] in ("PASS", "FAIL")
     assert {"l", "mc_estimate", "mc_stderr", "exact_value", "second_value",

@@ -241,25 +241,30 @@ VARIANTS = ["johansson", "bernoulli", "antidiagonal", "diagonal", "doublysymmetr
 
 
 def test_mc_thread_count_invariance():
+    # a chunk's draws depend on its index alone, so the chunks dealt out to
+    # three workers, each adding up its own counts, give the serial table
     for variant in VARIANTS:
         spec = _stream_spec(variant)
+        plan = lpp._site_plan(spec)
         # 20000 samples: four full chunks and a partial fifth
-        t1 = mc_distribution(spec, 12, 20_000, seed=3, threads=1)
-        t3 = mc_distribution(spec, 12, 20_000, seed=3, threads=3)
+        chunks = list(lpp.chunk_streams(3, 20_000, lpp.MC_CHUNK))
+        dealt = sum(sum(lpp._chunk_counts(spec, plan, 12, count, rng)
+                        for count, rng in chunks[worker::3]) for worker in range(3))
+        t3 = lpp.empirical_table(dealt, 20_000)
+        t1 = mc_distribution(spec, 12, 20_000, seed=3)
         assert t1.probs == t3.probs and t1.stderr == t3.stderr, variant
 
 
 def test_mc_memory_does_not_grow_with_chunk_count():
     # 50 chunks with 20002 counts each would hold 7.8 MiB of chunk counts at once
     spec = ModelSpec("johansson", a=(F(1, 2),), b=(F(1, 2),))
-    for threads in (1, 2):
-        tracemalloc.start()
-        try:
-            mc_distribution(spec, 20_000, 50 * 4096, seed=1, threads=threads)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, (threads, peak)
+    tracemalloc.start()
+    try:
+        mc_distribution(spec, 20_000, 50 * 4096, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -15,6 +15,7 @@ from symlpp.numerics import GeomInv, PolyPlus, SymbolSpec
 from symlpp.rmt import _averages, group_average, model_rmt_distribution, u_average
 from symlpp.oracles import (
     SchurFactor,
+    antidiagonal_odd_prefactors,
     exact_average,
     o_component_reflection_gap,
     o_schur_identity,
@@ -22,7 +23,7 @@ from symlpp.oracles import (
     sp_schur_identity,
 )
 from symlpp.symfunc import exact_distribution
-from symlpp.variants import antidiagonal_odd_prefactors
+from symlpp.variants import exact_table, model_rmt_table
 
 
 def test_normalizations_both_engines():
@@ -160,14 +161,14 @@ def test_antidiagonal_prefactor_candidates():
     q2 = (F(1, 2), F(1, 5))
     both = antidiagonal_odd_prefactors(q2)
     assert both["standard"] != both["printed"]
-    # only the standard pairing reproduces the exact law
+    # only the standard pairing reproduces the exact law: at an odd bound the
+    # matrix-average column is the standard prefactor times the Sp average
     spec = ModelSpec("antidiagonal", q=q2, beta=F(1, 3))
+    exact, second = exact_table(spec, 5), model_rmt_table(spec, 5)
     symbol = SymbolSpec(tuple(PolyPlus(x, 1) for x in q2))
     for l in (1, 3, 5):
-        average = group_average("Sp", l // 2, symbol)
-        exact = exact_distribution(spec, l)
-        assert both["standard"] * average == exact
-        assert both["printed"] * average != exact
+        assert both["standard"] * group_average("Sp", l // 2, symbol) == second[l] == exact[l]
+        assert both["printed"] / both["standard"] * second[l] != exact[l]
 
 
 def test_geominv_average_exactness_tagging():
