@@ -3,8 +3,8 @@
 Model specs come in as JSON files; rationals travel as decimal-free "p/q"
 strings and floats print with 17 significant digits, so a fixed config and
 seed reproduce byte-identical output.  Exit status: 0 on success / PASS,
-1 on a FAIL verdict, 2 on configuration and usage errors, 3 on internal
-errors (each reported as a JSON object on stdout), and 141 (128 + SIGPIPE)
+1 on a FAIL verdict, 2 on usage errors and core.InputError, 3 on any other
+exception (each reported as a JSON object on stdout), and 141 (128 + SIGPIPE)
 when the reader of stdout goes away first, as in `symlpp sample ... | head -3`;
 then nothing more is written.
 """
@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .core import (
-    BudgetError,
     DistributionTable,
+    InputError,
     ModelSpec,
     format_rational,
     matrix_from_rows_top_to_bottom,
@@ -91,12 +91,6 @@ def rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class ConfigError(Exception):
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
-
-
 def _write_error(message: str, field: str | None, **extra):
     error = {"schema": SCHEMA_VERSION, "error": {"message": message, "field": field, **extra}}
     sys.stdout.write(dump_json(error) + "\n")
@@ -120,11 +114,13 @@ def _read_json(path: str, field: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"{field} file not found: {path}", field=field)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed {field} JSON: {exc}", field=field)
+        raise InputError(f"{field} file not found: {path}", field=field)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {field} file: {exc}", field=field)
+        raise InputError(f"cannot read {field} file: {exc}", field=field)
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, an integer of more than sys.get_int_max_str_digits()
+        # digits, or nesting deeper than the recursion limit
+        raise InputError(f"malformed {field} JSON: {exc}", field=field)
 
 
 def _load_model(path: str) -> ModelSpec:
@@ -132,7 +128,7 @@ def _load_model(path: str) -> ModelSpec:
     try:
         return ModelSpec.from_json_dict(data)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ConfigError(str(exc), field="model")
+        raise InputError(str(exc), field="model")
 
 
 # Smallest accepted value of each count argument, wherever a subcommand takes it.
@@ -143,11 +139,15 @@ def _check_arguments(args):
     for name, minimum in _COUNT_MINIMUMS.items():
         value = getattr(args, name, None)
         if value is not None and value < minimum:
-            raise ConfigError(f"--{name} must be at least {minimum}, got {value}", field=name)
+            raise InputError(f"--{name} must be at least {minimum}, got {value}", field=name)
     for name in ("zmax", "lam"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < math.inf:
-            raise ConfigError(f"--{name} must be positive and finite, got {value}", field=name)
+            raise InputError(f"--{name} must be positive and finite, got {value}", field=name)
+    out = args.out and os.path.abspath(args.out)  # not opened: a refused run keeps the file
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out))):
+        raise InputError(f"--out must name a file in an existing directory: {args.out}",
+                         field="out")
 
 
 def _seed_from(args) -> int:
@@ -158,9 +158,9 @@ def _seed_from(args) -> int:
         try:
             seed = int(env)
         except ValueError:
-            raise ConfigError(f"LPP_SEED is not an integer: {env!r}", field="seed")
+            raise InputError(f"LPP_SEED is not an integer: {env!r}", field="seed")
     if seed < 0:
-        raise ConfigError(f"{source} must be nonnegative, got {seed}", field="seed")
+        raise InputError(f"{source} must be nonnegative, got {seed}", field="seed")
     return seed
 
 
@@ -176,7 +176,7 @@ def _emit_pieces(pieces, out_path: str | None):
         out = open(out_path, "w", encoding="utf-8") if out_path else \
             contextlib.nullcontext(sys.stdout)
     except OSError as exc:
-        raise ConfigError(f"cannot open output file: {exc}", field="out")
+        raise InputError(f"cannot open output file: {exc}", field="out")
     with out as fh:
         for piece in pieces:
             fh.write(piece)
@@ -245,7 +245,7 @@ def _sample_pieces(model: ModelSpec, count: int, seed: int):
 
 def _cmd_sample(args) -> int:
     if args.format != "json":
-        raise ConfigError(f"sample writes JSON only, not {args.format}", field="format")
+        raise InputError(f"sample writes JSON only, not {args.format}", field="format")
     model = _load_model(args.model)
     seed = _seed_from(args)
     pieces = _sample_pieces(model, args.count, seed)
@@ -287,19 +287,19 @@ def _cmd_verify(args) -> int:
 def _cmd_rsk(args) -> int:
     data = _read_json(args.matrix, "matrix")
     if not isinstance(data, dict):
-        raise ConfigError("matrix JSON must be an object", field="matrix")
+        raise InputError("matrix JSON must be an object", field="matrix")
     if "rows_top_to_bottom" not in data:
-        raise ConfigError("matrix JSON is missing required field 'rows_top_to_bottom'",
-                          field="rows_top_to_bottom")
+        raise InputError("matrix JSON is missing required field 'rows_top_to_bottom'",
+                         field="rows_top_to_bottom")
     rows = data["rows_top_to_bottom"]
     # bool is a subclass of int, and int() would truncate a float or parse a string
-    if not (isinstance(rows, list) and all(
-            isinstance(row, list) and all(type(x) is int for x in row) for row in rows)):
-        raise ConfigError("rows_top_to_bottom must be a list of rows of integers",
-                          field="rows_top_to_bottom")
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows) and all(
+            type(x) is int and x >= 0 for x in chain.from_iterable(rows))):
+        raise InputError("rows_top_to_bottom must be a list of rows of nonnegative integers",
+                         field="rows_top_to_bottom")
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
-        raise ConfigError("rows_top_to_bottom must hold rows of one nonzero length",
-                          field="rows_top_to_bottom")
+        raise InputError("rows_top_to_bottom must hold rows of one nonzero length",
+                         field="rows_top_to_bottom")
     check_rsk_budget(rows)
     matrix = matrix_from_rows_top_to_bottom(rows)
     pair = rsk(matrix)
@@ -415,13 +415,10 @@ def _run(args) -> int:
         return args.func(args)
     except BrokenPipeError:
         raise
-    except (ConfigError, ValueError, TypeError) as exc:
-        field = exc.field if isinstance(exc, ConfigError) else None
-        if isinstance(exc, BudgetError):
-            # the argument that sets the size, by default the bound: --l of
-            # rmt, --lmax of the others
-            field = exc.field or ("l" if args.command == "rmt" else "lmax")
-        _write_error(str(exc), field)
+    except InputError as exc:
+        # a budget raiser that does not know the argument at fault means the
+        # bound: --l of rmt, --lmax of the others
+        _write_error(str(exc), exc.field or ("l" if args.command == "rmt" else "lmax"))
         return 2
     except Exception as exc:
         # any other failure is a fault of symlpp, not of the input or the verdict

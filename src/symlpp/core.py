@@ -120,10 +120,11 @@ MODEL_PARAMETERS = {
 }
 
 
-class BudgetError(ValueError):
-    """A computation would exceed a fixed resource budget; raised before
-    anything is allocated.  `field` names the argument that sets the size,
-    when the raiser knows it."""
+class InputError(ValueError):
+    """The input is at fault: a bad argument, file or model, or a computation
+    over a fixed resource budget (raised before anything is allocated).
+    `field` names the argument at fault; a budget raiser that does not know it
+    leaves None, which means the bound."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
@@ -137,8 +138,8 @@ TABLE_BOUND_BUDGET = 1 << 16
 
 def check_table_bound(lmax: int) -> None:
     if lmax > TABLE_BOUND_BUDGET:
-        raise BudgetError(f"table to bound {lmax} is over the budget of "
-                          f"{TABLE_BOUND_BUDGET} bounds")
+        raise InputError(f"table to bound {lmax} is over the budget of "
+                         f"{TABLE_BOUND_BUDGET} bounds")
 
 
 def parse_rational(value) -> Fraction:

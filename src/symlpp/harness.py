@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core import BudgetError, DistributionTable, ModelSpec, format_rational, record
+from .core import DistributionTable, InputError, ModelSpec, format_rational, record
 from .lpp import MC_CHUNK, chunk_streams, empirical_table, mc_distribution
 from .variants import exact_table, model_rmt_table, variant_of
 
@@ -240,8 +240,8 @@ def toeplitz_bessel_minors(cos_coefficient: float, l_max: int) -> list[float]:
     if l_max < 0:
         raise ValueError("l must be nonnegative")
     if l_max > BESSEL_ORDER_BUDGET:
-        raise BudgetError(f"Toeplitz-Bessel determinants of order {l_max} are over the "
-                          f"budget of order {BESSEL_ORDER_BUDGET}")
+        raise InputError(f"Toeplitz-Bessel determinants of order {l_max} are over the "
+                         f"budget of order {BESSEL_ORDER_BUDGET}")
     c = abs(cos_coefficient)
     return _fixed_point_minors(c, l_max, _fixed_point_bits(c, l_max))
 
@@ -264,9 +264,9 @@ def hammersley_check(lam: float, l_max: int, mc_samples: int, seed: int,
     if not 0 < lam < math.inf:
         raise ValueError("intensity must be positive and finite")
     if lam * MC_CHUNK > POINT_BUDGET:
-        raise BudgetError(f"intensity {lam} puts about {lam * MC_CHUNK:.6g} points in a chunk "
-                          f"of {MC_CHUNK} samples, over the budget of {POINT_BUDGET} points",
-                          field="lam")
+        raise InputError(f"intensity {lam} puts about {lam * MC_CHUNK:.6g} points in a chunk "
+                         f"of {MC_CHUNK} samples, over the budget of {POINT_BUDGET} points",
+                         field="lam")
     formula = [min(math.exp(-lam) * d, 1.0)
                for d in toeplitz_bessel_minors(2 * math.sqrt(lam), l_max)]
     mc = empirical_table(_poisson_chain_counts(lam, l_max, mc_samples, seed), mc_samples)

@@ -15,8 +15,8 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .core import (DistributionTable, IntMatrix, ModelSpec, check_table_bound,
-                   matrix_from_rows_top_to_bottom, record)
+from .core import (DistributionTable, InputError, IntMatrix, ModelSpec,
+                   check_table_bound, matrix_from_rows_top_to_bottom, record)
 from .variants import variant_of
 
 if TYPE_CHECKING:
@@ -49,7 +49,7 @@ def _site_plan(spec: ModelSpec) -> tuple[_Site, ...]:
     record's law of that cell.  Cached: the one-matrix sampler of symlpp.oracles
     asks for it per matrix.  A geometric or parity site whose largest draw
     (53 ln 2 / -ln p, as w = 1 - u >= 2^-53) times the n_rows + n_cols - 1 cells
-    of a path overflows int64, p = 1.0 among them, raises ValueError."""
+    of a path overflows int64, p = 1.0 among them, is an error of the model."""
     variant = variant_of(spec)
     n_rows, n_cols = spec.matrix_shape
     sites: list[_Site] = []
@@ -60,7 +60,8 @@ def _site_plan(spec: ModelSpec) -> tuple[_Site, ...]:
                 law, params = variant.site(spec, i, j)
                 if law != "bernoulli" and 0 < params[0] and math.log(params[0]) * -2.0**63 \
                         <= 53 * math.log(2) * (n_rows + n_cols - 1):
-                    raise ValueError(f"site ({i},{j}) parameter {params[0]!r} is too close to 1")
+                    raise InputError(f"site ({i},{j}) parameter {params[0]!r} is too close to 1",
+                                     field="model")
                 sites.append(_Site(law, params, tuple(sorted(orbit))))
     return tuple(sites)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .core import BudgetError, Rational, record
+from .core import InputError, Rational, record
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +119,14 @@ MINOR_BIT_BUDGET = 1 << 28
 
 
 def check_minor_budget(order: int, coefficients=()) -> None:
-    """Raise BudgetError unless a sweep of this order, over entries that are sums or
+    """Raise InputError unless a sweep of this order, over entries that are sums or
     differences of two of these coefficients, fits in MINOR_BIT_BUDGET.  With no
     coefficients the order alone is checked, at 1-bit entries."""
     bits = max((abs(x).bit_length() for x in scaled(coefficients)[1]), default=0) + 1
     cost = order**3 * (bits + order.bit_length() // 2)
     if cost > MINOR_BIT_BUDGET:
-        raise BudgetError(f"determinant sweep of order {order} over {bits}-bit entries needs "
-                          f"about {cost} bits, over the budget of {MINOR_BIT_BUDGET} bits")
+        raise InputError(f"determinant sweep of order {order} over {bits}-bit entries needs "
+                         f"about {cost} bits, over the budget of {MINOR_BIT_BUDGET} bits")
 
 
 def leading_minors(rows) -> list[Fraction]:

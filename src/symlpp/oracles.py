@@ -60,7 +60,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .core import (BudgetError, IntMatrix, ModelSpec, Partition, box_parts, check_table_bound,
+from .core import (InputError, IntMatrix, ModelSpec, Partition, box_parts, check_table_bound,
                    count_partitions_in_box, partitions_in_box, record)
 from .lpp import _sample_grid, _site_plan
 from .numerics import (GeomInv, PolyPlus, SymbolSpec, _check_skew, det_exact, pfaffian,
@@ -335,7 +335,7 @@ def _check_box(max_part: int, max_length: int):
     size = count_partitions_in_box(max_part, max_length)
     cells = size * max_part * max_length // 2
     if cells > CELL_BUDGET:
-        raise BudgetError(f"partition box {max_part} x {max_length} holds {size} partitions "
+        raise InputError(f"partition box {max_part} x {max_length} holds {size} partitions "
                          f"of {cells} cells in all, over the budget of {CELL_BUDGET} cells")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 
-from .core import BudgetError, IntMatrix, Partition, record
+from .core import InputError, IntMatrix, Partition, record
 
 # Most steps the `rsk` command may spend on a matrix, checked before the
 # IntMatrix is built.  Each letter (the entries' total) is inserted once and
@@ -96,9 +96,9 @@ def check_rsk_budget(rows) -> None:
     letters, cells = sum(map(sum, rows)), sum(map(len, rows))
     steps = letters * (depth + RSK_LETTER_STEPS) + cells * RSK_LETTER_STEPS
     if steps > RSK_STEP_BUDGET:
-        raise BudgetError(f"{cells} cells and the insertion of {letters} letters into at most "
-                          f"{depth} rows cost about {steps} steps, over the budget of "
-                          f"{RSK_STEP_BUDGET} steps", field="matrix")
+        raise InputError(f"{cells} cells and the insertion of {letters} letters into at most "
+                         f"{depth} rows cost about {steps} steps, over the budget of "
+                         f"{RSK_STEP_BUDGET} steps", field="matrix")
 
 
 def rsk(X: IntMatrix) -> TableauPair:

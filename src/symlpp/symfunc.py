@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .core import BudgetError, ModelSpec, check_table_bound
+from .core import InputError, ModelSpec, check_table_bound
 from .numerics import leading_minors, pfaffian, scaled
 
 # ---------------------------------------------------------------------------
@@ -38,8 +38,8 @@ def _check_table_budget(order: int, lmax: int, *scales: int) -> None:
     bits = (lmax + order) * sum(d.bit_length() for d in scales)
     cost = order**4 * (lmax + 1) * bits**2
     if cost > TABLE_BIT_BUDGET:
-        raise BudgetError(f"exact table of order {order} to bound {lmax} over {bits}-bit "
-                          f"entries costs about {cost}, over the budget of {TABLE_BIT_BUDGET}")
+        raise InputError(f"exact table of order {order} to bound {lmax} over {bits}-bit "
+                         f"entries costs about {cost}, over the budget of {TABLE_BIT_BUDGET}")
 
 
 def _columns(xs: tuple[int, ...], n: int, lmax: int, elementary: bool = False) -> list[int]:

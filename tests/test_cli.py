@@ -14,7 +14,7 @@ from itertools import accumulate
 import pytest
 
 import symlpp
-from symlpp import cli, harness
+from symlpp import cli, harness, numerics, symfunc
 from symlpp.cli import build_parser, dump_json, main, rows_to_csv
 from symlpp.core import ModelSpec, format_rational
 from symlpp.lpp import MC_CHUNK
@@ -230,6 +230,21 @@ def test_out_file_writing(model_file, tmp_path, capsys):
     assert json.loads(target.read_text())["distribution"][1]["p"] == "15/16"
 
 
+def test_out_is_checked_before_the_work(model_file, tmp_path, capsys, monkeypatch):
+    # an --out in a missing directory, or one that names a directory, is refused
+    # before any sampling and without making anything
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before --out was checked")
+
+    monkeypatch.setattr(cli, "mc_distribution", no_sampling)
+    path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        code, stdout = run_cli(capsys, ["mc", "--model", path, "--lmax", "10",
+                                        "--samples", "10000000", "--out", str(out)])
+        assert code == 2 and json.loads(stdout)["error"]["field"] == "out"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_rows_to_csv_floats():
     text = rows_to_csv([{"l": 0, "p": 0.5, "q": F(1, 3)}])
     assert text.splitlines()[1] == "0,0.5,1/3"
@@ -381,6 +396,26 @@ def test_internal_error_exits_three_with_json(model_file, capsys, monkeypatch):
     assert error == {"message": "ArithmeticError: series failed to converge",
                      "field": None, "internal": True}
 
+    # a ValueError or TypeError of an engine is a fault of symlpp, not of the
+    # model: here the diagonal Pfaffian table hands pfaffian a matrix that is
+    # not skew-symmetric, then raises a TypeError
+    monkeypatch.undo()
+
+    def not_skew(p):
+        return numerics.pfaffian([[1] * len(p)] * len(p))
+
+    def wrong_type(p):
+        raise TypeError("not a Fraction")
+
+    path = model_file("d.json", {"variant": "diagonal", "q": ["1/2", "1/3"], "alpha": "1/4"})
+    for engine, message in ((not_skew, "ValueError: Pfaffian needs a skew-symmetric matrix "
+                                       "(zero diagonal)"),
+                            (wrong_type, "TypeError: not a Fraction")):
+        monkeypatch.setattr(symfunc, "pfaffian", engine)
+        code, out = run_cli(capsys, ["exact", "--model", path, "--lmax", "2"])
+        assert code == 3
+        assert json.loads(out)["error"] == {"message": message, "field": None, "internal": True}
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--model", "MODEL", "--lmax", "2", "--zmax", "nan"],
@@ -487,17 +522,26 @@ HUGE = "99999999999999999999/100000000000000000000"
     (["rsk", "--matrix", "NOROWS"], "rows_top_to_bottom"),
     (["rsk", "--matrix", "EMPTYROW"], "rows_top_to_bottom"),
     (["rsk", "--matrix", "RAGGED"], "rows_top_to_bottom"),
+    (["rsk", "--matrix", "NEGATIVE"], "rows_top_to_bottom"),
+    (["rsk", "--matrix", "BIGINT"], "matrix"),
+    (["exact", "--model", "DEEP", "--lmax", "3"], "model"),
 ])
 def test_exit_code_contract(argv, field, model_file, tmp_path, capsys):
     """Exit 0, 1 or 2 with JSON on stdout; a case with a field is an error of that field."""
     utf16 = tmp_path / "utf16.json"
     utf16.write_text('{"variant": "johansson"}', encoding="utf-16")
+    # JSON that Python's parser refuses with a ValueError and a RecursionError
+    bigint = tmp_path / "bigint.json"
+    bigint.write_text('{"rows_top_to_bottom": [[' + "1" * 5000 + "]]}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
     paths = {
         "MODEL": model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]}),
         "HUGE": model_file("huge.json", {"variant": "johansson", "a": [HUGE], "b": [HUGE]}),
         # int() used to truncate these to [[1, 0], [0, 2]] and [[3, 1]]
         "FLOATS": model_file("floats.json", {"rows_top_to_bottom": [[1.5, 0], [0, 2.9]]}),
         "STRINGS": model_file("strings.json", {"rows_top_to_bottom": [["3", True]]}),
+        "NEGATIVE": model_file("negative.json", {"rows_top_to_bottom": [[1, -1], [0, 2]]}),
         # 2^20 letters: over the insertion budget, however few rows they bump through
         "HEAVY": model_file("heavy.json", {"rows_top_to_bottom": [[1 << 20]]}),
         # no letters, but a million cells: each is charged before the matrix is built
@@ -507,6 +551,8 @@ def test_exit_code_contract(argv, field, model_file, tmp_path, capsys):
         # a directory, a file that is not UTF-8 and a path in a missing directory
         "DIR": str(tmp_path),
         "UTF16": str(utf16),
+        "BIGINT": str(bigint),
+        "DEEP": str(deep),
         "MISSING": str(tmp_path / "missing" / "out.json"),
         # JSON that is not an object, and rows that make no matrix
         "SCALAR": model_file("scalar.json", 5),
@@ -527,7 +573,9 @@ def test_sampling_refuses_a_site_parameter_that_rounds_to_one(model_file, capsys
     for argv in (["mc", "--lmax", "3", "--samples", "100"], ["sample", "--count", "2"],
                  ["verify", "--lmax", "3", "--samples", "100"]):
         code, out = run_cli(capsys, [*argv, "--model", path])
-        assert code == 2 and "too close to 1" in json.loads(out)["error"]["message"], argv
+        error = json.loads(out)["error"]
+        assert code == 2 and "too close to 1" in error["message"], argv
+        assert error["field"] == "model", argv
     kept = model_file("kept.json", {"kept": True})  # refused before --out is opened
     assert run_cli(capsys, ["sample", "--model", path, "--out", kept])[0] == 2
     with open(kept, encoding="utf-8") as fh:
