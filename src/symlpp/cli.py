@@ -1,7 +1,9 @@
 """Command-line front end: sample, exact, rmt, verify, rsk, hammersley.
 
-Model specs come in as JSON files; rationals travel as decimal-free "p/q"
-strings and floats print with 17 significant digits, so a fixed config and
+Model specs come in as JSON files.  This module is the one writer: the
+library's records hold Fractions and floats, and `_emit` prints rationals as
+decimal-free "p/q" strings of any length and floats with 17 significant
+digits, stamping every JSON payload with the schema, so a fixed config and
 seed reproduce byte-identical output.  Exit status: 0 on success / PASS,
 1 on a FAIL verdict, 2 on usage errors and core.InputError, 3 on any other
 exception (each reported as a JSON object on stdout), and 141 (128 + SIGPIPE)
@@ -20,13 +22,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 
-from .core import (
-    DistributionTable,
-    InputError,
-    ModelSpec,
-    format_rational,
-    matrix_from_rows_top_to_bottom,
-)
+from .core import DistributionTable, InputError, ModelSpec, matrix_from_rows_top_to_bottom
 from .harness import hammersley_check, verify_model
 from .lpp import mc_distribution, sample_chunks
 from .rsk import check_rsk_budget, rsk
@@ -38,6 +34,18 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # Deterministic serialization
 # ---------------------------------------------------------------------------
+
+
+def format_rational(value: Fraction) -> str:
+    """Render a Fraction as a decimal-free string, "p/q" or "p", of any length:
+    Python's limit on the digits of an int-to-str conversion is lifted for this
+    conversion only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def dump_json(obj, indent: int = 0) -> str:
@@ -164,8 +172,13 @@ def _seed_from(args) -> int:
     return seed
 
 
-def _emit(text: str, out_path: str | None):
-    _emit_pieces((text,), out_path)
+def _emit(args, payload: dict, rows: list[dict] | None = None):
+    """`rows` as CSV under --format csv, else `payload` as JSON, "schema" first."""
+    if args.format == "csv":
+        text = rows_to_csv(rows)
+    else:
+        text = dump_json({"schema": SCHEMA_VERSION, **payload})
+    _emit_pieces((text,), args.out)
 
 
 def _emit_pieces(pieces, out_path: str | None):
@@ -186,21 +199,15 @@ def _emit_pieces(pieces, out_path: str | None):
 
 
 def _emit_table(args, model: ModelSpec, table: DistributionTable, extra: dict) -> int:
-    if args.format == "csv":
-        _emit(rows_to_csv(table.to_rows()), args.out)
-    else:
-        payload = {"schema": SCHEMA_VERSION, "model": model.to_json_dict(), **extra,
-                   "distribution": table.to_rows()}
-        _emit(dump_json(payload), args.out)
+    rows = table.to_rows()
+    _emit(args, {"model": model.to_json_dict(), **extra, "distribution": rows}, rows)
     return 0
 
 
 def _emit_report(args, report) -> int:
     """A verification report's rows (csv) or the whole report (json); exit 1 on FAIL."""
-    if args.format == "csv":
-        _emit(rows_to_csv([r.to_json_dict() for r in report.rows]), args.out)
-    else:
-        _emit(dump_json(report.to_json_dict()), args.out)
+    payload = report.to_json_dict()
+    _emit(args, payload, payload["rows"])
     return 0 if report.passed() else 1
 
 
@@ -262,19 +269,9 @@ def _cmd_exact(args) -> int:
 
 def _cmd_rmt(args) -> int:
     model = _load_model(args.model)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "model": model.to_json_dict(),
-        "l": args.l,
-        "method": variant_of(model).method,
-        "value": model_rmt_table(model, args.l)[args.l],
-        "exactness": "rational",
-    }
-    if args.format == "csv":
-        _emit(rows_to_csv([{k: payload[k] for k in ("l", "method", "value", "exactness")}]),
-              args.out)
-    else:
-        _emit(dump_json(payload), args.out)
+    row = {"l": args.l, "method": variant_of(model).method,
+           "value": model_rmt_table(model, args.l)[args.l], "exactness": "rational"}
+    _emit(args, {"model": model.to_json_dict(), **row}, [row])
     return 0
 
 
@@ -303,14 +300,12 @@ def _cmd_rsk(args) -> int:
     check_rsk_budget(rows)
     matrix = matrix_from_rows_top_to_bottom(rows)
     pair = rsk(matrix)
-    payload = {
-        "schema": SCHEMA_VERSION,
+    _emit(args, {
         "matrix": _matrix_payload(matrix.n_rows, matrix.n_cols, matrix.rows_top_to_bottom()),
         "shape": list(pair.p.shape.parts),
         "p_rows": [list(r) for r in pair.p.rows],
         "q_rows": [list(r) for r in pair.q.rows],
-    }
-    _emit(dump_json(payload), args.out)
+    })
     return 0
 
 
@@ -383,13 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rsk)
 
     p = sub.add_parser("hammersley", help="Poisson chain-length law vs Toeplitz formula")
+    common(p, model=False, seed=True)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--zmax", type=float, default=4.0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_hammersley)
     return parser
 

@@ -3,7 +3,8 @@
 Exact probabilities and model parameters are `fractions.Fraction` throughout;
 floats only ever enter through Monte Carlo estimates and the fixed-point
 continuum (`hammersley`) determinants, and containers tag them as
-approximate.
+approximate.  Records hand their values over as they are: `symlpp.cli` alone
+turns them into text.
 """
 
 from __future__ import annotations
@@ -158,13 +159,6 @@ def parse_rational(value) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as a decimal-free string, "p/q" or "p"."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +371,12 @@ class ModelSpec:
         return (side * self.n, side * self.n)
 
     def to_json_dict(self) -> dict:
-        out: dict = {"variant": self.variant}
-        if self.a:
-            out["a"] = [format_rational(x) for x in self.a]
-        if self.b:
-            out["b"] = [format_rational(x) for x in self.b]
-        if self.q:
-            out["q"] = [format_rational(x) for x in self.q]
-        if self.alpha is not None:
-            out["alpha"] = format_rational(self.alpha)
-        if self.beta is not None:
-            out["beta"] = format_rational(self.beta)
-        return out
+        """The variant and the parameters it has, as Fractions for the writer to
+        format; `from_json_dict` reads the dict back."""
+        params = {"a": list(self.a), "b": list(self.b), "q": list(self.q),
+                  "alpha": self.alpha, "beta": self.beta}
+        return {"variant": self.variant,
+                **{name: value for name, value in params.items() if value not in ([], None)}}
 
     @staticmethod
     def from_json_dict(data: dict) -> "ModelSpec":
@@ -439,17 +427,13 @@ class DistributionTable:
             prev = p
 
     def to_rows(self) -> list[dict]:
+        """One row per bound: l, p as the table holds it (a Fraction or a float,
+        for the writer to format), approx, and stderr if the table has one."""
         rows = []
         for l in sorted(self.probs):
             p = self.probs[l]
-            row: dict = {"l": l}
-            if isinstance(p, Fraction):
-                row["p"] = format_rational(p)
-                row["approx"] = False
-            else:
-                row["p"] = float(p)
-                row["approx"] = True
+            row: dict = {"l": l, "p": p, "approx": not isinstance(p, Fraction)}
             if self.stderr is not None:
-                row["stderr"] = float(self.stderr[l])
+                row["stderr"] = self.stderr[l]
             rows.append(row)
         return rows

@@ -2,8 +2,9 @@
 
 Exact-vs-average comparisons are equalities of rationals; Monte Carlo enters
 only through z-scores against the exact value.  The two error models are never
-mixed in one verdict.  numpy is imported inside the Poisson-chain functions,
-the only ones that make arrays.
+mixed in one verdict.  A report holds its values as Fractions and floats, and
+`symlpp.cli` formats them.  numpy is imported inside the Poisson-chain
+functions, the only ones that make arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core import DistributionTable, InputError, ModelSpec, format_rational, record
+from .core import DistributionTable, InputError, ModelSpec, record
 from .lpp import MC_CHUNK, chunk_streams, empirical_table, mc_distribution
 from .variants import exact_table, model_rmt_table, variant_of
 
@@ -32,19 +33,12 @@ class ReportRow:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "l": self.l,
-            "mc_estimate": self.mc_estimate,
-            "mc_stderr": self.mc_stderr,
-            "exact_value": (format_rational(self.exact_value)
-                            if isinstance(self.exact_value, Fraction) else self.exact_value),
-        }
-        if self.second_value is not None:
-            out["second_value"] = format_rational(self.second_value)
-            out["abs_diff"] = format_rational(self.abs_diff)
-        out["z_score"] = self.z_score
-        out["verdict"] = self.verdict
-        return out
+        """The row's fields, values as they are for the writer to format; a row
+        without a second column leaves out second_value and abs_diff."""
+        out = {"l": self.l, "mc_estimate": self.mc_estimate, "mc_stderr": self.mc_stderr,
+               "exact_value": self.exact_value, "second_value": self.second_value,
+               "abs_diff": self.abs_diff, "z_score": self.z_score, "verdict": self.verdict}
+        return {name: value for name, value in out.items() if value is not None}
 
 
 @record
@@ -58,8 +52,9 @@ class VerificationReport:
         return self.verdict == "PASS"
 
     def to_json_dict(self) -> dict:
+        """The report with its rows' dicts; the writer formats the values and
+        adds the schema."""
         return {
-            "schema": 1,
             "model": self.model,
             "second_kind": self.second_kind,
             "rows": [r.to_json_dict() for r in self.rows],

@@ -71,8 +71,7 @@ def _site_plan(spec: ModelSpec) -> tuple[_Site, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None,
-                 scratch: bool = False) -> np.ndarray:
+def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Draws of `site`'s law from uniforms `u` on [0, 1), stored into `out`.
 
     With w = 1 - u: a geometric site (survival Pr(X >= k) = p^k) draws
@@ -83,8 +82,7 @@ def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None,
     Pr(X >= 2j+1) = q^(2j+1) (beta+q)/(1+beta q); the draw is the largest k
     whose survival still covers w.
 
-    Only `out` is written, unless `scratch` is set: then `u` holds w and its
-    logarithm along the way and is overwritten.
+    `u` holds w and its logarithm along the way, so it is overwritten.
     """
     import numpy as np
     if out is None:
@@ -93,7 +91,7 @@ def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None,
         p = site.params[0]
         out[...] = u < p / (1 + p)
         return out
-    w = np.subtract(1.0, u, out=u) if scratch else 1.0 - u
+    w = np.subtract(1.0, u, out=u)
     if site.law == "geom":
         p = site.params[0]
         np.log(w, out=w)
@@ -110,21 +108,6 @@ def _draw_vector(site: _Site, u: np.ndarray, out: np.ndarray | None = None,
     odd_survival = q ** (2 * j + 1) * (beta + q) / (1 + beta * q)
     out[...] = 2 * j + (odd_survival >= w)
     return out
-
-
-def _sample_grid(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random.Generator,
-                 count: int) -> np.ndarray:
-    """`count` matrices as one (count, rows, cols) array, bottom row first; each
-    matrix takes one uniform per site, in plan order."""
-    import numpy as np
-    u = rng.random((count, len(plan)))
-    grid = np.empty((count, *shape), dtype=np.int64)
-    for site, column in zip(plan, u.T):
-        (i, j), *images = site.positions
-        values = _draw_vector(site, column, grid[:, i - 1, j - 1])
-        for (i, j) in images:
-            grid[:, i - 1, j - 1] = values
-    return grid
 
 
 def chunk_streams(seed: int, total: int, size: int):
@@ -144,8 +127,18 @@ def sample_chunks(spec: ModelSpec, count: int, seed: int):
     as the caller asks for it; each matrix is a list of rows, top row first.
     The site plan is checked at the call, before any chunk is drawn."""
     plan = _site_plan(spec)
-    return (_sample_grid(plan, spec.matrix_shape, rng, size)[:, ::-1].tolist()
+    return (_matrices(plan, spec.matrix_shape, rng, size)
             for size, rng in chunk_streams(seed, count, SAMPLE_CHUNK))
+
+
+def _matrices(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random.Generator,
+              count: int) -> list:
+    """`count` matrices, each a list of rows, top row first; each matrix takes
+    one uniform per site, in plan order."""
+    import numpy as np
+    uniforms = rng.random((count, len(plan))).T.copy()
+    bottom_up = list(_entry_rows(plan, shape, uniforms, count))
+    return np.array(bottom_up[::-1]).transpose(2, 0, 1).tolist()
 
 
 @record
@@ -167,30 +160,28 @@ def sample_batch(spec: ModelSpec, count: int, seed: int) -> SampleBatch:
 # ---------------------------------------------------------------------------
 
 
-def _entry_rows(plan: tuple[_Site, ...], shape: tuple[int, int], rng: np.random.Generator,
-                count: int):
-    """A chunk's `count` matrices row by row, bottom row first, each row as a
-    (cols, count) array, yielded once the sites drawn so far fill it and every
-    row below it.  Uniforms are drawn site-major: `count` per site, in plan
-    order, into one buffer that each site's draw then uses as scratch.
+def _entry_rows(plan: tuple[_Site, ...], shape: tuple[int, int], uniforms, count: int):
+    """`count` matrices row by row, bottom row first, each row as a (cols, count)
+    array, yielded once the sites drawn so far fill it and every row below it.
+    `uniforms` yields each site's `count` uniforms in plan order, as contiguous
+    arrays that the draws overwrite.
     """
     import numpy as np
     n_rows, n_cols = shape
     last_site = {i: s for s, site in enumerate(plan) for i, _ in site.positions}
     rows: dict[int, np.ndarray] = {}
-    u = np.empty(count)
 
-    def cell(i, j):
+    def row(i):
         if i not in rows:
             rows[i] = np.empty((n_cols, count), dtype=np.int64)
-        return rows[i][j - 1]
+        return rows[i]
 
     done = 0
-    for s, site in enumerate(plan):
-        first, *images = site.positions
-        values = _draw_vector(site, rng.random(out=u), cell(*first), scratch=True)
+    for s, (site, u) in enumerate(zip(plan, uniforms)):
+        (i, j), *images = site.positions
+        values = _draw_vector(site, u, row(i)[j - 1])
         for (i, j) in images:
-            cell(i, j)[...] = values
+            row(i)[j - 1] = values
         while done < n_rows and last_site[done + 1] <= s:
             done += 1
             yield rows.pop(done)
@@ -221,7 +212,8 @@ def _batch_bernoulli_passage(rows) -> np.ndarray:
 def _chunk_counts(spec: ModelSpec, plan: tuple[_Site, ...], l_max: int, count: int,
                   rng: np.random.Generator) -> np.ndarray:
     import numpy as np
-    rows = _entry_rows(plan, spec.matrix_shape, rng, count)
+    u = np.empty(count)  # one buffer, refilled for each site
+    rows = _entry_rows(plan, spec.matrix_shape, (rng.random(out=u) for _ in plan), count)
     if variant_of(spec).binary:
         stat = _batch_bernoulli_passage(rows)
     else:

@@ -62,7 +62,7 @@ import numpy as np
 
 from .core import (InputError, IntMatrix, ModelSpec, Partition, box_parts, check_table_bound,
                    count_partitions_in_box, partitions_in_box, record)
-from .lpp import _sample_grid, _site_plan
+from .lpp import _matrices, _site_plan
 from .numerics import (GeomInv, PolyPlus, SymbolSpec, _check_skew, det_exact, pfaffian,
                        scaled)
 from .rmt import _Structure, _structure
@@ -312,8 +312,8 @@ def rotate180(X: IntMatrix) -> IntMatrix:
 
 def sample_matrix(spec: ModelSpec, rng: np.random.Generator) -> IntMatrix:
     """One matrix from the ensemble; dependent entries filled by its symmetry."""
-    rows = _sample_grid(_site_plan(spec), spec.matrix_shape, rng, 1)[0].tolist()
-    return IntMatrix(tuple(map(tuple, rows)))
+    rows = _matrices(_site_plan(spec), spec.matrix_shape, rng, 1)[0]
+    return IntMatrix(tuple(map(tuple, reversed(rows))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import concurrent.futures
+import contextlib
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -12,13 +15,15 @@ from fractions import Fraction as F
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symlpp
 from symlpp import cli, harness, numerics, symfunc
-from symlpp.cli import build_parser, dump_json, main, rows_to_csv
-from symlpp.core import ModelSpec, format_rational
+from symlpp.cli import build_parser, dump_json, format_rational, main, rows_to_csv
+from symlpp.core import MODEL_PARAMETERS, ModelSpec
 from symlpp.lpp import MC_CHUNK
-from symlpp.variants import model_rmt_table
+from symlpp.variants import exact_table, model_rmt_table
 
 
 @pytest.fixture()
@@ -565,6 +570,103 @@ def test_exit_code_contract(argv, field, model_file, tmp_path, capsys):
     payload = json.loads(out)
     if field is not None:
         assert code == 2 and payload["error"]["field"] == field
+
+
+# 1/10^2999 is within the 4300 digits that Python reads into an int, and
+# Pr(L <= 0) = 1 - 10^-5998 of the 1 x 1 model has a 5999-digit denominator
+LONG = "1/1" + "0" * 2999
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_rational_of_any_length_prints(fmt, model_file, capsys):
+    model = {"variant": "johansson", "a": [LONG], "b": [LONG]}
+    path = model_file("long.json", model)
+    expected = format_rational(exact_table(ModelSpec.from_json_dict(model), 0)[0])
+    assert len(expected) > 2 * 5998
+    limit = sys.get_int_max_str_digits()
+    for argv, key in ((["exact", "--lmax", "0"], "p"),
+                      (["verify", "--lmax", "1", "--samples", "1000"], "exact_value")):
+        code, out = run_cli(capsys, [*argv, "--model", path, "--format", fmt])
+        assert code == 0, out[:300]
+        if fmt == "json":
+            payload = json.loads(out)
+            first = (payload.get("distribution") or payload["rows"])[0]
+        else:
+            first = next(csv.DictReader(io.StringIO(out)))
+        assert first[key] == expected
+    assert sys.get_int_max_str_digits() == limit
+
+
+# small rationals, and two with 4000-digit denominators
+_FUZZ_RATIONALS = st.sampled_from(["0", "1/2", "2/3", "1/7", "5/6", "3/10",
+                                   f"1/{10 ** 3999 + 3}", f"4/{10 ** 3999 + 7}"])
+_FUZZ_VALUES = st.one_of(
+    _FUZZ_RATIONALS, st.integers(-2, 2), st.floats(allow_nan=False), st.booleans(), st.none(),
+    st.sampled_from(["", "1/0", "0.5", "x", "1e-3", "2/1"]),
+    st.lists(st.lists(st.integers(0, 1), max_size=2), max_size=2))
+_ABSENT = object()
+
+
+@st.composite
+def _fuzz_models(draw):
+    """A model of one of the six variants, or of a bogus one, whose own parameters
+    are small or 4000-digit rationals; then up to two fields made absent or
+    replaced by any value above."""
+    variant = draw(st.sampled_from([*MODEL_PARAMETERS, "bogus"]))
+    lists, weight, _ = MODEL_PARAMETERS.get(variant, (("q",), "alpha", None))
+    size = draw(st.integers(1, 2))
+    model = {"variant": variant}
+    for name in lists:
+        model[name] = draw(st.lists(_FUZZ_RATIONALS, min_size=size, max_size=size))
+    if weight:
+        model[weight] = draw(_FUZZ_RATIONALS)
+    for name in draw(st.sets(st.sampled_from(["variant", "a", "b", "q", "alpha", "beta"]),
+                             max_size=2)):
+        value = draw(st.one_of(st.just(_ABSENT), _FUZZ_VALUES,
+                               st.lists(_FUZZ_VALUES, max_size=2)))
+        if value is _ABSENT:
+            model.pop(name, None)
+        else:
+            model[name] = value
+    return model
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """argv of one of the five model commands, with a bound of at most 6, at most
+    200 samples and at most 3 matrices."""
+    command = draw(st.sampled_from(["verify", "exact", "rmt", "mc", "sample"]))
+    argv = [command, "--format", draw(st.sampled_from(["json", "csv"]))]
+    if command != "sample":
+        argv += ["--l" if command == "rmt" else "--lmax", str(draw(st.integers(0, 6)))]
+    if command in ("verify", "mc"):
+        argv += ["--samples", str(draw(st.integers(1, 200)))]
+    if command == "sample":
+        argv += ["--count", str(draw(st.integers(1, 3)))]
+    if command in ("verify", "mc", "sample"):
+        argv += ["--seed", str(draw(st.integers(0, 3)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(model=_fuzz_models(), argv=_fuzz_argv())
+def test_exit_code_fuzz(model, argv, tmp_path_factory):
+    """Exit 0, 1 or 2, never 3; a JSON run prints one JSON object, and an exit 2
+    names the field at fault."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_text(json.dumps(model))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main([*argv, "--model", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), out.getvalue()[:500]
+    if "json" in argv or code == 2:
+        payload = json.loads(out.getvalue())
+        assert isinstance(payload, dict)
+        if code == 2:
+            assert payload["error"]["field"], payload
 
 
 def test_sampling_refuses_a_site_parameter_that_rounds_to_one(model_file, capsys):

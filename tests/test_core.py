@@ -10,12 +10,12 @@ from symlpp.core import (
     IntMatrix,
     ModelSpec,
     Partition,
-    format_rational,
     matrix_from_rows_top_to_bottom,
     parse_rational,
     partitions_in_box,
     record,
 )
+from symlpp.cli import format_rational
 from symlpp.harness import VerificationReport
 from symlpp.lpp import _site_plan
 from symlpp.numerics import GeomInv, PolyPlus
@@ -206,7 +206,7 @@ def test_distribution_table_invariants():
     with pytest.raises(ValueError):
         DistributionTable({0: 0.5}, exact=True)
     rows = DistributionTable({0: F(1, 2)}, exact=True).to_rows()
-    assert rows == [{"l": 0, "p": "1/2", "approx": False}]
+    assert rows == [{"l": 0, "p": F(1, 2), "approx": False}]
 
 
 def test_records_keep_the_dataclass_semantics():

@@ -242,8 +242,7 @@ def test_report_serialization_shape():
     spec = ModelSpec("johansson", a=(F(1, 2),), b=(F(1, 2),))
     report = verify_model(spec, l_max=1, mc_samples=1000, seed=1)
     data = report.to_json_dict()
-    assert list(data) == ["schema", "model", "second_kind", "rows", "verdict"]
-    assert data["schema"] == 1
+    assert list(data) == ["model", "second_kind", "rows", "verdict"]
     assert data["verdict"] in ("PASS", "FAIL")
     assert {"l", "mc_estimate", "mc_stderr", "exact_value", "second_value",
             "abs_diff", "z_score", "verdict"} <= set(data["rows"][0])

@@ -285,7 +285,8 @@ def test_chunk_kernel_matches_per_matrix_reference(variant):
             for (i, j) in site.positions:
                 grid[i - 1][j - 1] = int(values[t])
         expected.append(statistic(IntMatrix(tuple(map(tuple, grid)))))
-    rows = lpp._entry_rows(plan, spec.matrix_shape, np.random.default_rng(8), count)
+    uniforms = np.random.default_rng(8).random((len(plan), count))  # the stream of `draws`
+    rows = lpp._entry_rows(plan, spec.matrix_shape, uniforms, count)
     if variant == "bernoulli":
         stat = lpp._batch_bernoulli_passage(rows)
     else:
