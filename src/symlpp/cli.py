@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -139,28 +140,9 @@ def _load_model(path: str) -> ModelSpec:
         raise InputError(str(exc), field="model")
 
 
-# Smallest accepted value of each count argument, wherever a subcommand takes it.
-_COUNT_MINIMUMS = {"lmax": 0, "l": 0, "count": 1, "samples": 1, "threads": 1}
-
-
-def _check_arguments(args):
-    for name, minimum in _COUNT_MINIMUMS.items():
-        value = getattr(args, name, None)
-        if value is not None and value < minimum:
-            raise InputError(f"--{name} must be at least {minimum}, got {value}", field=name)
-    for name in ("zmax", "lam"):
-        value = getattr(args, name, None)
-        if value is not None and not 0 < value < math.inf:
-            raise InputError(f"--{name} must be positive and finite, got {value}", field=name)
-    out = args.out and os.path.abspath(args.out)  # not opened: a refused run keeps the file
-    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out))):
-        raise InputError(f"--out must name a file in an existing directory: {args.out}",
-                         field="out")
-
-
-def _seed_from(args) -> int:
+def _seed_from(seed: int | None) -> int:
     """--seed, else LPP_SEED, else 0; numpy's seed sequences take no negative seed."""
-    source, seed = "--seed", args.seed
+    source = "--seed"
     if seed is None:
         source, env = "LPP_SEED", os.environ.get("LPP_SEED", "0")
         try:
@@ -198,9 +180,9 @@ def _emit_pieces(pieces, out_path: str | None):
             fh.write("\n")
 
 
-def _emit_table(args, model: ModelSpec, table: DistributionTable, extra: dict) -> int:
+def _emit_table(args, table: DistributionTable, extra: dict) -> int:
     rows = table.to_rows()
-    _emit(args, {"model": model.to_json_dict(), **extra, "distribution": rows}, rows)
+    _emit(args, {"model": args.model.to_json_dict(), **extra, "distribution": rows}, rows)
     return 0
 
 
@@ -251,34 +233,27 @@ def _sample_pieces(model: ModelSpec, count: int, seed: int):
 
 
 def _cmd_sample(args) -> int:
-    if args.format != "json":
-        raise InputError(f"sample writes JSON only, not {args.format}", field="format")
-    model = _load_model(args.model)
-    seed = _seed_from(args)
-    pieces = _sample_pieces(model, args.count, seed)
+    pieces = _sample_pieces(args.model, args.count, args.seed)
     head = next(pieces)  # checks the site plan before --out is opened
     _emit_pieces(chain((head,), pieces), args.out)
     return 0
 
 
 def _cmd_exact(args) -> int:
-    model = _load_model(args.model)
-    probs = dict(enumerate(exact_table(model, args.lmax)))
-    return _emit_table(args, model, DistributionTable(probs, exact=True), {"kind": "exact"})
+    probs = dict(enumerate(exact_table(args.model, args.lmax)))
+    return _emit_table(args, DistributionTable(probs, exact=True), {"kind": "exact"})
 
 
 def _cmd_rmt(args) -> int:
-    model = _load_model(args.model)
-    row = {"l": args.l, "method": variant_of(model).method,
-           "value": model_rmt_table(model, args.l)[args.l], "exactness": "rational"}
-    _emit(args, {"model": model.to_json_dict(), **row}, [row])
+    row = {"l": args.l, "method": variant_of(args.model).method,
+           "value": model_rmt_table(args.model, args.l)[args.l], "exactness": "rational"}
+    _emit(args, {"model": args.model.to_json_dict(), **row}, [row])
     return 0
 
 
 def _cmd_verify(args) -> int:
-    model = _load_model(args.model)
-    seed = _seed_from(args)
-    return _emit_report(args, verify_model(model, args.lmax, args.samples, seed, z_max=args.zmax))
+    return _emit_report(args, verify_model(args.model, args.lmax, args.samples, args.seed,
+                                           z_max=args.zmax))
 
 
 def _cmd_rsk(args) -> int:
@@ -310,81 +285,79 @@ def _cmd_rsk(args) -> int:
 
 
 def _cmd_hammersley(args) -> int:
-    seed = _seed_from(args)
-    return _emit_report(args, hammersley_check(args.lam, args.lmax, args.samples, seed,
+    return _emit_report(args, hammersley_check(args.lam, args.lmax, args.samples, args.seed,
                                                z_max=args.zmax))
 
 
 def _cmd_mc(args) -> int:
-    model = _load_model(args.model)
-    seed = _seed_from(args)
-    table = mc_distribution(model, args.lmax, args.samples, seed)
-    return _emit_table(args, model, table, {"kind": "mc", "seed": seed, "samples": args.samples})
+    table = mc_distribution(args.model, args.lmax, args.samples, args.seed)
+    return _emit_table(args, table, {"kind": "mc", "seed": args.seed, "samples": args.samples})
 
 
+def _at_least(least: int):
+    return least - 1, f"at least {least}"  # an integer is at least least if above least - 1
+
+
+# Each option once: its add_argument keywords, then its range as (an exclusive
+# lower bound, the text that names it), or None.  Ranges are checked in this order.
+_OPTIONS = {
+    "lmax": ({"type": int, "required": True}, _at_least(0)),
+    "l": ({"type": int, "required": True}, _at_least(0)),
+    "count": ({"type": int, "default": 1}, _at_least(1)),
+    "samples": ({"type": int, "default": 100_000}, _at_least(1)),
+    "threads": ({"type": int, "default": 1, "help": "accepted for compatibility (at least 1); "
+                 "it has no effect"}, _at_least(1)),
+    "zmax": ({"type": float, "default": 4.0}, (0, "positive and finite")),
+    "lam": ({"type": float, "required": True}, (0, "positive and finite")),
+    "model": ({"required": True, "help": "model spec JSON file"}, None),
+    "matrix": ({"required": True, "help": "JSON file with field rows_top_to_bottom"}, None),
+    "seed": ({"type": int, "help": "RNG seed (fallback: env LPP_SEED, then 0)"}, None),
+    "out": ({"help": "output path (default stdout)"}, None),
+    "format": ({"choices": ("json", "csv"), "default": "json"}, None),
+}
+
+# Each subcommand: its function, its help, its options in usage order, and the
+# formats it writes.
+_COMMANDS = {
+    "sample": (_cmd_sample, "draw matrices from a model", "model seed out format count", "json"),
+    "exact": (_cmd_exact, "exact cumulative law Pr(L <= l)", "model out format lmax", "json csv"),
+    "rmt": (_cmd_rmt, "matrix-average formula at one bound", "model out format l", "json csv"),
+    "mc": (_cmd_mc, "Monte Carlo cumulative law", "model seed out format lmax samples threads",
+           "json csv"),
+    "verify": (_cmd_verify, "Monte Carlo vs exact vs matrix average",
+               "model seed out format lmax samples zmax threads", "json csv"),
+    "rsk": (_cmd_rsk, "insertion pair of a matrix", "matrix out format", "json"),
+    "hammersley": (_cmd_hammersley, "Poisson chain-length law vs Toeplitz formula",
+                   "seed out format lam lmax samples zmax", "json csv"),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="symlpp",
-        description="Symmetrized last-passage percolation: exact laws, matrix "
-                    "averages, and Monte Carlo cross-checks.")
+    """The parser of every subcommand, from _COMMANDS and _OPTIONS; built once."""
+    parser = _Parser(prog="symlpp", description="Symmetrized last-passage percolation: exact "
+                     "laws, matrix averages, and Monte Carlo cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, model=True, seed=False):
-        if model:
-            p.add_argument("--model", required=True, help="model spec JSON file")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="RNG seed (fallback: env LPP_SEED, then 0)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("sample", help="draw matrices from a model")
-    common(p, seed=True)
-    p.add_argument("--count", type=int, default=1)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("exact", help="exact cumulative law Pr(L <= l)")
-    common(p)
-    p.add_argument("--lmax", type=int, required=True)
-    p.set_defaults(func=_cmd_exact)
-
-    p = sub.add_parser("rmt", help="matrix-average formula at one bound")
-    common(p)
-    p.add_argument("--l", type=int, required=True)
-    p.set_defaults(func=_cmd_rmt)
-
-    p = sub.add_parser("mc", help="Monte Carlo cumulative law")
-    common(p, seed=True)
-    p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility (at least 1); it has no effect")
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("verify", help="Monte Carlo vs exact vs matrix average")
-    common(p, seed=True)
-    p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--zmax", type=float, default=4.0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility (at least 1); it has no effect")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("rsk", help="insertion pair of a matrix")
-    p.add_argument("--matrix", required=True,
-                   help="JSON file with field rows_top_to_bottom")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json",), default="json")
-    p.set_defaults(func=_cmd_rsk)
-
-    p = sub.add_parser("hammersley", help="Poisson chain-length law vs Toeplitz formula")
-    common(p, model=False, seed=True)
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--zmax", type=float, default=4.0)
-    p.set_defaults(func=_cmd_hammersley)
+    for command, (_, help_text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in options.split():
+            p.add_argument(f"--{name}", **_OPTIONS[name][0])
     return parser
+
+
+def _check_arguments(args, formats):
+    """The input errors that need no file: each option's range, then --out, then
+    a --format the command does not write."""
+    for name, (_, bounds) in _OPTIONS.items():
+        value = getattr(args, name, None)
+        if bounds and value is not None and not bounds[0] < value < math.inf:
+            raise InputError(f"--{name} must be {bounds[1]}, got {value}", field=name)
+    out = args.out and os.path.abspath(args.out)  # not opened: a refused run keeps the file
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out))):
+        raise InputError(f"--out must name a file in an existing directory: {args.out}",
+                         field="out")
+    if args.format not in formats.split():
+        raise InputError(f"{args.command} writes JSON only, not {args.format}", field="format")
 
 
 def main(argv=None) -> int:
@@ -403,9 +376,16 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    """Checks the arguments, reads --model and resolves --seed in place, then runs
+    the command."""
+    func, _, _, formats = _COMMANDS[args.command]
     try:
-        _check_arguments(args)
-        return args.func(args)
+        _check_arguments(args, formats)
+        if hasattr(args, "model"):
+            args.model = _load_model(args.model)
+        if hasattr(args, "seed"):
+            args.seed = _seed_from(args.seed)
+        return func(args)
     except BrokenPipeError:
         raise
     except InputError as exc:

@@ -147,8 +147,9 @@ def variant_of(spec: ModelSpec) -> Variant:
 def _with_prefactor(spec: ModelSpec, route, lmax: int) -> Table:
     if lmax < 0:
         raise ValueError("l must be nonnegative")
+    table = route(spec, lmax)  # the route checks its budget before the prefactor's work
     pref = variant_of(spec).prefactor(spec)
-    return [pref * x for x in route(spec, lmax)]
+    return [pref * x for x in table]
 
 
 def exact_table(spec: ModelSpec, lmax: int) -> Table:

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import contextlib
 import csv
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symlpp
-from symlpp import cli, harness, numerics, symfunc
+from symlpp import cli, harness, numerics, symfunc, variants
 from symlpp.cli import build_parser, dump_json, format_rational, main, rows_to_csv
 from symlpp.core import MODEL_PARAMETERS, ModelSpec
 from symlpp.lpp import MC_CHUNK
@@ -486,6 +487,75 @@ def test_threads_default_to_one():
         assert args.threads == 1
 
 
+# vars(parse_args(argv)) for one minimal argv of each subcommand, recorded
+# (less the parser's `func` default of the time) while each subcommand's options
+# were still written out one add_argument call at a time: every default and
+# type stays as it was.
+PINNED_NAMESPACES = [
+    (["sample", "--model", "m.json"],
+     {"command": "sample", "model": "m.json", "seed": None, "out": None, "format": "json",
+      "count": 1}),
+    (["exact", "--model", "m.json", "--lmax", "3"],
+     {"command": "exact", "model": "m.json", "out": None, "format": "json", "lmax": 3}),
+    (["rmt", "--model", "m.json", "--l", "3"],
+     {"command": "rmt", "model": "m.json", "out": None, "format": "json", "l": 3}),
+    (["mc", "--model", "m.json", "--lmax", "3"],
+     {"command": "mc", "model": "m.json", "seed": None, "out": None, "format": "json",
+      "lmax": 3, "samples": 100000, "threads": 1}),
+    (["verify", "--model", "m.json", "--lmax", "3"],
+     {"command": "verify", "model": "m.json", "seed": None, "out": None, "format": "json",
+      "lmax": 3, "samples": 100000, "zmax": 4.0, "threads": 1}),
+    (["rsk", "--matrix", "m.json"],
+     {"command": "rsk", "matrix": "m.json", "out": None, "format": "json"}),
+    (["hammersley", "--lam", "4", "--lmax", "3"],
+     {"command": "hammersley", "seed": None, "out": None, "format": "json", "lam": 4.0,
+      "lmax": 3, "samples": 100000, "zmax": 4.0}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_NAMESPACES,
+                         ids=[argv[0] for argv, _ in PINNED_NAMESPACES])
+def test_parsed_namespaces_are_pinned(argv, expected):
+    parsed = vars(build_parser().parse_args(argv))
+    assert parsed == expected
+    assert [type(v) for v in parsed.values()] == [type(v) for v in expected.values()]
+
+
+def test_main_builds_the_parser_once(model_file, capsys, monkeypatch):
+    path = model_file("j.json", {"variant": "johansson", "a": ["1/2"], "b": ["1/2"]})
+    run_cli(capsys, ["exact", "--model", path, "--lmax", "1"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(capsys, ["exact", "--model", path, "--lmax", "1"])[0] == 0
+    assert run_cli(capsys, ["rmt", "--model", path, "--l", "-1"])[0] == 2
+    with pytest.raises(SystemExit):
+        main(["exact", "--model", path, "--lmax", "x"])
+    assert run_cli(capsys, ["rmt", "--model", path, "--l", "1"])[0] == 0
+    assert built == []
+    assert build_parser() is build_parser()
+
+
+def test_the_route_budget_is_checked_before_the_prefactor(model_file, capsys, monkeypatch):
+    # 300 parameters 1/2: the prefactor is a product of 90,000 Fractions, and
+    # the Gram table of order 300 is over its budget at any bound
+    def no_prefactor(*args, **kwargs):
+        raise AssertionError("the prefactor was computed before the budget check")
+
+    monkeypatch.setattr(variants, "_pair_product", no_prefactor)
+    path = model_file("j300.json", {"variant": "johansson", "a": ["1/2"] * 300,
+                                    "b": ["1/2"] * 300})
+    for argv in (["exact", "--lmax", "3"], ["verify", "--lmax", "3", "--samples", "10"]):
+        code, out = run_cli(capsys, [*argv, "--model", path])
+        error = json.loads(out)["error"]
+        assert code == 2 and error["field"] == "lmax" and "budget" in error["message"], argv
+
+
 def test_threads_start_no_pool(model_file, capsys, monkeypatch):
     # --threads is parsed and checked, but no pool is made at any count
     class NoPool:
@@ -530,6 +600,8 @@ HUGE = "99999999999999999999/100000000000000000000"
     (["rsk", "--matrix", "NEGATIVE"], "rows_top_to_bottom"),
     (["rsk", "--matrix", "BIGINT"], "matrix"),
     (["exact", "--model", "DEEP", "--lmax", "3"], "model"),
+    # refused before the matrix is read, as when argparse refused it
+    (["rsk", "--matrix", "NEGATIVE", "--format", "csv"], "format"),
 ])
 def test_exit_code_contract(argv, field, model_file, tmp_path, capsys):
     """Exit 0, 1 or 2 with JSON on stdout; a case with a field is an error of that field."""
@@ -984,6 +1056,52 @@ def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
     """`script` in a fresh interpreter that imports symlpp from this checkout."""
     return subprocess.run([sys.executable, "-c", script, *args], env=_fresh_env(),
                           capture_output=True, text=True, timeout=120, check=True)
+
+
+# Runs each argv of the JSON list argv[1] through cli.main in one interpreter;
+# prints [exit code, stdout] of each.
+SEQUENCE_SCRIPT = """
+import contextlib, io, json, sys
+import symlpp.cli as cli
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, buf.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_commands_in_one_process_print_what_they_print_alone(tmp_path):
+    # the benchmark calls main once per operation in one interpreter, with one
+    # parser: an input error and a usage error between two commands change no byte
+    model = tmp_path / "j.json"
+    model.write_text(json.dumps({"variant": "johansson", "a": ["1/2", "1/3"],
+                                 "b": ["2/5", "1/4"]}))
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"rows_top_to_bottom": [[0, 1, 2], [1, 0, 1]]}))
+    m = str(model)
+    argvs = [
+        ["exact", "--model", m, "--lmax", "4"],
+        ["verify", "--model", m, "--lmax", "3", "--samples", "500", "--seed", "3"],
+        ["mc", "--model", m, "--lmax", "4", "--samples", "500", "--seed", "3",
+         "--format", "csv"],
+        ["exact", "--model", str(tmp_path / "none.json"), "--lmax", "4"],
+        ["mc", "--model", m, "--lmax", "x"],
+        ["sample", "--model", m, "--count", "2", "--seed", "1"],
+        ["rsk", "--matrix", str(matrix)],
+        ["hammersley", "--lam", "4", "--lmax", "5", "--samples", "500", "--seed", "2"],
+    ]
+    together = json.loads(_run_fresh(SEQUENCE_SCRIPT, json.dumps(argvs)).stdout)
+    alone = [json.loads(_run_fresh(SEQUENCE_SCRIPT, json.dumps([argv])).stdout)[0]
+             for argv in argvs]
+    assert [code for code, _ in together] == [0, 0, 0, 2, 2, 0, 0, 0]
+    assert together == alone
 
 
 # Runs the CLI commands that draw nothing, then one `mc`, in one interpreter;
