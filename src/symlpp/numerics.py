@@ -3,9 +3,9 @@
 Symbols are multiplicative descriptions of scalar functions on the unit circle,
 built from two factor kinds: (1 + c z^s) and (1 - c z^s)^-1 with |c| < 1.  Both
 keep exact rational Fourier data (the geometric ones divide exactly when they
-share one exponent sign).  leading_minors gives every leading minor of a
-rational matrix, and pfaffian its Pfaffian, each from one fraction-free
-elimination over integers that divides exactly by the previous pivot.
+share one exponent sign).  leading_minors gives every leading minor of an
+integer matrix, and pfaffian the Pfaffian of an integer skew one, each an int
+from one fraction-free elimination that divides exactly by the previous pivot.
 det_exact is the Fraction reference.  The Pfaffian identities that check
 pfaffian live in symlpp.oracles.
 """
@@ -118,41 +118,38 @@ def scaled(xs) -> tuple[int, tuple[int, ...]]:
 MINOR_BIT_BUDGET = 1 << 28
 
 
-def check_minor_budget(order: int, coefficients=()) -> None:
+def check_minor_budget(order: int, ints=()) -> None:
     """Raise InputError unless a sweep of this order, over entries that are sums or
-    differences of two of these coefficients, fits in MINOR_BIT_BUDGET.  With no
-    coefficients the order alone is checked, at 1-bit entries."""
-    bits = max((abs(x).bit_length() for x in scaled(coefficients)[1]), default=0) + 1
+    differences of two of these integers, fits in MINOR_BIT_BUDGET.  With no
+    integers the order alone is checked, at 1-bit entries."""
+    bits = max((abs(x).bit_length() for x in ints), default=0) + 1
     cost = order**3 * (bits + order.bit_length() // 2)
     if cost > MINOR_BIT_BUDGET:
         raise InputError(f"determinant sweep of order {order} over {bits}-bit entries needs "
                          f"about {cost} bits, over the budget of {MINOR_BIT_BUDGET} bits")
 
 
-def leading_minors(rows) -> list[Fraction]:
-    """[D_0, ..., D_n]: every leading principal minor of a rational matrix, in one pass.
+def leading_minors(rows) -> list[int]:
+    """[D_0, ..., D_n]: every leading principal minor of an integer matrix, in one pass.
 
-    One fraction-free (Bareiss) elimination without pivoting runs on the
-    matrix scaled to integers by the lcm d of its denominators; its k-th pivot
-    is d^k D_k.  A zero pivot raises ArithmeticError: callers' minors are positive.
+    One fraction-free (Bareiss) elimination without pivoting, each division
+    exact by the previous pivot; its k-th pivot is D_k.  A zero pivot raises
+    ArithmeticError: callers' minors are positive.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("leading minors need a square matrix")
-    d, flat = scaled(x for row in rows for x in row)
-    m = [list(flat[j * n:(j + 1) * n]) for j in range(n)]
-    minors = [Fraction(1)]
-    prev = 1
+    m = [list(row) for row in rows]
+    minors = [1]
     for k in range(n):
-        pivot, row_k = m[k][k], m[k]
+        pivot, row_k, prev = m[k][k], m[k], minors[-1]
         if pivot == 0:
             raise ArithmeticError(f"leading minor of order {k + 1} is zero")
-        minors.append(Fraction(pivot, d ** (k + 1)))
         for row in m[k + 1:]:
             lead = row[k]
             for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - lead * row_k[j]) // prev
-        prev = pivot
+        minors.append(pivot)
     return minors
 
 
@@ -192,26 +189,23 @@ def _check_skew(matrix) -> list[list]:
     return m
 
 
-def pfaffian(matrix) -> Fraction:
-    """Pfaffian of an even-dimensional skew-symmetric rational matrix; Pf(A)^2 = det(A).
+def pfaffian(matrix) -> int:
+    """Pfaffian of an even-dimensional skew-symmetric integer matrix; Pf(A)^2 = det(A).
 
-    Fraction-free elimination on d A, d the lcm of the denominators: row 0 pairs
-    with its first nonzero partner k, and every other entry becomes the sub-Pfaffian
-    (a m_ij - m_0i m_kj + m_0j m_ki) // prev, a = m_0k and prev the previous pivot,
-    so the division is exact (Knuth 1996) and the last pivot is d^(n/2) Pf(A) up to
-    the sign (-1)^(k-1) of each pairing.
+    Fraction-free elimination: row 0 pairs with its first nonzero partner k, and
+    every other entry becomes the sub-Pfaffian (a m_ij - m_0i m_kj + m_0j m_ki) // prev,
+    a = m_0k and prev the previous pivot, so the division is exact (Knuth 1996)
+    and the last pivot is Pf(A) up to the sign (-1)^(k-1) of each pairing.
     """
     m = _check_skew(matrix)
-    n = len(m)
-    if n % 2 == 1:
+    if len(m) % 2 == 1:
         raise ValueError("Pfaffian needs even dimension")
-    d, flat = scaled(x for row in m for x in row)
-    m, sign, prev = [list(flat[j * n:(j + 1) * n]) for j in range(n)], 1, 1
+    sign, prev = 1, 1
     while m:
         k = next((k for k in range(1, len(m)) if m[0][k]), None)
         if k is None:
-            return Fraction(0)
+            return 0
         a, rest, sign = m[0][k], [i for i in range(1, len(m)) if i != k], sign if k % 2 else -sign
         m, prev = [[(a * m[i][j] - m[0][i] * m[k][j] + m[0][j] * m[k][i]) // prev for j in rest]
                    for i in rest], a
-    return Fraction(sign * prev, d ** (n // 2))
+    return sign * prev

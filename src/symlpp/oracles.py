@@ -27,9 +27,10 @@ path families (pointreflection_selfdual_table: domino-tilable displacements
 and their 2-quotients), the witness for both of its production routes.
 antidiagonal_odd_prefactors gives the odd-bound anti-diagonal prefactor as
 printed in the source of the formula and in its standard form.  Two
-Pfaffian identities check numerics.pfaffian: the closed pairing evaluation of
-a sign-ratio matrix (pfaffian_sign_identity_check) and the minor-sum
-expansion of Pf(A + B) (pfaffian_minor_sum_check).
+Pfaffian identities check numerics.pfaffian, through rational_pfaffian (the
+integer Pfaffian of the matrix scaled by its lcm denominator): the closed
+pairing evaluation of a sign-ratio matrix (pfaffian_sign_identity_check) and
+the minor-sum expansion of Pf(A + B) (pfaffian_minor_sum_check).
 
 The one-matrix references check the batch kernels and the correspondences:
 last_passage and last_passage_bernoulli take the passage time of one matrix,
@@ -600,6 +601,15 @@ def o_component_reflection_gap(rho: Partition, alpha: Fraction, l_odd: int) -> F
 # ---------------------------------------------------------------------------
 
 
+def rational_pfaffian(matrix) -> Fraction:
+    """Pf(A) of a skew-symmetric rational matrix: Pf(D A) / D^(n/2), with D A the
+    integer matrix scaled by the lcm D of the denominators."""
+    m = _check_skew(matrix)
+    n = len(m)
+    d, flat = scaled(x for row in m for x in row)
+    return Fraction(pfaffian([flat[j * n:(j + 1) * n] for j in range(n)]), d ** (n // 2))
+
+
 def pfaffian_sign_identity_check(x, f_values) -> bool:
     """Check the closed pairing evaluation of Pf[(f_j/f_k)^sgn(x_j-x_k) sgn(x_j-x_k)].
 
@@ -626,7 +636,7 @@ def pfaffian_sign_identity_check(x, f_values) -> bool:
             sgn = 1 if x[j] > x[k] else -1
             ratio = f[j] / f[k] if sgn == 1 else f[k] / f[j]
             mat[j][k] = sgn * ratio
-    lhs = pfaffian(mat)
+    lhs = rational_pfaffian(mat)
 
     order = sorted(range(n), key=lambda j: -x[j])
     inversions = sum(1 for a in range(n) for b in range(a + 1, n)
@@ -658,10 +668,10 @@ def pfaffian_minor_sum_check(a, b) -> bool:
             continue
         complement = tuple(i for i in full if not mask >> i & 1)
         weight = sum(i + 1 for i in subset) - len(subset) // 2
-        term = pfaffian([[ma[i][j] for j in subset] for i in subset]) * pfaffian(
-            [[mb[i][j] for j in complement] for i in complement])
+        term = (rational_pfaffian([[ma[i][j] for j in subset] for i in subset])
+                * rational_pfaffian([[mb[i][j] for j in complement] for i in complement]))
         total = total + term if weight % 2 == 0 else total - term
-    lhs = pfaffian([[ma[i][j] + mb[i][j] for j in range(n)] for i in range(n)])
+    lhs = rational_pfaffian([[ma[i][j] + mb[i][j] for j in range(n)] for i in range(n)])
     return lhs == total
 
 

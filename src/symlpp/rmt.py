@@ -17,13 +17,13 @@ determinant in exact Fourier coefficients.
 
 The determinant at each size is a leading minor of the matrix at the largest
 size, so one integer elimination (numerics.leading_minors) gives a whole table
-of rationals (_averages); each model's formula calls it from its record in
-symlpp.variants, whose model_rmt_table mirrors exact_table.  What has no such
-form raises ValueError where its coefficients are built: a second geometric
-factor in _pair_coefficients, geometric factors of both exponent signs in
-fourier_coefficients; _structure refuses an unknown family or a negative size.
-An independent witness (constant-term extraction) lives in symlpp.oracles for
-the tests.
+of rationals (_averages) from coefficients scaled once; each model's formula
+calls it from its record in symlpp.variants, whose model_rmt_table mirrors
+exact_table.  What has no such form raises ValueError where its coefficients
+are built: a second geometric factor in _pair_coefficients, geometric factors
+of both exponent signs in fourier_coefficients; _structure refuses an unknown
+family or a negative size.  An independent witness (constant-term extraction)
+lives in symlpp.oracles for the tests.
 
 Conventions: an average over a size-0 group is 1, and 0**0 = 1 wherever a
 weight parameter is 0 with a vanishing exponent.
@@ -41,6 +41,7 @@ from .numerics import (
     check_minor_budget,
     fourier_coefficients,
     leading_minors,
+    scaled,
 )
 
 
@@ -126,20 +127,20 @@ def _sweep(hankel: tuple[int, int] | None, symbol: SymbolSpec, order: int) -> li
     """[D_0, ..., D_order] of det(f_{j-k}) (hankel None) or det(g_{|j-k|} + sign g_{j+k+shift}).
 
     The budget is checked on the order alone before any coefficient is
-    computed, then on the coefficients before the matrix is built.
+    computed, then on the coefficients scaled once to integers c = d f.
     """
     check_minor_budget(order)
     if hankel is None:
-        f = fourier_coefficients(symbol, -order, order)
-        check_minor_budget(order, list(f.values()))
-        rows = [[f[j - k] for k in range(order)] for j in range(order)]
+        d, c = scaled(fourier_coefficients(symbol, -order, order).values())
+        check_minor_budget(order, c)
+        rows = [[c[order + j - k] for k in range(order)] for j in range(order)]
     else:
         shift, sign = hankel
-        g = _pair_coefficients(symbol, max(2 * order - 2 + shift, 0))
-        check_minor_budget(order, g)
-        rows = [[g[abs(j - k)] + sign * g[j + k + shift] for k in range(order)]
+        d, c = scaled(_pair_coefficients(symbol, max(2 * order - 2 + shift, 0)))
+        check_minor_budget(order, c)
+        rows = [[c[abs(j - k)] + sign * c[j + k + shift] for k in range(order)]
                 for j in range(order)]
-    return leading_minors(rows)
+    return [Fraction(minor, d**k) for k, minor in enumerate(leading_minors(rows))]
 
 
 def _averages(family: str, symbol: SymbolSpec, sizes) -> list[Fraction]:

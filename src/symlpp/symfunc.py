@@ -5,10 +5,11 @@ out as Fractions.  The bounded sums read two small tables built from h_k and
 e_k of the parameters: Gram determinants by Cauchy-Binet on Jacobi-Trudi
 minors (cauchy_table, dual_cauchy_table) and Pfaffians by minor summation
 (odd_part_table, alternating_table), each of order n at every bound.  Both
-keep their running matrix as integers at the parameters scaled by the lcm of
-their denominators and make one Fraction per bound; nothing here sweeps a
-partition box.  The Schur evaluator and the self-dual point-reflection sum,
-which do, are test witnesses in symlpp.oracles.
+keep their running matrix as integers at the parameters scaled once by the
+lcm of their denominators and make one Fraction per bound, and each
+pair-product prefactor is one integer product over one power; nothing here
+sweeps a partition box.  The Schur evaluator and the self-dual
+point-reflection sum, which do, are test witnesses in symlpp.oracles.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def _gram_table(a, b, n: int, lmax: int, elementary: bool = False) -> list[Fract
         u, v = ma[c:c + n], mb[c:c + n]
         k = [[t * x + ui * vj for x, vj in zip(row, v)] for row, ui in zip(k, u)]
         if c >= n - 1:
-            table.append(leading_minors(k)[-1] / t ** (n * (c + 1) - n * (n + 1) // 2))
+            table.append(Fraction(leading_minors(k)[-1],
+                                  t ** (n * (c + 1) - n * (n + 1) // 2)))
     return table
 
 
@@ -115,8 +117,8 @@ def _minor_sum_table(q, lmax: int, x: tuple, y: tuple, r) -> list[Fraction]:
              for row, si, ci in zip(p, s, col)]
         tail = [d * (er * u + w * v) for u, v in zip(tail, col)]
         if c >= n - 1:
-            table.append((-1) ** (n // 2) * pfaffian(p) * d ** (n * (n - 1) // 2)
-                         / (t**c * e) ** (n // 2))
+            table.append(Fraction((-1) ** (n // 2) * pfaffian(p) * d ** (n * (n - 1) // 2),
+                                  (t**c * e) ** (n // 2)))
     return table
 
 
@@ -136,12 +138,15 @@ def alternating_table(q, alpha, lmax: int) -> list[Fraction]:
 
 
 def _pair_product(a, b) -> Fraction:
-    return prod((1 - x * y for x in a for y in b), start=Fraction(1))
+    (da, xa), (db, xb) = scaled(a), scaled(b)
+    t = da * db
+    return Fraction(prod(t - x * y for x in xa for y in xb), t ** (len(xa) * len(xb)))
 
 
 def _upper_pair_product(q) -> Fraction:
-    return prod((1 - q[i] * q[j] for i in range(len(q)) for j in range(i + 1, len(q))),
-                start=Fraction(1))
+    d, x = scaled(q)
+    return Fraction(prod(d * d - u * v for i, u in enumerate(x) for v in x[i + 1:]),
+                    d ** (len(x) * (len(x) - 1)))
 
 
 def exact_distribution(spec: ModelSpec, l: int) -> Fraction:

@@ -14,8 +14,11 @@ from symlpp.numerics import (
     fourier_coefficients,
     leading_minors,
     pfaffian,
+    scaled,
 )
-from symlpp.oracles import pfaffian_minor_sum_check, pfaffian_sign_identity_check
+from symlpp.oracles import (pfaffian_minor_sum_check, pfaffian_sign_identity_check,
+                            rational_pfaffian)
+from symlpp.symfunc import _pair_product, _upper_pair_product
 
 
 def rand_skew(rnd, n):
@@ -126,8 +129,12 @@ def test_leading_minors_match_each_determinant():
         rows = [[F(rnd.randint(-9, 9), rnd.randint(1, 12)) for _ in range(n)] for _ in range(n)]
         for j in range(n):
             rows[j][j] += 20  # diagonally dominant: no leading minor vanishes
-        assert leading_minors(rows) == [det_exact([r[:k] for r in rows[:k]])
-                                        for k in range(n + 1)]
+        # the kernel takes the matrix scaled to integers by the lcm d of its
+        # denominators, whose k-th leading minor is d^k D_k
+        d, flat = scaled(x for r in rows for x in r)
+        ints = [flat[j * n:(j + 1) * n] for j in range(n)]
+        assert [F(minor, d**k) for k, minor in enumerate(leading_minors(ints))] == [
+            det_exact([r[:k] for r in rows[:k]]) for k in range(n + 1)]
 
 
 def test_leading_minors_zero_pivot_raises():
@@ -150,16 +157,16 @@ def test_det_exact_examples():
 
 def test_pfaffian_small():
     c = F(7, 3)
-    assert pfaffian([[F(0), c], [-c, F(0)]]) == c
+    assert rational_pfaffian([[F(0), c], [-c, F(0)]]) == c
     rnd = random.Random(3)
     m = rand_skew(rnd, 4)
     expected = m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
-    assert pfaffian(m) == expected
+    assert rational_pfaffian(m) == expected
     with pytest.raises(ValueError):
-        pfaffian(rand_skew(rnd, 3))
+        rational_pfaffian(rand_skew(rnd, 3))
     with pytest.raises(ValueError):
-        pfaffian([[F(1)]])
-    assert pfaffian([]) == 1
+        rational_pfaffian([[F(1)]])
+    assert rational_pfaffian([]) == 1
 
 
 def test_pfaffian_squares_to_determinant():
@@ -167,14 +174,14 @@ def test_pfaffian_squares_to_determinant():
     for n in (2, 4, 6, 8):
         for _ in range(10):
             m = rand_skew(rnd, n)
-            assert pfaffian(m) ** 2 == det_exact(m)
+            assert rational_pfaffian(m) ** 2 == det_exact(m)
     # sparse inputs: row 0 skips zero partners, and many matrices are singular
     singular = skipped = 0
     for n in (2, 4, 6, 8):
         for rational in (False, True):
             for _ in range(25):
                 m = rand_sparse_skew(rnd, n, rational)
-                pf = pfaffian(m)
+                pf = rational_pfaffian(m)
                 assert pf ** 2 == det_exact(m)
                 assert pf == pf_laplace(m)
                 singular += pf == 0
@@ -183,14 +190,14 @@ def test_pfaffian_squares_to_determinant():
     # rank two with no zero row: the elimination empties only after one step
     u, v = [F(k, 3) for k in (1, 2, 0, 5, 4, 7)], [F(k, 5) for k in (2, 1, 3, 0, 6, 1)]
     m = [[a * d - b * c for c, d in zip(u, v)] for a, b in zip(u, v)]
-    assert all(m[0][1:]) and pfaffian(m) == 0 == det_exact(m)
+    assert all(m[0][1:]) and rational_pfaffian(m) == 0 == det_exact(m)
 
 
 def test_pfaffian_sign_identity_examples():
     # l = 1, x = (3, 1): both sides are f(3)/f(1) = 5/2
     assert pfaffian_sign_identity_check([3, 1], [F(5), F(2)])
     mat = [[F(0), F(5, 2)], [F(-5, 2), F(0)]]
-    assert pfaffian(mat) == F(5, 2)
+    assert rational_pfaffian(mat) == F(5, 2)
     # reversed order: the sorting permutation is odd and compensates
     assert pfaffian_sign_identity_check([1, 3], [F(2), F(5)])
     with pytest.raises(ValueError):
@@ -218,3 +225,49 @@ def test_pfaffian_minor_sum():
         assert pfaffian_minor_sum_check(rand_skew(rnd, 4), rand_skew(rnd, 4))
     with pytest.raises(ValueError):
         pfaffian_minor_sum_check(rand_skew(rnd, 4), rand_skew(rnd, 6))
+
+
+def test_kernels_take_and_return_ints():
+    # the elimination kernels stay in integers: no Fraction comes back from an
+    # integer matrix, singular or not
+    rnd = random.Random(9)
+    for n in range(6):
+        rows = [[rnd.randint(-9, 9) + 40 * (j == k) for k in range(n)] for j in range(n)]
+        minors = leading_minors(rows)
+        assert all(type(x) is int for x in minors)
+        assert minors == [det_exact([r[:k] for r in rows[:k]]) for k in range(n + 1)]
+    for n in (0, 2, 4, 6):
+        for _ in range(10):
+            m = rand_sparse_skew(rnd, n, rational=False)
+            pf = pfaffian(m)
+            assert type(pf) is int and pf == pf_laplace(m)
+
+
+def _one_at_a_time(factors) -> F:
+    value = F(1)
+    for x in factors:
+        value *= x
+    return value
+
+
+def test_pair_products_equal_the_one_at_a_time_product():
+    rnd = random.Random(10)
+
+    def params(n):
+        return tuple(F(rnd.randint(0, 12), rnd.randint(1, 13)) for _ in range(n))
+
+    cases = [(params(rnd.randint(0, 6)), params(rnd.randint(0, 6))) for _ in range(40)]
+    cases += [((), ()), ((), params(3)), (params(3), ()), ((F(0), F(1, 2)), (F(0), F(2, 3))),
+              (params(300), params(2)), (params(2), params(300))]
+    for a, b in cases:
+        # bernoulli's prefactor pairs a with -b
+        for y in (b, tuple(-v for v in b)):
+            assert _pair_product(a, y) == _one_at_a_time(1 - u * v for u in a for v in y)
+        assert _upper_pair_product(a) == _one_at_a_time(
+            1 - a[i] * a[j] for i in range(len(a)) for j in range(i + 1, len(a)))
+    # 300 parameters 1/2, where 90,000 Fractions one at a time take seconds:
+    # every factor is 3/4 (5/4 against -b)
+    half = (F(1, 2),) * 300
+    assert _pair_product(half, half) == F(3, 4) ** 90000
+    assert _pair_product(half, tuple(-v for v in half)) == F(5, 4) ** 90000
+    assert _upper_pair_product(half) == F(3, 4) ** (300 * 299 // 2)
